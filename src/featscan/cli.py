@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embedded, inference, mdss, reportio, synth
-from .errors import EXIT_CONFIG, EXIT_DATA, FeatscanError, KTooLargeError
+from .errors import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, FeatscanError, KTooLargeError
 from .filters import FilterThresholds, filter_select
 from .tabular import (
     BinMethod,
@@ -541,6 +541,9 @@ def main(argv=None) -> int:
     except FeatscanError as exc:
         log.error("%s", exc)
         return exc.exit_code
+    except np.linalg.LinAlgError as exc:   # a ValueError, but numeric
+        log.error("%s", exc)
+        return EXIT_NUMERIC
     except (ValueError, json.JSONDecodeError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG

@@ -2,7 +2,10 @@
 
 Significance comes from a parametric bootstrap: outcomes are redrawn as
 independent coins at the global rate, the scan is repeated, and the
-observed score is ranked among the replicate maxima. Effect size is the
+observed score is ranked among the replicate maxima. Replicates change
+only the outcome, so they share the observed dataset's pattern table
+(see :mod:`featscan.mdss`) and each costs one bincount over the rows plus
+a scan over the distinct value patterns. Effect size is the
 odds ratio of the detected subset against its complement with a Wald
 confidence interval on the log scale.
 """
@@ -46,8 +49,10 @@ def empirical_p_value(data: DiscreteDataset, features: list[str],
 
     Each replicate redraws every outcome as Bernoulli(alpha_g) with the
     covariates fixed and rescans with the same configuration under a
-    derived seed. The p-value is (1 + #{replicate >= observed}) / (r + 1),
-    so ties count against significance and p is never 0.
+    derived seed. A replicate that draws a constant outcome has nothing to
+    contrast and scores 0. The p-value is
+    (1 + #{replicate >= observed}) / (r + 1), so ties count against
+    significance and p is never 0.
     """
     if r < 19:
         raise ValueError(f"need at least 19 replicates for p < 0.05, got {r}")
@@ -58,6 +63,9 @@ def empirical_p_value(data: DiscreteDataset, features: list[str],
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, i))
         )
         y_rep = (rng.random(data.n_rows) < alpha_g).astype(np.int8)
+        if y_rep.min() == y_rep.max():
+            scores.append(0.0)
+            continue
         rep_seed = int(
             np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2, i))
             .generate_state(1)[0]

@@ -5,7 +5,10 @@ subset with the strongest evidence of elevated outcome odds, measured by
 a Bernoulli likelihood-ratio score against the global outcome mean. Each
 feature's optimal value set given the others is found in linear time by
 evaluating priority-ordered prefixes; coordinate ascent with random
-restarts drives the joint search.
+restarts drives the joint search. The search runs on a pattern table:
+the distinct joint codes of the scanned features with a row count and an
+outcome sum each. It is built once per dataset and feature list and
+shared by every bootstrap replicate of that dataset.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .errors import (
     UnknownFeatureError,
 )
 from .tabular import Dataset, DiscreteDataset, FeatureKind
-
-_SCORE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -195,25 +196,24 @@ def aggregate_by_value(data: DiscreteDataset, feature: str,
     ]
 
 
-def _best_prefix(n_v: np.ndarray, s_v: np.ndarray, alpha_g: float):
+def _best_prefix(n_v, s_v, alpha_g: float):
     """Best priority-ordered prefix of positive-count values.
 
-    Returns (code array of the chosen values, score). Values are ranked by
-    sum_y / (n * alpha) descending; the linear-time scan property puts the
-    optimum over all value subsets on one of these prefixes. On score ties
-    the larger prefix wins, so a null feature relaxes to its full domain.
+    Takes per-value float counts and outcome sums; returns (chosen codes,
+    score). Values rank by sum_y / (n * alpha) descending, then by code;
+    the linear-time scan property puts the best value subset on one of
+    these prefixes. Ties go to the larger prefix (see below).
     """
-    pos = np.nonzero(n_v > 0)[0]
-    if len(pos) == 0:
+    pos = [i for i, n in enumerate(n_v) if n > 0]
+    if not pos:
         raise EmptyRecordsError("no value has any members")
-    priority = s_v[pos] / (n_v[pos] * alpha_g)
-    order = pos[np.lexsort((pos, -priority))]
-    cum_n = np.cumsum(n_v[order])
-    cum_s = np.cumsum(s_v[order])
-    best_score = -1.0
-    best_j = 0
-    for j in range(len(order)):
-        sc, _ = score_bernoulli(float(cum_s[j]), float(cum_n[j]), alpha_g)
+    order = sorted(pos, key=lambda i: (-(s_v[i] / (n_v[i] * alpha_g)), i))
+    cum_n = cum_s = 0.0
+    best_score, best_j = -1.0, 0
+    for j, i in enumerate(order):
+        cum_n += n_v[i]
+        cum_s += s_v[i]
+        sc = score_bernoulli(cum_s, cum_n, alpha_g)[0]
         # >= so exact ties go to the larger prefix; a feature carrying no
         # signal then relaxes to its full domain
         if sc >= best_score:
@@ -224,49 +224,39 @@ def _best_prefix(n_v: np.ndarray, s_v: np.ndarray, alpha_g: float):
 
 def best_value_subset(records: list[ValueRecord], alpha_g: float) -> tuple[frozenset[str], float]:
     """Highest-scoring value subset of one feature via prefix evaluation."""
-    n_v = np.array([r.n for r in records], dtype=np.float64)
-    s_v = np.array([r.sum_y for r in records], dtype=np.float64)
-    chosen, score = _best_prefix(n_v, s_v, alpha_g)
+    chosen, score = _best_prefix([float(r.n) for r in records],
+                                 [float(r.sum_y) for r in records], alpha_g)
     return frozenset(records[i].value for i in chosen), score
 
 
-class _ScanWorkspace:
-    """Reusable per-scan state: codes, per-feature block masks, counters."""
+def _pattern_table(data: DiscreteDataset, features: list[str]):
+    """Distinct joint codes of the scanned features, with a row count each.
 
-    def __init__(self, data: DiscreteDataset, features: list[str]):
-        self.features = features
-        self.codes = [data.codes(f) for f in features]
-        self.levels = [data.levels(f) for f in features]
-        self.arities = [len(lv) for lv in self.levels]
-        self.y = data.outcome.astype(np.float64)
-        self.n = data.n_rows
-        self.blocked = [np.zeros(self.n, dtype=np.int8) for _ in features]
-        self.num_blocked = np.zeros(self.n, dtype=np.int16)
-        self.selected: list[np.ndarray] = [
-            np.ones(a, dtype=bool) for a in self.arities
-        ]
-
-    def set_selection(self, j: int, allowed: np.ndarray) -> None:
-        new_blocked = (~allowed[self.codes[j]]).astype(np.int8)
-        self.num_blocked += new_blocked - self.blocked[j]
-        self.blocked[j] = new_blocked
-        self.selected[j] = allowed
-
-    def reset(self) -> None:
-        for j, a in enumerate(self.arities):
-            self.set_selection(j, np.ones(a, dtype=bool))
-
-    def joint_stats(self) -> tuple[int, int]:
-        mask = self.num_blocked == 0
-        return int(round(float(self.y[mask].sum()))), int(mask.sum())
-
-
-def _random_selection(rng: np.random.Generator, arity: int) -> np.ndarray:
-    # rejection sampling: uniform over non-empty value subsets
-    while True:
-        sel = rng.integers(0, 2, size=arity).astype(bool)
-        if sel.any():
-            return sel
+    Returns (inverse, codes, n): each row's pattern, each feature's code
+    per pattern and the rows per pattern. It depends on the covariates
+    only, so it is kept in the cache that all ``with_outcome`` copies of
+    ``data`` share: one table, replaced when the feature list changes.
+    """
+    cached = data.covariate_cache.get("scan_patterns")
+    if cached is not None and cached[0] == tuple(features):
+        return cached[1]
+    # mixed-radix key, re-compressed to pattern ids before it could overflow
+    key, radix = np.zeros(data.n_rows, dtype=np.int64), 1
+    for f in features:
+        if radix * data.arity(f) > np.iinfo(np.int64).max:
+            key = np.searchsorted(np.unique(key), key)
+            radix = int(key.max()) + 1
+        key *= data.arity(f)
+        key += data.codes(f)
+        radix *= data.arity(f)
+    # unique values, then a search, need less memory than return_inverse
+    inverse = np.searchsorted(np.unique(key), key)
+    n = np.bincount(inverse)
+    rep = np.empty(len(n), dtype=np.intp)
+    rep[inverse] = np.arange(data.n_rows)   # any row of a pattern stands for it
+    table = (inverse, [data.codes(f)[rep] for f in features], n.astype(np.float64))
+    data.covariate_cache["scan_patterns"] = (tuple(features), table)
+    return table
 
 
 def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredSubset:
@@ -279,64 +269,74 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
     improves the score by no more than 1e-12 or the iteration cap is hit.
     The best restart wins; ties prefer fewer restrictions, then the
     lexicographically smallest restriction encoding. Deterministic for a
-    fixed seed.
+    fixed seed. Rows are grouped into the pattern table of ``features``,
+    taken from the dataset's shared cache when an earlier scan of the same
+    covariates and feature list built it; results equal a row-level scan.
     """
     if not features:
         raise NoFeaturesError("scan needs at least one feature")
     if len(set(features)) != len(features):
         raise ValueError("duplicate features in scan list")
-    for f in features:
-        data.codes(f)   # raises UnknownFeatureError
+    levels = [data.levels(f) for f in features]   # raises UnknownFeatureError
     alpha_g = data.outcome_mean()
     if not 0.0 < alpha_g < 1.0:
-        raise DegenerateOutcomeError(
-            f"outcome mean {alpha_g} leaves nothing to contrast"
-        )
+        raise DegenerateOutcomeError(f"outcome mean {alpha_g} leaves nothing to contrast")
 
-    ws = _ScanWorkspace(data, list(features))
-    n_feat = len(features)
+    inverse, codes, n_p = _pattern_table(data, features)
+    s_p = np.bincount(inverse, weights=data.outcome, minlength=len(n_p))
+    full = [tuple(range(len(lv))) for lv in levels]
+
+    # both act on the state that each restart below sets up afresh
+    def set_selection(j: int, values: tuple) -> None:
+        if values == selected[j]:
+            return
+        allowed = np.zeros(len(full[j]), dtype=bool)
+        allowed[list(values)] = True
+        new_blocked = ~allowed[codes[j]]
+        np.add(num_blocked, new_blocked, out=num_blocked)
+        np.subtract(num_blocked, blocked[j], out=num_blocked)
+        blocked[j], selected[j] = new_blocked, values
+
+    def joint_stats() -> tuple[int, int]:
+        mask = num_blocked == 0
+        return int(round(float(s_p[mask].sum()))), int(n_p[mask].sum())
+
     best: tuple | None = None   # (-score, n_restricted, encoding, ScoredSubset)
-
     for restart in range(cfg.n_restarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, restart))
-        )
-        ws.reset()
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
+                                                           spawn_key=(0, restart)))
+        # per feature: the retained codes and the patterns they block
+        selected, num_blocked = list(full), np.zeros(len(n_p), dtype=np.int16)
+        blocked = [np.zeros(len(n_p), dtype=bool) for _ in features]
         if restart > 0:
-            for j in range(n_feat):
-                ws.set_selection(j, _random_selection(rng, ws.arities[j]))
-        sum_y, n_s = ws.joint_stats()
-        score = score_bernoulli(sum_y, n_s, alpha_g)[0]
+            for j in range(len(features)):
+                sel = np.zeros(1)
+                while not sel.any():   # uniform over non-empty value subsets
+                    sel = rng.integers(0, 2, size=len(full[j]))
+                set_selection(j, tuple(np.flatnonzero(sel).tolist()))
+        score = score_bernoulli(*joint_stats(), alpha_g)[0]
 
         for _ in range(cfg.max_iterations):
             cycle_start = score
-            for j in rng.permutation(n_feat):
-                cond = ws.num_blocked == ws.blocked[j]
-                codes_j = ws.codes[j][cond]
-                if len(codes_j) == 0:
+            for j in rng.permutation(len(features)).tolist():
+                members = np.flatnonzero(num_blocked == blocked[j])
+                if len(members) == 0:
                     # conjunction of the other features is empty; relax
-                    ws.set_selection(j, np.ones(ws.arities[j], dtype=bool))
+                    set_selection(j, full[j])
                     score = 0.0
                     continue
-                n_v = np.bincount(codes_j, minlength=ws.arities[j])
-                s_v = np.bincount(codes_j, weights=ws.y[cond],
-                                  minlength=ws.arities[j])
-                chosen, sc = _best_prefix(n_v, s_v, alpha_g)
-                allowed = np.zeros(ws.arities[j], dtype=bool)
-                allowed[chosen] = True
-                ws.set_selection(j, allowed)
-                score = sc
-            if score <= cycle_start + _SCORE_TOL:
+                codes_j = codes[j][members]
+                n_v = np.bincount(codes_j, weights=n_p[members], minlength=len(full[j]))
+                s_v = np.bincount(codes_j, weights=s_p[members], minlength=len(full[j]))
+                chosen, score = _best_prefix(n_v.tolist(), s_v.tolist(), alpha_g)
+                set_selection(j, tuple(sorted(chosen)))
+            if score <= cycle_start + 1e-12:
                 break
 
-        sum_y, n_s = ws.joint_stats()
+        sum_y, n_s = joint_stats()
         final_score, q = score_bernoulli(sum_y, n_s, alpha_g)
-        restrictions = {}
-        for j, f in enumerate(ws.features):
-            if not ws.selected[j].all():
-                restrictions[f] = frozenset(
-                    ws.levels[j][i] for i in np.nonzero(ws.selected[j])[0]
-                )
+        restrictions = {f: frozenset(levels[j][i] for i in selected[j])
+                        for j, f in enumerate(features) if selected[j] != full[j]}
         subset = SubsetDescriptor(restrictions).canonicalized(data)
         result = ScoredSubset(subset=subset, score=final_score, q_mle=q,
                               n_members=n_s, sum_outcomes=sum_y, alpha_g=alpha_g)

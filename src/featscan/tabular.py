@@ -167,7 +167,8 @@ def load_csv(path, schema: Schema) -> Dataset:
 
     The header must contain exactly the schema's feature names plus the
     outcome column, in any order. Missing cells are handled per the
-    schema's missing policy. Raises :class:`SchemaMismatchError`,
+    schema's missing policy. A continuous cell must parse as a finite
+    number. Raises :class:`SchemaMismatchError`,
     :class:`NonBinaryOutcomeError`, :class:`ParseError`, or
     :class:`MissingValueError`.
     """
@@ -232,6 +233,13 @@ def load_csv(path, schema: Schema) -> Dataset:
         else np.asarray(vals, dtype=str)
         for f, vals in columns.items()
     }
+    for f in schema.features_of_kind(FeatureKind.CONTINUOUS):
+        bad = np.flatnonzero(~np.isfinite(arrays[f]))
+        if len(bad):
+            raise ParseError(
+                f"{path}: non-finite continuous value "
+                f"{raw_rows[bad[0]][col_idx[f]].strip()!r} for {f!r}"
+            )
     if not outcome:
         raise DegenerateColumnError(f"{path}: no data rows")
     return Dataset(schema, arrays, np.asarray(outcome, dtype=np.int8))
@@ -318,13 +326,16 @@ class DiscreteDataset:
 
     def __init__(self, source_schema: Schema, outcome: np.ndarray,
                  codes: dict[str, np.ndarray], levels: dict[str, tuple[str, ...]],
-                 cut_points: dict[str, np.ndarray]):
+                 cut_points: dict[str, np.ndarray], covariate_cache: dict | None = None):
         self.schema = source_schema
         self.outcome = outcome
         self.n_rows = len(outcome)
         self._codes = codes
         self._levels = levels
         self.cut_points = cut_points
+        # state derived from the covariates alone (the scanner's pattern
+        # table), shared with every with_outcome copy
+        self.covariate_cache = {} if covariate_cache is None else covariate_cache
         for name, col in codes.items():
             col.setflags(write=False)
 
@@ -354,7 +365,7 @@ class DiscreteDataset:
         if len(outcome) != self.n_rows:
             raise SchemaMismatchError("replacement outcome has wrong length")
         return DiscreteDataset(self.schema, outcome, self._codes, self._levels,
-                               self.cut_points)
+                               self.cut_points, self.covariate_cache)
 
     def cut_points_json_dict(self) -> dict:
         return {f: list(map(float, cuts)) for f, cuts in self.cut_points.items()}

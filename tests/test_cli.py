@@ -271,3 +271,28 @@ class TestConfigFile:
 
     def test_missing_required_exits_one(self):
         assert main(["select", "--method", "committee", "--k", "2"]) == 1
+
+
+class TestErrorExitCodes:
+    def test_non_finite_continuous_cell_exits_two(self, synth_dir, tmp_path):
+        lines = (synth_dir / "data.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[5].split(",")
+        row[header.index("num01")] = "inf"
+        lines[5] = ",".join(row)
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        rc = main(["scan", "--features", "all",
+                   "--data", str(data),
+                   "--schema", str(synth_dir / "schema.json"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+
+    def test_linalg_error_exits_three(self, synth_dir, tmp_path, monkeypatch):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr("featscan.cli.filter_select", singular)
+        rc = main(["select", "--method", "filter_wrapper", "--k", "2",
+                   *common_flags(synth_dir, tmp_path)])
+        assert rc == 3

@@ -96,6 +96,21 @@ class TestEmpiricalPValue:
         res = empirical_p_value(d, ["g", "h"], cfg, observed, r=99)
         assert res.p_value <= 0.02
 
+    def test_constant_replicate_draw_scores_zero(self):
+        # one positive in 30 rows: about a third of the replicates draw no
+        # positive at all, which leaves nothing to contrast
+        rng = np.random.default_rng(5)
+        d = categorical_dataset({"g": rng.choice(list("abc"), size=30)},
+                                [1] + [0] * 29)
+        cfg = ScanConfig(n_restarts=3, seed=8)
+        observed = scan(d, ["g"], cfg)
+        res = empirical_p_value(d, ["g"], cfg, observed, r=19)
+        assert len(res.replicate_scores) == 19
+        assert res.replicate_scores.count(0.0) >= 1
+        assert all(s >= 0.0 for s in res.replicate_scores)
+        exceed = sum(1 for s in res.replicate_scores if s >= observed.score)
+        assert res.p_value == (1 + exceed) / 20
+
 
 def table_dataset(a, b, c, d):
     """Rows laid out so feature m=1 marks the (a+b) in-subset block."""

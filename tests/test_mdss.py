@@ -13,6 +13,7 @@ from featscan.errors import (
 )
 from featscan.mdss import (
     ScanConfig,
+    _pattern_table,
     SubsetDescriptor,
     ValueRecord,
     aggregate_by_value,
@@ -318,3 +319,33 @@ class TestScan:
         assert "x" in result.subset.restrictions
         # top bin (code 4) must be among the retained values
         assert "4" in result.subset.restrictions["x"]
+
+
+class TestPatternTable:
+    def test_groups_rows_when_key_would_overflow(self):
+        # 70 binary features: the mixed-radix key needs re-compression
+        rng = np.random.default_rng(17)
+        distinct = rng.choice(list("xy"), size=(40, 70))
+        rows = distinct[rng.integers(0, 40, size=300)]
+        cols = {f"b{i:02d}": rows[:, i] for i in range(70)}
+        d = categorical_dataset(cols, rng.integers(0, 2, size=300))
+        feats = list(cols)
+        inverse, codes, counts = _pattern_table(d, feats)
+        for f, c in zip(feats, codes):
+            np.testing.assert_array_equal(c[inverse], d.codes(f))
+        stacked = np.column_stack([d.codes(f) for f in feats])
+        assert len(counts) == len(np.unique(stacked, axis=0))
+        np.testing.assert_array_equal(counts, np.bincount(inverse))
+
+    def test_one_table_per_dataset_shared_by_outcome_copies(self):
+        d = planted_dataset(seed=2, n=200)
+        cfg = ScanConfig(n_restarts=2, seed=1)
+        scan(d, ["f1", "f2"], cfg)
+        table = d.covariate_cache["scan_patterns"]
+        rep = d.with_outcome(1 - np.asarray(d.outcome))
+        assert rep.covariate_cache is d.covariate_cache
+        scan(rep, ["f1", "f2"], cfg)
+        assert d.covariate_cache["scan_patterns"] is table
+        scan(rep, ["f2", "f1"], cfg)
+        assert d.covariate_cache["scan_patterns"] is not table
+        assert list(d.covariate_cache) == ["scan_patterns"]

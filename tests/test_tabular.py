@@ -86,6 +86,14 @@ class TestLoadCsv:
         with pytest.raises(ParseError):
             load_csv(path, make_schema())
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "Infinity", "-nan"])
+    def test_non_finite_continuous(self, tmp_path, cell):
+        path = write_lines(tmp_path, [
+            "age,sex,dept,died", "1.0,M,icu,0", f"{cell},F,er,1", "3.0,M,icu,0",
+        ])
+        with pytest.raises(ParseError, match=f"non-finite continuous value '{cell}'"):
+            load_csv(path, make_schema())
+
     def test_header_order_free(self, tmp_path):
         path = write_lines(tmp_path, ["died,dept,age,sex", "0,icu,5.0,M"])
         d = load_csv(path, make_schema())
