@@ -1,4 +1,4 @@
-"""Command-line pipeline: select, scan, sweep, synth, pvalue.
+"""Command-line pipeline: select, scan, sweep, synth.
 
 Every command reads CSV data plus a JSON schema, writes JSON reports and
 CSV tables into an output directory, and exits 0 on success, 1 on
@@ -15,8 +15,7 @@ import json
 import logging
 import sys
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +66,6 @@ class PipelineConfig:
     max_iterations: int = 50
     bootstrap_r: int = 100
     score_tolerance: float = 0.01
-    workers: int = 1
     seed: int = 0
 
     def thresholds(self) -> FilterThresholds:
@@ -193,7 +191,11 @@ class SelectionRunner:
 # ---------------------------------------------------------------------------
 
 def _scan_bundle(dd, features: list[str], cfg: PipelineConfig):
-    """Scan, bootstrap p-value, effect estimate, characterization."""
+    """Scan, bootstrap p-value, effect estimate, characterization.
+
+    Returns the report payload, then the scored subset, its significance
+    and its effect estimate (None for an empty or all-rows subset).
+    """
     scan_cfg = cfg.scan_config(features)
     observed = mdss.scan(dd, features, scan_cfg)
     significance = inference.empirical_p_value(
@@ -203,17 +205,14 @@ def _scan_bundle(dd, features: list[str], cfg: PipelineConfig):
     if 0 < observed.n_members < dd.n_rows:
         effect = inference.odds_ratio(dd, observed.subset)
     character = inference.characterize(dd, observed)
-    return observed, significance, effect, character
-
-
-def _scan_report_payload(features, observed, significance, effect, character):
-    return {
+    payload = {
         "features_scanned": sorted(features),
         "subset": observed.to_json_dict(),
         "significance": significance.to_json_dict(),
         "effect": effect.to_json_dict() if effect is not None else None,
         "characterization": character.to_json_dict(),
     }
+    return payload, observed, significance, effect
 
 
 def _load_feature_list(arg: str, dataset: Dataset) -> list[str]:
@@ -278,12 +277,9 @@ def cmd_scan(cfg: PipelineConfig, features_arg: str) -> int:
     dataset = load_csv(cfg.data, Schema.from_json_file(cfg.schema))
     features = _load_feature_list(features_arg, dataset)
     dd = discretize(dataset, cfg.discretization())
-    observed, significance, effect, character = _scan_bundle(dd, features, cfg)
+    payload, observed, significance, _ = _scan_bundle(dd, features, cfg)
     name = "all" if features_arg == "all" else Path(features_arg).stem
-    reportio.write_report(
-        cfg.out_dir / f"scan_{name}.json",
-        _scan_report_payload(features, observed, significance, effect, character),
-    )
+    reportio.write_report(cfg.out_dir / f"scan_{name}.json", payload)
     reportio.write_csv_atomic(
         cfg.out_dir / f"replicates_{name}.csv",
         ["replicate", "score"],
@@ -298,51 +294,6 @@ def cmd_scan(cfg: PipelineConfig, features_arg: str) -> int:
              len(features), observed.score, significance.p_value,
              observed.n_members)
     return 0
-
-
-def cmd_pvalue(cfg: PipelineConfig, features_arg: str) -> int:
-    dataset = load_csv(cfg.data, Schema.from_json_file(cfg.schema))
-    features = _load_feature_list(features_arg, dataset)
-    dd = discretize(dataset, cfg.discretization())
-    scan_cfg = cfg.scan_config(features)
-    observed = mdss.scan(dd, features, scan_cfg)
-    significance = inference.empirical_p_value(
-        dd, features, scan_cfg, observed, cfg.bootstrap_r
-    )
-    name = "all" if features_arg == "all" else Path(features_arg).stem
-    reportio.write_report(
-        cfg.out_dir / f"pvalue_{name}.json",
-        {
-            "features_scanned": sorted(features),
-            "subset": observed.to_json_dict(),
-            "significance": significance.to_json_dict(),
-        },
-    )
-    reportio.write_csv_atomic(
-        cfg.out_dir / f"replicates_{name}.csv",
-        ["replicate", "score"],
-        [[i, s] for i, s in enumerate(significance.replicate_scores)],
-    )
-    _write_meta(cfg.out_dir, "pvalue")
-    log.info("p-value at R=%d: %.4g", cfg.bootstrap_r, significance.p_value)
-    return 0
-
-
-def _sweep_cell(dd, cell_method: str, k: int, features: list[str],
-                cfg: PipelineConfig, out_dir: Path):
-    observed, significance, effect, character = _scan_bundle(dd, features, cfg)
-    payload = _scan_report_payload(features, observed, significance, effect,
-                                   character)
-    payload.update({"method": cell_method, "k": k})
-    reportio.write_report(out_dir / f"sweep_{cell_method}_k{k}.json", payload)
-    row = [
-        cell_method, k, observed.score, significance.p_value,
-        effect.odds_ratio if effect else "",
-        effect.ci_low if effect else "",
-        effect.ci_high if effect else "",
-        observed.n_members,
-    ]
-    return row, observed.score
 
 
 def cmd_sweep(cfg: PipelineConfig) -> int:
@@ -363,27 +314,27 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
          list(dataset.feature_names))
     )
 
-    results = {}
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = {
-                (m, k): pool.submit(_sweep_cell, dd, m, k, feats, cfg, cfg.out_dir)
-                for m, k, feats in cells
-            }
-            for key, fut in futures.items():
-                results[key] = fut.result()
-    else:
-        for m, k, feats in cells:
-            results[(m, k)] = _sweep_cell(dd, m, k, feats, cfg, cfg.out_dir)
-
-    rows = [results[(m, k)][0] for m, k, _ in cells]
+    rows = []
+    scores = {}
+    for method, k, features in cells:
+        payload, observed, significance, effect = _scan_bundle(dd, features, cfg)
+        payload.update({"method": method, "k": k})
+        reportio.write_report(cfg.out_dir / f"sweep_{method}_k{k}.json", payload)
+        rows.append([
+            method, k, observed.score, significance.p_value,
+            effect.odds_ratio if effect else "",
+            effect.ci_low if effect else "",
+            effect.ci_high if effect else "",
+            observed.n_members,
+        ])
+        scores[(method, k)] = observed.score
     reportio.write_csv_atomic(cfg.out_dir / "sweep.csv", SWEEP_CSV_HEADER, rows)
 
-    all_score = results[(ALL_FEATURES_LABEL, len(dataset.feature_names))][1]
+    all_score = scores[(ALL_FEATURES_LABEL, len(dataset.feature_names))]
     floor = all_score * (1.0 - cfg.score_tolerance)
     sufficient = {}
     for method in METHODS:
-        ks = [k for k in k_values if results[(method, k)][1] >= floor]
+        ks = [k for k in k_values if scores[(method, k)] >= floor]
         sufficient[method] = min(ks) if ks else None
     reportio.write_report(
         cfg.out_dir / "sweep_summary.json",
@@ -437,7 +388,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-iterations", type=int)
     p.add_argument("--bootstrap-r", type=int)
     p.add_argument("--score-tolerance", type=float)
-    p.add_argument("--workers", type=int)
 
 
 _FLAG_TO_FIELD = {
@@ -446,18 +396,48 @@ _FLAG_TO_FIELD = {
     "cramers_max": "cramers_v_max", "gbm_trees": "gbm_trees",
     "gbm_depth": "gbm_depth", "gbm_lr": "gbm_lr", "restarts": "n_restarts",
     "max_iterations": "max_iterations", "bootstrap_r": "bootstrap_r",
-    "score_tolerance": "score_tolerance", "workers": "workers",
+    "score_tolerance": "score_tolerance",
     "method": "method", "k": "k",
 }
+
+
+# PipelineConfig annotation -> the JSON type a config file gives it
+_JSON_TYPES = {"Path": str, "str": str, "int": int, "int | None": int,
+               "float": (int, float)}
+
+
+def _json_matches(value, annotation: str) -> bool:
+    if annotation == "tuple[int, ...]":
+        return isinstance(value, list) and all(_json_matches(v, "int") for v in value)
+    return (isinstance(value, _JSON_TYPES[annotation])
+            and not isinstance(value, bool))
+
+
+def _load_config_file(path: str) -> dict:
+    """The config file's object; an unknown key or a mistyped value is an error.
+
+    Its keys are the PipelineConfig field names, with ``output_dir`` for
+    ``out_dir``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise FeatscanError(f"{path}: config must be a JSON object")
+    annotations = {f.name: f.type for f in fields(PipelineConfig)}
+    annotations["output_dir"] = annotations.pop("out_dir")
+    for key, value in doc.items():
+        if key not in annotations:
+            raise FeatscanError(f"{path}: unknown config key {key!r}")
+        if not _json_matches(value, annotations[key]):
+            raise FeatscanError(f"{path}: config key {key!r} must be "
+                                f"{annotations[key]}, got {value!r}")
+    return doc
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
     file_cfg = {}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        if not isinstance(file_cfg, dict):
-            raise FeatscanError(f"{args.config}: config must be a JSON object")
+        file_cfg = _load_config_file(args.config)
 
     def pick(flag: str, field_name: str, default):
         flag_val = getattr(args, flag, None)
@@ -482,13 +462,24 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     if k_sweep is not None:
         kwargs["k_sweep"] = tuple(int(x) for x in k_sweep.split(","))
     elif "k_sweep" in file_cfg:
-        kwargs["k_sweep"] = tuple(int(x) for x in file_cfg["k_sweep"])
+        kwargs["k_sweep"] = tuple(file_cfg["k_sweep"])
     return PipelineConfig(data=Path(data), schema=Path(schema),
                           out_dir=Path(out), **kwargs)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a configuration error (exit 1).
+
+    argparse exits 2 on its own, which the CLI reserves for data errors.
+    """
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise FeatscanError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="featscan",
         description="Feature selection plus anomalous subset scanning",
     )
@@ -508,10 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--k-sweep", help="comma-separated K values")
 
-    p = sub.add_parser("pvalue", help="bootstrap p-value for a feature list")
-    _add_common(p)
-    p.add_argument("--features", required=True)
-
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="SynthSpec JSON")
     p.add_argument("--out", required=True)
@@ -523,8 +510,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "synth":
             return cmd_synth(args.spec, args.out, args.seed)
         cfg = _build_config(args)
@@ -533,8 +520,6 @@ def main(argv=None) -> int:
             return cmd_select(cfg)
         if args.command == "scan":
             return cmd_scan(cfg, args.features)
-        if args.command == "pvalue":
-            return cmd_pvalue(cfg, args.features)
         if args.command == "sweep":
             return cmd_sweep(cfg)
         parser.error(f"unknown command {args.command}")

@@ -74,7 +74,6 @@ class RankingSource(enum.Enum):
     PRESET_A = "preset_a"
     PRESET_B = "preset_b"
     COMMITTEE = "committee"
-    FILTER_WRAPPER = "filter_wrapper"
 
 
 @dataclass(frozen=True)
@@ -176,16 +175,6 @@ class _Tree:
                 assign[idx[~go_left]] = self.right[nid]
         return out
 
-    def to_json_dict(self) -> dict:
-        return {
-            "feature": list(self.feature),
-            "threshold": [None if math.isnan(t) else t for t in self.threshold],
-            "left": list(self.left),
-            "right": list(self.right),
-            "value": list(self.value),
-            "is_leaf": list(self.is_leaf),
-        }
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
@@ -196,8 +185,7 @@ class GbmModel:
 
     def __init__(self, cfg: GbmConfig, feature_names: tuple[str, ...],
                  column_sources: list[str], base_score: float,
-                 trees: list[_Tree], column_gain: np.ndarray, total_gain: float,
-                 encoders: dict):
+                 trees: list[_Tree], column_gain: np.ndarray, total_gain: float):
         self.cfg = cfg
         self.feature_names = feature_names
         self.column_sources = column_sources
@@ -205,7 +193,6 @@ class GbmModel:
         self.trees = trees
         self.column_gain = column_gain
         self.total_gain = total_gain
-        self._encoders = encoders
 
     def decision_function(self, X_encoded: np.ndarray) -> np.ndarray:
         raw = np.full(X_encoded.shape[0], self.base_score)
@@ -213,22 +200,8 @@ class GbmModel:
             raw += self.cfg.learning_rate * tree.predict(X_encoded)
         return raw
 
-    def predict_proba(self, dataset: Dataset) -> np.ndarray:
-        X = encode_design(dataset, self.cfg.preset, encoders=self._encoders)[0]
-        return _sigmoid(self.decision_function(X))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "preset": self.cfg.preset.value,
-            "base_score": self.base_score,
-            "learning_rate": self.cfg.learning_rate,
-            "column_sources": list(self.column_sources),
-            "trees": [t.to_json_dict() for t in self.trees],
-        }
-
-
-def encode_design(dataset: Dataset, preset: Preset, train_idx=None,
-                  encoders: dict | None = None):
+def encode_design(dataset: Dataset, preset: Preset, train_idx=None):
     """Build the numeric matrix the trees split on.
 
     Continuous columns pass through; binary columns become one indicator.
@@ -236,9 +209,6 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None,
     single smoothed outcome-mean column under preset B (statistics from
     the training rows only).
     """
-    fit = encoders is None
-    if fit:
-        encoders = {}
     cols = []
     sources = []
     for name in dataset.feature_names:
@@ -248,32 +218,27 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None,
             cols.append(col.astype(np.float64))
             sources.append(name)
         elif kind is FeatureKind.BINARY or preset is Preset.A:
-            if fit:
-                encoders[name] = ("onehot", sorted(np.unique(col).tolist()))
-            levels = encoders[name][1]
+            levels = sorted(np.unique(col).tolist())
             if kind is FeatureKind.BINARY:
                 levels = levels[-1:]    # indicator of the larger label
             for v in levels:
                 cols.append((col == v).astype(np.float64))
                 sources.append(name)
         else:
-            if fit:
-                idx = train_idx if train_idx is not None else np.arange(dataset.n_rows)
-                y = dataset.outcome[idx].astype(np.float64)
-                prior = float(y.mean())
-                stats = {}
-                for v in sorted(np.unique(col[idx]).tolist()):
-                    sel = col[idx] == v
-                    stats[v] = (
-                        (float(y[sel].sum()) + _TARGET_STAT_PRIOR_WEIGHT * prior)
-                        / (float(sel.sum()) + _TARGET_STAT_PRIOR_WEIGHT)
-                    )
-                encoders[name] = ("target", stats, prior)
-            _, stats, prior = encoders[name]
+            idx = train_idx if train_idx is not None else np.arange(dataset.n_rows)
+            y = dataset.outcome[idx].astype(np.float64)
+            prior = float(y.mean())
+            stats = {}
+            for v in sorted(np.unique(col[idx]).tolist()):
+                sel = col[idx] == v
+                stats[v] = (
+                    (float(y[sel].sum()) + _TARGET_STAT_PRIOR_WEIGHT * prior)
+                    / (float(sel.sum()) + _TARGET_STAT_PRIOR_WEIGHT)
+                )
             cols.append(np.array([stats.get(v, prior) for v in col]))
             sources.append(name)
     X = np.column_stack(cols) if cols else np.empty((dataset.n_rows, 0))
-    return X, sources, encoders
+    return X, sources
 
 
 def _grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
@@ -374,7 +339,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     if len(np.unique(dataset.outcome[train_idx])) < 2:
         raise SingleClassOutcomeError("training split has a single class")
 
-    X, sources, encoders = encode_design(dataset, cfg.preset, train_idx=train_idx)
+    X, sources = encode_design(dataset, cfg.preset, train_idx=train_idx)
     n_cols = X.shape[1]
     Xt = X[train_idx]
     yt = y_all[train_idx]
@@ -403,7 +368,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
         raw_train += cfg.learning_rate * tree.predict(Xt)
 
     model = GbmModel(cfg, dataset.feature_names, sources, base, trees,
-                     column_gain, total_gain, encoders)
+                     column_gain, total_gain)
 
     p_hold = _sigmoid(model.decision_function(X[hold_idx]))
     y_hold = y_all[hold_idx]

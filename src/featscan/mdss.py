@@ -107,7 +107,6 @@ class ScanConfig:
     n_restarts: int = 20
     max_iterations: int = 50
     seed: int = 0
-    q_domain: str = "q>1"   # one-sided: only elevated-odds subsets
 
     def __post_init__(self):
         if self.n_restarts < 1:
@@ -116,8 +115,6 @@ class ScanConfig:
             raise ValueError(f"max_iterations must be >= 1")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.q_domain != "q>1":
-            raise ValueError("only the one-sided q>1 alternative is supported")
 
 
 @dataclass(frozen=True)

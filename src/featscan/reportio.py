@@ -1,9 +1,9 @@
 """Byte-stable report serialization.
 
-Reports must be byte-identical across repeated runs and worker counts, so
-floats are rendered with 17 significant digits, object keys are sorted,
-and files are written atomically (temp file then rename). Infinities use
-the Infinity token, which Python's json module reads back.
+Reports must be byte-identical across repeated runs with the same inputs,
+config and seed, so floats are rendered with 17 significant digits, object
+keys are sorted, and files are written atomically (temp file then rename).
+Infinities use the Infinity token, which Python's json module reads back.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,17 +272,10 @@ class DiscretizationSpec:
 
     method: BinMethod = BinMethod.EQUAL_FREQUENCY
     n_bins: int = 5
-    overrides: dict[str, tuple[BinMethod, int]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n_bins < 2:
             raise ValueError(f"n_bins must be >= 2, got {self.n_bins}")
-        for f, (_, bins) in self.overrides.items():
-            if bins < 2:
-                raise ValueError(f"override for {f!r} has n_bins={bins} < 2")
-
-    def for_feature(self, name: str) -> tuple[BinMethod, int]:
-        return self.overrides.get(name, (self.method, self.n_bins))
 
 
 def _nearest_rank_quantile(sorted_vals: np.ndarray, q: float) -> float:
@@ -384,18 +377,16 @@ def discretize(dataset: Dataset, spec: DiscretizationSpec) -> DiscreteDataset:
     for name in dataset.feature_names:
         col = dataset.column(name)
         if dataset.kind(name) is FeatureKind.CONTINUOUS:
-            method, n_bins = spec.for_feature(name)
-            cuts = _cut_points(col, method, n_bins)
+            cuts = _cut_points(col, spec.method, spec.n_bins)
             code = assign_bins(col, cuts)
             n_levels = len(cuts) + 1
             codes[name] = code
             levels[name] = tuple(str(i) for i in range(n_levels))
             cut_points[name] = cuts
         else:
-            lv = tuple(sorted(np.unique(col).tolist()))
-            lookup = {v: i for i, v in enumerate(lv)}
-            codes[name] = np.asarray([lookup[v] for v in col], dtype=np.int64)
-            levels[name] = lv
+            lv, code = np.unique(col, return_inverse=True)
+            codes[name] = code.astype(np.int64)
+            levels[name] = tuple(lv.tolist())
     return DiscreteDataset(dataset.schema, dataset.outcome, codes, levels,
                            cut_points)
 

@@ -112,6 +112,17 @@ class TestScanCommand:
         assert (tmp_path / "replicates_all.csv").exists()
         assert (tmp_path / "cutpoints_all.json").exists()
 
+    def test_scan_report_carries_p_value(self, synth_dir, tmp_path):
+        rc = main(["scan", "--features", "all",
+                   *common_flags(synth_dir, tmp_path)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "scan_all.json").read_text())
+        assert doc["significance"]["r_replicates"] == 19
+        assert 1 / 20 <= doc["significance"]["p_value"] <= 1.0
+        lines = (tmp_path / "replicates_all.csv").read_text().splitlines()
+        assert lines[0] == "replicate,score"
+        assert len(lines) == 20
+
     def test_feature_file_and_oracle_score(self, tmp_path):
         rng = np.random.default_rng(2)
         rows = ["g,h,y"]
@@ -151,23 +162,9 @@ class TestScanCommand:
         assert rc == 1
 
 
-class TestPvalueCommand:
-    def test_pvalue_report(self, synth_dir, tmp_path):
-        rc = main(["pvalue", "--features", "all",
-                   *common_flags(synth_dir, tmp_path)])
-        assert rc == 0
-        doc = json.loads((tmp_path / "pvalue_all.json").read_text())
-        assert doc["significance"]["r_replicates"] == 19
-        assert 1 / 20 <= doc["significance"]["p_value"] <= 1.0
-        lines = (tmp_path / "replicates_all.csv").read_text().splitlines()
-        assert lines[0] == "replicate,score"
-        assert len(lines) == 20
-
-
 class TestSweepCommand:
-    def run_sweep(self, synth_dir, out, workers=1):
-        rc = main(["sweep", "--k-sweep", "2,4", "--workers", str(workers),
-                   *common_flags(synth_dir, out)])
+    def run_sweep(self, synth_dir, out):
+        rc = main(["sweep", "--k-sweep", "2,4", *common_flags(synth_dir, out)])
         assert rc == 0
         return (out / "sweep.csv").read_text()
 
@@ -184,17 +181,17 @@ class TestSweepCommand:
             "filter_wrapper", "embedded_a", "embedded_b", "committee",
         }
 
-    def test_byte_identical_across_workers(self, synth_dir, tmp_path):
+    def test_byte_identical_across_repeated_runs(self, synth_dir, tmp_path):
         outs = {}
-        for workers in (1, 2, 8):
-            out = tmp_path / f"w{workers}"
-            self.run_sweep(synth_dir, out, workers=workers)
-            outs[workers] = {
+        for run in (1, 2):
+            out = tmp_path / f"run{run}"
+            self.run_sweep(synth_dir, out)
+            outs[run] = {
                 p.name: p.read_bytes()
                 for p in sorted(out.iterdir())
                 if p.name != "run_meta.json"
             }
-        assert outs[1] == outs[2] == outs[8]
+        assert outs[1] == outs[2]
 
     def test_report_files_per_cell(self, synth_dir, tmp_path):
         self.run_sweep(synth_dir, tmp_path)
@@ -272,8 +269,66 @@ class TestConfigFile:
     def test_missing_required_exits_one(self):
         assert main(["select", "--method", "committee", "--k", "2"]) == 1
 
+    def write_config(self, synth_dir, tmp_path, **extra):
+        cfg = {
+            "data": str(synth_dir / "data.csv"),
+            "schema": str(synth_dir / "schema.json"),
+            "output_dir": str(tmp_path / "out"),
+            "k": 2,
+            "method": "embedded_a",
+            "gbm_trees": 5,
+            **extra,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return cfg_path
+
+    def test_unknown_key_exits_one(self, synth_dir, tmp_path, caplog):
+        cfg_path = self.write_config(synth_dir, tmp_path, restart=3, workers=4)
+        assert main(["select", "--config", str(cfg_path)]) == 1
+        assert "'restart'" in caplog.text
+        assert not (tmp_path / "out" / "select_embedded_a.json").exists()
+
+    def test_wrong_value_type_exits_one(self, synth_dir, tmp_path, caplog):
+        cfg_path = self.write_config(synth_dir, tmp_path, bootstrap_r="19")
+        assert main(["select", "--config", str(cfg_path)]) == 1
+        assert "'bootstrap_r'" in caplog.text
+
+    @pytest.mark.parametrize("key, value", [
+        ("k", True), ("k", 2.0), ("rho_max", "0.9"), ("k_sweep", "5,10"),
+        ("k_sweep", [5, "10"]), ("output_dir", 3),
+    ])
+    def test_mistyped_values_exit_one(self, synth_dir, tmp_path, key, value):
+        cfg_path = self.write_config(synth_dir, tmp_path, **{key: value})
+        assert main(["select", "--config", str(cfg_path)]) == 1
+
+    def test_well_typed_values_accepted(self, synth_dir, tmp_path):
+        # an integer is a valid JSON number for a float field
+        cfg_path = self.write_config(synth_dir, tmp_path, rho_max=1,
+                                     k_sweep=[2, 3], n_restarts=2)
+        assert main(["select", "--config", str(cfg_path)]) == 0
+
 
 class TestErrorExitCodes:
+    def test_removed_pvalue_command_exits_one(self, synth_dir, tmp_path):
+        rc = main(["pvalue", "--features", "all",
+                   *common_flags(synth_dir, tmp_path)])
+        assert rc == 1
+
+    def test_removed_workers_flag_exits_one(self, synth_dir, tmp_path):
+        rc = main(["sweep", "--k-sweep", "2", "--workers", "2",
+                   *common_flags(synth_dir, tmp_path)])
+        assert rc == 1
+
+    def test_scan_without_features_exits_one(self, synth_dir, tmp_path):
+        assert main(["scan", *common_flags(synth_dir, tmp_path)]) == 1
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--help"])
+        assert exc.value.code == 0
+        assert "--features" in capsys.readouterr().out
+
     def test_non_finite_continuous_cell_exits_two(self, synth_dir, tmp_path):
         lines = (synth_dir / "data.csv").read_text().splitlines()
         header = lines[0].split(",")

@@ -149,6 +149,19 @@ class TestDiscretize:
         assert dd.levels("b") == ("0", "1")
         np.testing.assert_array_equal(dd.codes("b"), [0, 1, 0, 1])
 
+    def test_nominal_codes_follow_sorted_labels(self):
+        # non-ASCII labels sort by code point, as Python sorts strings
+        labels = ["é", "a", "Z", "ß", "a", "Ω", "z", "é"]
+        schema = Schema(("g",), {"g": FeatureKind.NOMINAL}, "y")
+        d = Dataset(schema, {"g": np.array(labels)},
+                    np.array([0, 1, 0, 1, 0, 1, 0, 1]))
+        dd = discretize(d, DiscretizationSpec())
+        assert dd.levels("g") == tuple(sorted(set(labels)))
+        assert dd.codes("g").dtype == np.int64
+        np.testing.assert_array_equal(
+            dd.codes("g"), [dd.levels("g").index(v) for v in labels]
+        )
+
     def test_equal_width(self):
         d = continuous_dataset([0.0, 1.0, 2.0, 3.0, 4.0])
         dd = discretize(d, DiscretizationSpec(BinMethod.EQUAL_WIDTH, 4))
@@ -188,23 +201,6 @@ class TestDiscretize:
     def test_assign_bins_tie_goes_lower(self):
         codes = assign_bins(np.array([2.0, 2.0001]), np.array([2.0]))
         np.testing.assert_array_equal(codes, [0, 1])
-
-    def test_per_feature_override(self):
-        schema = Schema(
-            ("a", "b"),
-            {"a": FeatureKind.CONTINUOUS, "b": FeatureKind.CONTINUOUS},
-            "y",
-        )
-        vals = np.arange(1.0, 9.0)
-        d = Dataset(schema, {"a": vals, "b": vals.copy()},
-                    np.r_[1, np.zeros(7)].astype(int))
-        spec = DiscretizationSpec(
-            n_bins=4,
-            overrides={"b": (BinMethod.EQUAL_FREQUENCY, 2)},
-        )
-        dd = discretize(d, spec)
-        assert len(set(dd.codes("a").tolist())) == 4
-        assert len(set(dd.codes("b").tolist())) == 2
 
 
 class TestOneHot:
