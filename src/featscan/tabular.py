@@ -12,6 +12,8 @@ import csv
 import enum
 import json
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
@@ -158,19 +160,71 @@ class Dataset:
         return float(self.outcome.mean())
 
 
-def _is_missing(cell: str) -> bool:
-    return cell.strip().lower() in _MISSING_TOKENS
+def _missing_cells(cells: tuple[str, ...]) -> set[str]:
+    """The distinct cells of a column that count as missing."""
+    distinct = set(cells)
+    stripped = map(str.lower, map(str.strip, distinct))
+    return set(compress(distinct, map(_MISSING_TOKENS.__contains__, stripped)))
+
+
+def _code(cells: tuple[str, ...]) -> tuple[np.ndarray, list[str]]:
+    """Integer code of each cell, and the stripped label of each code."""
+    index = {v: i for i, v in enumerate(dict.fromkeys(cells))}
+    codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp,
+                        count=len(cells))
+    return codes, [v.strip() for v in index]
+
+
+def _continuous(path, name: str, cells: tuple[str, ...],
+                lines: np.ndarray) -> np.ndarray:
+    """Parse a continuous column; an error names the line of its first bad cell."""
+    try:
+        values = np.fromiter(map(float, map(str.strip, cells)),
+                             dtype=np.float64, count=len(cells))
+    except ValueError:
+        for line, cell in zip(lines, map(str.strip, cells)):
+            try:
+                float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{line}: cannot parse {cell!r} as continuous "
+                    f"value for {name!r}"
+                ) from None
+        raise
+    bad = np.flatnonzero(~np.isfinite(values))
+    if len(bad):
+        raise ParseError(
+            f"{path}:{lines[bad[0]]}: non-finite continuous value "
+            f"{cells[bad[0]].strip()!r} for {name!r}"
+        )
+    return values
 
 
 def load_csv(path, schema: Schema) -> Dataset:
     """Read a comma-delimited UTF-8 file into a validated :class:`Dataset`.
 
     The header must contain exactly the schema's feature names plus the
-    outcome column, in any order. Missing cells are handled per the
-    schema's missing policy. A continuous cell must parse as a finite
-    number. Raises :class:`SchemaMismatchError`,
-    :class:`NonBinaryOutcomeError`, :class:`ParseError`, or
-    :class:`MissingValueError`.
+    outcome column, in any order. Blank lines are skipped. Missing cells
+    are handled per the schema's missing policy. A continuous cell must
+    parse as a finite number.
+
+    When a file has several defects, the first of these checks to fail
+    raises, naming the earliest line it fails on:
+
+    1. the header (:class:`SchemaMismatchError`);
+    2. a row of the wrong width (:class:`ParseError`);
+    3. under ``MissingPolicy.ERROR``, a missing cell
+       (:class:`MissingValueError`);
+    4. no data rows left (:class:`DegenerateColumnError`);
+    5. an outcome other than 0 or 1 (:class:`NonBinaryOutcomeError`);
+    6. per continuous feature in schema order, a cell that does not
+       parse, then a non-finite one (:class:`ParseError`);
+    7. a binary feature with more than two values
+       (:class:`SchemaMismatchError`).
+
+    Errors in data rows name ``path:line``. Lines count the header as 1
+    and every CSV record after it, blank lines included, so they are file
+    lines unless a quoted cell spans lines.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -189,76 +243,70 @@ def load_csv(path, schema: Schema) -> Dataset:
             )
         if len(header) != len(expected):
             raise SchemaMismatchError(f"{path}: duplicated header columns")
-        col_idx = {name: header.index(name) for name in header}
+        rows = list(reader)
 
-        raw_rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            if any(_is_missing(row[col_idx[f]]) for f in expected):
-                if schema.missing_policy is MissingPolicy.DROP_ROW:
-                    continue
-                raise MissingValueError(f"{path}:{lineno}: missing value")
-            raw_rows.append(row)
+    # work on columns; a data row's file line is looked up only to report it
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    bad = np.flatnonzero((widths != len(header)) & (widths != 0))
+    if len(bad):
+        raise ParseError(
+            f"{path}:{bad[0] + 2}: expected {len(header)} cells, "
+            f"got {widths[bad[0]]}"
+        )
+    lines = np.flatnonzero(widths) + 2
+    if len(lines) < len(rows):
+        rows = [row for row in rows if row]
+    cells = {name: tuple(map(itemgetter(i), rows)) for i, name in enumerate(header)}
+    del rows
 
-    columns: dict[str, list] = {f: [] for f in schema.feature_names}
-    outcome = []
-    for row in raw_rows:
-        cell = row[col_idx[schema.outcome_name]].strip()
-        if cell not in ("0", "1"):
-            raise NonBinaryOutcomeError(
-                f"{path}: outcome value {cell!r} is not 0 or 1"
-            )
-        outcome.append(int(cell))
-        for f in schema.feature_names:
-            cell = row[col_idx[f]].strip()
-            if schema.kind(f) is FeatureKind.CONTINUOUS:
-                try:
-                    columns[f].append(float(cell))
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: cannot parse {cell!r} as continuous "
-                        f"value for {f!r}"
-                    ) from None
-            else:
-                columns[f].append(cell)
-
-    arrays = {
-        f: np.asarray(vals, dtype=np.float64)
-        if schema.kind(f) is FeatureKind.CONTINUOUS
-        else np.asarray(vals, dtype=str)
-        for f, vals in columns.items()
-    }
-    for f in schema.features_of_kind(FeatureKind.CONTINUOUS):
-        bad = np.flatnonzero(~np.isfinite(arrays[f]))
-        if len(bad):
-            raise ParseError(
-                f"{path}: non-finite continuous value "
-                f"{raw_rows[bad[0]][col_idx[f]].strip()!r} for {f!r}"
-            )
-    if not outcome:
+    missing = np.zeros(len(lines), dtype=bool)
+    for col in cells.values():
+        tokens = _missing_cells(col)
+        if tokens:
+            missing |= np.fromiter(map(tokens.__contains__, col), dtype=bool,
+                                   count=len(col))
+    if missing.any():
+        if schema.missing_policy is MissingPolicy.ERROR:
+            raise MissingValueError(f"{path}:{lines[missing.argmax()]}: missing value")
+        lines = lines[~missing]
+        keep = (~missing).tolist()
+        cells = {name: tuple(compress(col, keep)) for name, col in cells.items()}
+    if not len(lines):
         raise DegenerateColumnError(f"{path}: no data rows")
-    return Dataset(schema, arrays, np.asarray(outcome, dtype=np.int8))
+
+    codes, labels = _code(cells.pop(schema.outcome_name))
+    bad = [i for i, label in enumerate(labels) if label not in ("0", "1")]
+    if bad:
+        row = np.isin(codes, bad).argmax()
+        raise NonBinaryOutcomeError(
+            f"{path}:{lines[row]}: outcome value {labels[codes[row]]!r} "
+            f"is not 0 or 1"
+        )
+    outcome = np.asarray([int(label) for label in labels], dtype=np.int8)[codes]
+
+    arrays = {}
+    for f in schema.feature_names:
+        # popping frees each column's cells before the Dataset copies arrays
+        if schema.kind(f) is FeatureKind.CONTINUOUS:
+            arrays[f] = _continuous(path, f, cells.pop(f), lines)
+        else:
+            codes, labels = _code(cells.pop(f))
+            arrays[f] = np.asarray(labels, dtype=str)[codes]
+    return Dataset(schema, arrays, outcome)
 
 
 def write_csv(dataset: Dataset, path) -> None:
     """Write a dataset back to CSV in a form :func:`load_csv` round-trips."""
     names = list(dataset.feature_names) + [dataset.schema.outcome_name]
+    cols = [
+        map(repr, col.tolist()) if col.dtype == np.float64 else col.tolist()
+        for col in map(dataset.column, dataset.feature_names)
+    ]
+    cols.append(map(str, dataset.outcome.tolist()))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(names)
-        cols = [dataset.column(f) for f in dataset.feature_names]
-        for i in range(dataset.n_rows):
-            row = [
-                repr(float(c[i])) if c.dtype == np.float64 else str(c[i])
-                for c in cols
-            ]
-            row.append(str(int(dataset.outcome[i])))
-            writer.writerow(row)
+        writer.writerows(zip(*cols))
 
 
 class BinMethod(enum.Enum):

@@ -1,15 +1,27 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 These deliberately avoid the library's search code paths: subset maxima
-come from exhaustive enumeration and the score maximizer from a refined
-grid, so they can certify the fast implementations.
+come from exhaustive enumeration, the score maximizer from a refined
+grid and the CSV reference reader from a cell-by-cell loop, so they can
+certify the fast implementations.
 """
 
+import csv
 import itertools
 
 import numpy as np
 
+from featscan.errors import (
+    DegenerateColumnError,
+    MissingValueError,
+    NonBinaryOutcomeError,
+    ParseError,
+    SchemaMismatchError,
+)
 from featscan.mdss import SubsetDescriptor, score_bernoulli
+from featscan.tabular import Dataset, FeatureKind, MissingPolicy
+
+_MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 
 
 def grid_max_score(sum_y: float, n_s: float, alpha: float,
@@ -88,3 +100,85 @@ def brute_force_scan(data, features):
             best_score = sc
             best_desc = SubsetDescriptor(restrictions)
     return best_score, best_desc
+
+
+def reference_load_csv(path, schema):
+    """Cell-by-cell CSV reader that ``tabular.load_csv`` must agree with.
+
+    Walks the rows once to check widths and missing cells, then every
+    kept cell to strip, check and parse it. Only its width and
+    missing-value messages name a line, so compare arrays, dtypes,
+    exception classes and those two messages with it.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaMismatchError(f"{path}: empty file") from None
+        header = [h.strip() for h in header]
+        expected = set(schema.feature_names) | {schema.outcome_name}
+        if set(header) != expected or len(header) != len(expected):
+            raise SchemaMismatchError(f"{path}: header mismatch")
+        col_idx = {name: header.index(name) for name in header}
+
+        raw_rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(
+                    f"{path}:{lineno}: expected {len(header)} cells, got {len(row)}"
+                )
+            if any(row[col_idx[f]].strip().lower() in _MISSING_TOKENS
+                   for f in expected):
+                if schema.missing_policy is MissingPolicy.DROP_ROW:
+                    continue
+                raise MissingValueError(f"{path}:{lineno}: missing value")
+            raw_rows.append(row)
+
+    columns = {f: [] for f in schema.feature_names}
+    outcome = []
+    for row in raw_rows:
+        cell = row[col_idx[schema.outcome_name]].strip()
+        if cell not in ("0", "1"):
+            raise NonBinaryOutcomeError(f"{path}: outcome value {cell!r}")
+        outcome.append(int(cell))
+        for f in schema.feature_names:
+            cell = row[col_idx[f]].strip()
+            if schema.kind(f) is FeatureKind.CONTINUOUS:
+                try:
+                    columns[f].append(float(cell))
+                except ValueError:
+                    raise ParseError(f"{path}: cannot parse {cell!r}") from None
+            else:
+                columns[f].append(cell)
+
+    arrays = {
+        f: np.asarray(vals, dtype=np.float64)
+        if schema.kind(f) is FeatureKind.CONTINUOUS
+        else np.asarray(vals, dtype=str)
+        for f, vals in columns.items()
+    }
+    for f in schema.features_of_kind(FeatureKind.CONTINUOUS):
+        if not np.isfinite(arrays[f]).all():
+            raise ParseError(f"{path}: non-finite continuous value for {f!r}")
+    if not outcome:
+        raise DegenerateColumnError(f"{path}: no data rows")
+    return Dataset(schema, arrays, np.asarray(outcome, dtype=np.int8))
+
+
+def reference_write_csv(dataset, path):
+    """Row-by-row CSV writer whose bytes ``tabular.write_csv`` must match."""
+    names = list(dataset.feature_names) + [dataset.schema.outcome_name]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        cols = [dataset.column(f) for f in dataset.feature_names]
+        for i in range(dataset.n_rows):
+            row = [
+                repr(float(c[i])) if c.dtype == np.float64 else str(c[i])
+                for c in cols
+            ]
+            row.append(str(int(dataset.outcome[i])))
+            writer.writerow(row)

@@ -1,9 +1,13 @@
 """Dataset loading, typing, discretization, and encoding."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from featscan.errors import (
+    DegenerateColumnError,
     MissingValueError,
     NonBinaryOutcomeError,
     ParseError,
@@ -23,6 +27,8 @@ from featscan.tabular import (
     one_hot,
     write_csv,
 )
+
+from oracles import reference_load_csv, reference_write_csv
 
 
 def make_schema(missing=MissingPolicy.ERROR):
@@ -118,6 +124,183 @@ class TestLoadCsv:
         d2 = load_csv(out, make_schema())
         np.testing.assert_array_equal(d.column("age"), d2.column("age"))
         np.testing.assert_array_equal(d.outcome, d2.outcome)
+
+
+HEADER = "age,sex,dept,died"
+
+
+class TestLoadCsvErrorLines:
+    """Each load error names its file line; blank lines are counted."""
+
+    @pytest.mark.parametrize("bad_row, policy, error, detail", [
+        ("2.0,F,er", MissingPolicy.ERROR, ParseError,
+         "expected 4 cells, got 3"),
+        ("2.0,F,NA,1", MissingPolicy.ERROR, MissingValueError, "missing value"),
+        ("2.0,F,er,2", MissingPolicy.ERROR, NonBinaryOutcomeError,
+         "outcome value '2' is not 0 or 1"),
+        ("2.0,F,er, yes ", MissingPolicy.DROP_ROW, NonBinaryOutcomeError,
+         "outcome value 'yes' is not 0 or 1"),
+        (" abc ,F,er,1", MissingPolicy.ERROR, ParseError,
+         "cannot parse 'abc' as continuous value for 'age'"),
+        ("-inf,F,er,1", MissingPolicy.DROP_ROW, ParseError,
+         "non-finite continuous value '-inf' for 'age'"),
+    ])
+    def test_error_class_and_line(self, tmp_path, bad_row, policy, error, detail):
+        # line 3 is dropped under DROP_ROW, lines 4-5 are blank
+        path = write_lines(tmp_path, [
+            HEADER, "1.0,M,icu,0", "null,M,icu,1" if policy is
+            MissingPolicy.DROP_ROW else "1.5,M,icu,1", "", "", bad_row,
+            "3.0,M,icu,0",
+        ])
+        with pytest.raises(error) as info:
+            load_csv(path, make_schema(policy))
+        assert info.type is error
+        assert str(info.value) == f"{path}:6: {detail}"
+
+    @pytest.mark.parametrize("rows, error, line", [
+        # a wrong width anywhere wins over an earlier missing cell
+        (["NA,M,icu,0", "1.0,M,icu"], ParseError, 3),
+        # a bad outcome wins over an earlier unparseable cell
+        (["abc,M,icu,0", "1.0,M,icu,5"], NonBinaryOutcomeError, 3),
+        # within a feature, an unparseable cell wins over an earlier non-finite one
+        (["inf,M,icu,0", "abc,M,icu,0"], ParseError, 3),
+        # a bad outcome wins over a third binary value
+        (["1,X,icu,0", "2,M,icu,0", "3,F,icu,3"], NonBinaryOutcomeError, 4),
+    ])
+    def test_documented_precedence(self, tmp_path, rows, error, line):
+        path = write_lines(tmp_path, [HEADER] + rows)
+        with pytest.raises(error) as info:
+            load_csv(path, make_schema())
+        assert info.type is error
+        assert str(info.value).startswith(f"{path}:{line}: ")
+
+
+RICH_SCHEMA = Schema(
+    feature_names=("x1", "b", "x2", "ward", "grp"),
+    kinds={
+        "x1": FeatureKind.CONTINUOUS,
+        "b": FeatureKind.BINARY,
+        "x2": FeatureKind.CONTINUOUS,
+        "ward": FeatureKind.NOMINAL,
+        "grp": FeatureKind.NOMINAL,
+    },
+    outcome_name="y",
+    missing_policy=MissingPolicy.DROP_ROW,
+)
+RICH_HEADER = ["ward", "y", "x1", "grp", "b", "x2"]
+MISSING = ["", "NA", " na ", "null", "NULL", "None", "nan", " NaN"]
+
+
+def rich_csv(tmp_path, seed, n_rows=60, missing_rate=0.1):
+    """A CSV in column order unlike the schema, with awkward but valid cells.
+
+    Labels carry quoted commas, quotes, padding and non-ASCII text;
+    numbers carry padding and exponents; blank lines are scattered and a
+    share of cells hold missing tokens in every kind of column.
+    """
+    rng = np.random.default_rng(seed)
+    pools = {
+        "ward": ["icu", "a, b", ' "q" ', "é-ward", "日本", "  icu", "er "],
+        "grp": ["g1", "g2", "Ω", "g1 , g2"],
+        "b": ["M", " F", "F "],
+        "y": ["0", "1", " 1", "0 "],
+    }
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(RICH_HEADER)
+    for _ in range(n_rows):
+        row = []
+        for name in RICH_HEADER:
+            if rng.random() < missing_rate:
+                row.append(MISSING[rng.integers(len(MISSING))])
+            elif name in pools:
+                row.append(pools[name][rng.integers(len(pools[name]))])
+            else:
+                value = float(rng.normal(scale=10.0 ** rng.integers(-3, 4)))
+                text = [repr(value), f"{value:.3e}", f" {value:g} "][rng.integers(3)]
+                row.append(text)
+        writer.writerow(row)
+        if rng.random() < 0.1:
+            out.write("\n")
+    path = tmp_path / f"rich_{seed}.csv"
+    path.write_text(out.getvalue(), encoding="utf-8")
+    return path
+
+
+def assert_same_dataset(got, want):
+    assert got.n_rows == want.n_rows
+    assert got.outcome.dtype == want.outcome.dtype
+    np.testing.assert_array_equal(got.outcome, want.outcome)
+    for name in want.feature_names:
+        assert got.column(name).dtype == want.column(name).dtype, name
+        np.testing.assert_array_equal(got.column(name), want.column(name))
+
+
+class TestLoadCsvMatchesReference:
+    """The columnar reader agrees with the cell-by-cell reference reader."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_arrays_and_dtypes(self, tmp_path, seed):
+        path = rich_csv(tmp_path, seed)
+        want = reference_load_csv(path, RICH_SCHEMA)
+        assert 0 < want.n_rows < 60
+        assert_same_dataset(load_csv(path, RICH_SCHEMA), want)
+
+    def test_labels_only_in_dropped_rows_do_not_widen_dtype(self, tmp_path):
+        path = write_lines(tmp_path, [
+            HEADER, "1.0,M,icu,0", "NA,F,a-much-longer-label,1", "2.0,F,er,1",
+        ])
+        schema = make_schema(MissingPolicy.DROP_ROW)
+        got = load_csv(path, schema)
+        assert got.column("dept").dtype == np.dtype("<U3")
+        assert_same_dataset(got, reference_load_csv(path, schema))
+
+    @pytest.mark.parametrize("pad", ["\t", " ", "\x1f", "\u3000"])
+    def test_whitespace_padding_is_stripped_alike(self, tmp_path, pad):
+        # float() alone does not strip the \x1c-\x1f separators str.strip() does
+        path = write_lines(tmp_path, [
+            HEADER, f"{pad}1.5{pad},M,{pad}icu,0", f"2.5{pad},F{pad},er,{pad}1",
+            f"{pad}NA,F,er,1",
+        ])
+        schema = make_schema(MissingPolicy.DROP_ROW)
+        assert_same_dataset(load_csv(path, schema), reference_load_csv(path, schema))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_error_policy_names_same_missing_line(self, tmp_path, seed):
+        path = rich_csv(tmp_path, seed, missing_rate=0.01)
+        schema = Schema(RICH_SCHEMA.feature_names, RICH_SCHEMA.kinds, "y",
+                        MissingPolicy.ERROR)
+        with pytest.raises(MissingValueError) as want:
+            reference_load_csv(path, schema)
+        with pytest.raises(MissingValueError) as got:
+            load_csv(path, schema)
+        assert str(got.value) == str(want.value)
+
+    def test_every_row_dropped(self, tmp_path):
+        path = rich_csv(tmp_path, 3, n_rows=20, missing_rate=0.9)
+        with pytest.raises(DegenerateColumnError):
+            reference_load_csv(path, RICH_SCHEMA)
+        with pytest.raises(DegenerateColumnError):
+            load_csv(path, RICH_SCHEMA)
+
+
+class TestWriteCsv:
+    def test_bytes_match_row_writer(self, tmp_path):
+        d = load_csv(rich_csv(tmp_path, 5), RICH_SCHEMA)
+        extreme = Dataset(
+            RICH_SCHEMA,
+            {"x1": np.array([0.1, -0.0, 1e-300, 1e16, 5.0]),
+             "b": np.array(["M", "F", "M", "M", "F"]),
+             "x2": np.array([2.5, np.pi, -1.0, 123456789.125, 7.0]),
+             "ward": np.array(['a, "b"', "日本", "x", "", "é"]),
+             "grp": np.array(["g1", "g2", "g1", "g2", "line\nbreak"])},
+            np.array([0, 1, 0, 1, 1]),
+        )
+        for i, data in enumerate((d, extreme)):
+            got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+            write_csv(data, got)
+            reference_write_csv(data, want)
+            assert got.read_bytes() == want.read_bytes()
 
 
 def continuous_dataset(values, name="x"):
