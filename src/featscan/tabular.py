@@ -259,6 +259,19 @@ def load_csv(path, schema: Schema) -> Dataset:
     cells = {name: tuple(map(itemgetter(i), rows)) for i, name in enumerate(header)}
     del rows
 
+    # every missing token fails float() or parses to NaN, so a continuous
+    # column that parses to finite floats holds none and needs no token scan
+    parsed = {}
+    for f in schema.features_of_kind(FeatureKind.CONTINUOUS):
+        try:
+            values = np.fromiter(map(float, map(str.strip, cells[f])),
+                                 dtype=np.float64, count=len(lines))
+        except ValueError:
+            continue
+        if np.isfinite(values).all():
+            parsed[f] = values
+            del cells[f]
+
     missing = np.zeros(len(lines), dtype=bool)
     for col in cells.values():
         tokens = _missing_cells(col)
@@ -271,6 +284,7 @@ def load_csv(path, schema: Schema) -> Dataset:
         lines = lines[~missing]
         keep = (~missing).tolist()
         cells = {name: tuple(compress(col, keep)) for name, col in cells.items()}
+        parsed = {f: values[~missing] for f, values in parsed.items()}
     if not len(lines):
         raise DegenerateColumnError(f"{path}: no data rows")
 
@@ -287,7 +301,9 @@ def load_csv(path, schema: Schema) -> Dataset:
     arrays = {}
     for f in schema.feature_names:
         # popping frees each column's cells before the Dataset copies arrays
-        if schema.kind(f) is FeatureKind.CONTINUOUS:
+        if f in parsed:
+            arrays[f] = parsed.pop(f)
+        elif schema.kind(f) is FeatureKind.CONTINUOUS:
             arrays[f] = _continuous(path, f, cells.pop(f), lines)
         else:
             codes, labels = _code(cells.pop(f))

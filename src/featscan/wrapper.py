@@ -146,7 +146,8 @@ class EliminationTrace:
 def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> EliminationTrace:
     """Drop the least significant candidate until exactly k remain.
 
-    Each round fits OLS on the one-hot design of the survivors; a
+    Each round fits OLS on the one-hot design of the survivors, which is
+    the candidates' design, encoded once, less the dropped columns; a
     feature's significance is the minimum p-value across its columns, and
     the feature with the largest such p-value is dropped. Ties keep the
     alphabetically first feature. Features contributing no design columns
@@ -164,9 +165,9 @@ def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> Elimi
     initial = tuple(candidates)
     survivors = list(candidates)
     y = dataset.outcome.astype(np.float64)
+    X, names, sources = one_hot(dataset, survivors)
     steps: list[EliminationStep] = []
     while len(survivors) > k:
-        X, names, sources = one_hot(dataset, survivors)
         fit = ols_fit(X, y, names, sources)
         sig = fit.min_p_by_feature()
         full = {f: sig.get(f, math.inf) for f in survivors}
@@ -177,4 +178,10 @@ def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> Elimi
         steps.append(
             EliminationStep(worst, None if math.isinf(p) else p, tuple(survivors))
         )
+        # survivors keep candidate order, so the next round's design is this
+        # one without the dropped feature's columns
+        keep = [i for i, src in enumerate(sources) if src != worst]
+        X = X[:, keep]
+        names = [names[i] for i in keep]
+        sources = [sources[i] for i in keep]
     return EliminationTrace(initial=initial, steps=steps, final=survivors)

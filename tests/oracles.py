@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's search code paths: subset maxima
 come from exhaustive enumeration, the score maximizer from a refined
-grid and the CSV reference reader from a cell-by-cell loop, so they can
+grid, the CSV reference reader from a cell-by-cell loop and the tree
+grower from a per-node filter of the global sort order, so they can
 certify the fast implementations.
 """
 
@@ -11,6 +12,7 @@ import itertools
 
 import numpy as np
 
+from featscan.embedded import GbmConfig, _Tree
 from featscan.errors import (
     DegenerateColumnError,
     MissingValueError,
@@ -182,3 +184,125 @@ def reference_write_csv(dataset, path):
             ]
             row.append(str(int(dataset.outcome[i])))
             writer.writerow(row)
+
+
+def reference_grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
+                        rows: np.ndarray, order: np.ndarray, cfg: GbmConfig,
+                        column_gain: np.ndarray) -> tuple[_Tree, float]:
+    """One depth-limited regression tree on gradient/hessian targets.
+
+    The exact-split search ``embedded._grow_tree`` must agree with bit for
+    bit: every node filters the full per-column argsort down to its rows
+    and scans each column on its own.
+
+    Splits maximize the second-order gain
+    0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)); candidates are
+    midpoints between distinct sorted values. Column order then ascending
+    threshold order break gain ties, so growth is deterministic.
+
+    ``rows`` are the row indices this tree trains on; ``order`` is the
+    per-column argsort of the full X, computed once by the caller.
+    """
+    n, n_cols = X.shape
+    lam = cfg.l2_reg
+    tree = _Tree()
+    tree_gain = 0.0
+    in_node = np.zeros(n, dtype=bool)
+
+    def best_split(rows: np.ndarray):
+        G = float(g[rows].sum())
+        H = float(h[rows].sum())
+        parent = G * G / (H + lam)
+        best = (0.0, -1, 0.0)   # gain, column, threshold
+        in_node[:] = False
+        in_node[rows] = True
+        for c in range(n_cols):
+            idx = order[:, c]
+            idx = idx[in_node[idx]]
+            xv = X[idx, c]
+            if xv[0] == xv[-1]:
+                continue
+            gs = np.cumsum(g[idx])
+            hs = np.cumsum(h[idx])
+            cut = np.nonzero(xv[:-1] != xv[1:])[0]
+            GL = gs[cut]
+            HL = hs[cut]
+            GR = G - GL
+            HR = H - HL
+            valid = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight)
+            if not valid.any():
+                continue
+            gains = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - parent)
+            gains[~valid] = -np.inf
+            b = int(np.argmax(gains))
+            if gains[b] > best[0]:
+                thr = 0.5 * (xv[cut[b]] + xv[cut[b] + 1])
+                best = (float(gains[b]), c, float(thr))
+        return best
+
+    def leaf_value(rows: np.ndarray) -> float:
+        return -float(g[rows].sum()) / (float(h[rows].sum()) + lam)
+
+    frontier = [(rows, 0, None, None)]   # rows, depth, parent, side
+    while frontier:
+        next_frontier = []
+        for rows, depth, parent, side in frontier:
+            if depth >= cfg.max_depth:
+                nid = tree.add_leaf(leaf_value(rows))
+            else:
+                gain, col, thr = best_split(rows)
+                if col < 0 or gain <= 0.0:
+                    nid = tree.add_leaf(leaf_value(rows))
+                else:
+                    nid = tree.add_split(col, thr)
+                    column_gain[col] += gain
+                    tree_gain += gain
+                    go_left = X[rows, col] <= thr
+                    next_frontier.append((rows[go_left], depth + 1, nid, "L"))
+                    next_frontier.append((rows[~go_left], depth + 1, nid, "R"))
+            if parent is not None:
+                if side == "L":
+                    tree.left[parent] = nid
+                else:
+                    tree.right[parent] = nid
+        frontier = next_frontier
+    return tree, tree_gain
+
+
+def reference_predict(self, X: np.ndarray) -> np.ndarray:
+    """Per-node descent that ``_Tree.predict`` must agree with.
+
+    Visits the nodes in id order and routes each node's rows with one
+    ``nonzero`` per node; ``self`` is a ``featscan.embedded._Tree``.
+    """
+    out = np.zeros(X.shape[0])
+    assign = np.zeros(X.shape[0], dtype=np.int64)
+    for nid in range(len(self.value)):
+        idx = np.nonzero(assign == nid)[0]
+        if len(idx) == 0:
+            continue
+        if self.is_leaf[nid]:
+            out[idx] = self.value[nid]
+        else:
+            go_left = X[idx, self.feature[nid]] <= self.threshold[nid]
+            assign[idx[go_left]] = self.left[nid]
+            assign[idx[~go_left]] = self.right[nid]
+    return out
+
+
+def reference_target_statistic(col, outcome, idx, prior_weight):
+    """Per-level loop that preset B's smoothed outcome mean must match.
+
+    Levels seen in the training rows ``idx`` get their smoothed mean;
+    any other level gets the training prior.
+    """
+    y = outcome[idx].astype(np.float64)
+    prior = float(y.mean())
+    stats = {}
+    for v in sorted(np.unique(col[idx]).tolist()):
+        sel = col[idx] == v
+        stats[v] = (
+            (float(y[sel].sum()) + prior_weight * prior)
+            / (float(sel.sum()) + prior_weight)
+        )
+    return np.array([stats.get(v, prior) for v in col])

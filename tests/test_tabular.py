@@ -246,6 +246,18 @@ class TestLoadCsvMatchesReference:
         assert 0 < want.n_rows < 60
         assert_same_dataset(load_csv(path, RICH_SCHEMA), want)
 
+    def test_clean_continuous_column_loses_dropped_rows(self, tmp_path):
+        # every age cell parses, so age skips the token scan; the rows
+        # dropped for other columns' missing cells must still leave it
+        path = write_lines(tmp_path, [
+            HEADER, "1.5,M,icu,0", "2.5,NA,er,1", "3.5,F,,1", "4.5,F,er,null",
+            "5.5,M,er,1",
+        ])
+        schema = make_schema(MissingPolicy.DROP_ROW)
+        got = load_csv(path, schema)
+        np.testing.assert_array_equal(got.column("age"), [1.5, 5.5])
+        assert_same_dataset(got, reference_load_csv(path, schema))
+
     def test_labels_only_in_dropped_rows_do_not_widen_dtype(self, tmp_path):
         path = write_lines(tmp_path, [
             HEADER, "1.0,M,icu,0", "NA,F,a-much-longer-label,1", "2.0,F,er,1",

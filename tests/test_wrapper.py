@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from featscan.errors import InsufficientRowsError, KTooLargeError
-from featscan.tabular import Dataset, FeatureKind, Schema
+from featscan.tabular import Dataset, FeatureKind, Schema, one_hot
 from featscan.wrapper import backward_eliminate, ols_fit
 
 mpmath.mp.dps = 40
@@ -162,6 +162,36 @@ class TestBackwardEliminate:
         )
         trace = backward_eliminate(d, ["grp", "noise"], k=1)
         assert trace.final == ["grp"]
+
+    def test_rounds_match_fresh_encoding(self):
+        # every round fits the survivors' own one-hot design: each step's
+        # drop and p-value equal those of a fit on a fresh encoding
+        rng = np.random.default_rng(37)
+        n = 400
+        g = rng.integers(0, 4, size=n)
+        columns = {
+            "z": rng.normal(size=n), "grp": g, "x": rng.normal(size=n),
+            "flat": np.zeros(n, int), "bin": rng.integers(0, 2, size=n),
+        }
+        kinds = {"z": FeatureKind.CONTINUOUS, "grp": FeatureKind.NOMINAL,
+                 "x": FeatureKind.CONTINUOUS, "flat": FeatureKind.NOMINAL,
+                 "bin": FeatureKind.BINARY}
+        y = (rng.random(n) < np.where(g == 1, 0.7, 0.3)).astype(int)
+        d = feature_dataset(columns, y, kinds=kinds)
+        candidates = ["x", "grp", "flat", "z", "bin"]
+        trace = backward_eliminate(d, candidates, k=1)
+        survivors = list(candidates)
+        for step in trace.steps:
+            X, names, sources = one_hot(d, survivors)
+            fit = ols_fit(X, d.outcome.astype(float), names, sources)
+            sig = fit.min_p_by_feature()
+            full = {f: sig.get(f, math.inf) for f in survivors}
+            assert step.dropped == max(survivors, key=lambda f: (full[f], f))
+            p = full[step.dropped]
+            assert step.p_value == (None if math.isinf(p) else p)
+            survivors.remove(step.dropped)
+            assert list(step.surviving) == survivors
+        assert trace.steps[0].dropped == "flat"
 
     def test_json_round_trip(self):
         import json
