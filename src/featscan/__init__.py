@@ -43,7 +43,6 @@ from .mdss import (
     ScoredSubset,
     SubsetDescriptor,
     ValueRecord,
-    aggregate_by_value,
     best_value_subset,
     scan,
     score_bernoulli,
@@ -73,9 +72,9 @@ __all__ = [
     "FitMetrics", "GbmConfig", "MissingPolicy", "OlsFit", "PlantSpec",
     "Preset", "RankingSource", "ScanConfig", "Schema", "ScoredSubset",
     "SignificanceResult", "SubsetDescriptor", "SynthSpec", "ValueRecord",
-    "aggregate_by_value", "backward_eliminate", "best_value_subset",
-    "characterize", "chi_square", "committee_vote", "cramers_v",
-    "discretize", "empirical_p_value", "extract_importance",
+    "backward_eliminate", "best_value_subset", "characterize",
+    "chi_square", "committee_vote", "cramers_v", "discretize",
+    "empirical_p_value", "extract_importance",
     "feature_outcome_corr", "filter_select", "gbm_train", "generate",
     "load_csv", "minmax_normalize", "mutual_information", "odds_ratio",
     "ols_fit", "one_hot", "pearson", "planted_probability", "scan",

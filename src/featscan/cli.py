@@ -314,10 +314,16 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
          list(dataset.feature_names))
     )
 
+    # scan cells grouped by feature set, so cells sharing a set run back to
+    # back on one pattern table and all but the first are memo hits (see
+    # mdss.scan); reports and rows still follow the cell order above
+    by_set = sorted(range(len(cells)), key=lambda i: sorted(cells[i][2]))
+    bundles = {i: _scan_bundle(dd, cells[i][2], cfg) for i in by_set}
+
     rows = []
     scores = {}
-    for method, k, features in cells:
-        payload, observed, significance, effect = _scan_bundle(dd, features, cfg)
+    for i, (method, k, features) in enumerate(cells):
+        payload, observed, significance, effect = bundles[i]
         payload.update({"method": method, "k": k})
         reportio.write_report(cfg.out_dir / f"sweep_{method}_k{k}.json", payload)
         rows.append([

@@ -90,18 +90,23 @@ def _vif_of(dataset: Dataset, feature: str, others: list[str]) -> float:
     return 1.0 / (1.0 - r2)
 
 
+def _codes(a) -> np.ndarray:
+    """Dense integer codes of a categorical vector, in sorted-value order."""
+    return np.unique(np.asarray(a), return_inverse=True)[1]
+
+
+def _table(ai: np.ndarray, bi: np.ndarray) -> np.ndarray:
+    """Contingency table of two code vectors."""
+    r, c = int(ai.max()) + 1, int(bi.max()) + 1
+    return np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)
+
+
 def _contingency(a, b) -> np.ndarray:
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("need two equal-length vectors")
-    _, ai = np.unique(a, return_inverse=True)
-    _, bi = np.unique(b, return_inverse=True)
-    r = ai.max() + 1
-    c = bi.max() + 1
-    table = np.zeros((r, c), dtype=np.int64)
-    np.add.at(table, (ai, bi), 1)
-    return table
+    return _table(_codes(a), _codes(b))
 
 
 def chi_square_table(table: np.ndarray) -> tuple[float, int, float]:
@@ -125,6 +130,14 @@ def chi_square_table(table: np.ndarray) -> tuple[float, int, float]:
     return chi2, dof, p
 
 
+def _cramers_v_of(table: np.ndarray, chi2: float) -> float:
+    pruned_r = int((table.sum(axis=1) > 0).sum())
+    pruned_c = int((table.sum(axis=0) > 0).sum())
+    n = int(table.sum())
+    phi = math.sqrt(chi2 / (n * min(pruned_r - 1, pruned_c - 1)))
+    return min(1.0, phi)
+
+
 def chi_square(a, b) -> tuple[float, int, float]:
     """Chi-square test of association between two categorical vectors."""
     return chi_square_table(_contingency(a, b))
@@ -133,22 +146,11 @@ def chi_square(a, b) -> tuple[float, int, float]:
 def cramers_v(a, b) -> float:
     """Cramer's V in [0, 1]: chi-square normalized by table size."""
     table = _contingency(a, b)
-    chi2, _, _ = chi_square_table(table)
-    pruned_r = int((table.sum(axis=1) > 0).sum())
-    pruned_c = int((table.sum(axis=0) > 0).sum())
-    n = int(table.sum())
-    phi = math.sqrt(chi2 / (n * min(pruned_r - 1, pruned_c - 1)))
-    return min(1.0, phi)
+    return _cramers_v_of(table, chi_square_table(table)[0])
 
 
-def mutual_information(f, y, normalized: bool = True) -> float:
-    """Plug-in mutual information (nats) between a feature and the outcome.
-
-    With ``normalized`` the value is 2 I / (H(f) + H(y)), defined as 0 when
-    either marginal entropy is 0. Degenerate inputs return 0 rather than
-    raising.
-    """
-    table = _contingency(f, y).astype(np.float64)
+def _mutual_information_of(table: np.ndarray, normalized: bool) -> float:
+    table = table.astype(np.float64)
     n = table.sum()
     if n == 0:
         return 0.0
@@ -166,6 +168,16 @@ def mutual_information(f, y, normalized: bool = True) -> float:
     if hf == 0.0 or hy == 0.0:
         return 0.0
     return 2.0 * info / (hf + hy)
+
+
+def mutual_information(f, y, normalized: bool = True) -> float:
+    """Plug-in mutual information (nats) between a feature and the outcome.
+
+    With ``normalized`` the value is 2 I / (H(f) + H(y)), defined as 0 when
+    either marginal entropy is 0. Degenerate inputs return 0 rather than
+    raising.
+    """
+    return _mutual_information_of(_contingency(f, y), normalized)
 
 
 @dataclass(frozen=True)
@@ -315,18 +327,24 @@ def filter_select(dataset: Dataset, thresholds: FilterThresholds) -> FilterDiagn
     diag.kept_continuous = [f for f in continuous if alive[f]]
 
     # --- categorical path ---------------------------------------------
+    # each column and the outcome are coded once, each pair's table built
+    # once; the tables equal those chi_square, cramers_v and
+    # mutual_information build
     alive_cat = {f: True for f in categorical}
+    codes = {f: _codes(dataset.column(f)) for f in categorical}
+    outcome_codes = _codes(dataset.outcome)
     for f in categorical:
         diag.mi_values.append(
-            (f, mutual_information(dataset.column(f), dataset.outcome))
+            (f, _mutual_information_of(_table(codes[f], outcome_codes), True))
         )
     mi_of = dict(diag.mi_values)
     cat_pairs = []
     for i, fi in enumerate(categorical):
         for fj in categorical[i + 1:]:
+            table = _table(codes[fi], codes[fj])
             try:
-                chi2, _, p = chi_square(dataset.column(fi), dataset.column(fj))
-                phi = cramers_v(dataset.column(fi), dataset.column(fj))
+                chi2, _, p = chi_square_table(table)
+                phi = _cramers_v_of(table, chi2)
             except DegenerateTableError:
                 diag.notes.append(
                     f"chi-square degenerate for ({fi}, {fj}), skipping pair"

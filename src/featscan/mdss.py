@@ -5,10 +5,15 @@ subset with the strongest evidence of elevated outcome odds, measured by
 a Bernoulli likelihood-ratio score against the global outcome mean. Each
 feature's optimal value set given the others is found in linear time by
 evaluating priority-ordered prefixes; coordinate ascent with random
-restarts drives the joint search. The search runs on a pattern table:
-the distinct joint codes of the scanned features with a row count and an
-outcome sum each. It is built once per dataset and feature list and
-shared by every bootstrap replicate of that dataset.
+restarts drives the joint search. The search is defined on a feature
+*set*: ``scan`` sorts the features it is given, so a result depends only
+on (data, feature set, config), never on list order. It runs on a pattern
+table: the distinct joint codes of the scanned features with a row count
+and an outcome sum each. The table is built once per dataset and feature
+set and shared by every bootstrap replicate of that dataset. It carries
+a memo of that set's finished scans, keyed by (config, outcome bits), so
+a repeat scan returns its stored result; the memo is dropped with the
+table when another feature set is scanned.
 """
 
 from __future__ import annotations
@@ -171,28 +176,6 @@ class ValueRecord:
     sum_y: int
 
 
-def aggregate_by_value(data: DiscreteDataset, feature: str,
-                       conditioning: SubsetDescriptor) -> list[ValueRecord]:
-    """Member counts and outcome sums per value of one feature.
-
-    Rows are first filtered to those matching ``conditioning``, which must
-    not restrict ``feature`` itself. Every value of the feature's domain
-    gets a record, including zero-count ones.
-    """
-    if feature in conditioning.restrictions:
-        raise ValueError(f"{feature!r} is restricted in the conditioning")
-    codes = data.codes(feature)
-    levels = data.levels(feature)
-    mask = conditioning.matches(data)
-    n_v = np.bincount(codes[mask], minlength=len(levels))
-    s_v = np.bincount(codes[mask], weights=data.outcome[mask].astype(np.float64),
-                      minlength=len(levels))
-    return [
-        ValueRecord(levels[i], int(n_v[i]), int(round(s_v[i])))
-        for i in range(len(levels))
-    ]
-
-
 def _best_prefix(n_v, s_v, alpha_g: float):
     """Best priority-ordered prefix of positive-count values.
 
@@ -232,7 +215,8 @@ def _pattern_table(data: DiscreteDataset, features: list[str]):
     Returns (inverse, codes, n): each row's pattern, each feature's code
     per pattern and the rows per pattern. It depends on the covariates
     only, so it is kept in the cache that all ``with_outcome`` copies of
-    ``data`` share: one table, replaced when the feature list changes.
+    ``data`` share: one table with its memo of scan results (see
+    ``scan``), both replaced when the feature list changes.
     """
     cached = data.covariate_cache.get("scan_patterns")
     if cached is not None and cached[0] == tuple(features):
@@ -252,24 +236,34 @@ def _pattern_table(data: DiscreteDataset, features: list[str]):
     rep = np.empty(len(n), dtype=np.intp)
     rep[inverse] = np.arange(data.n_rows)   # any row of a pattern stands for it
     table = (inverse, [data.codes(f)[rep] for f in features], n.astype(np.float64))
-    data.covariate_cache["scan_patterns"] = (tuple(features), table)
+    data.covariate_cache["scan_patterns"] = (tuple(features), table, {})
     return table
 
 
 def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredSubset:
     """Find the highest-scoring conjunctive subset over the given features.
 
-    Each restart initializes every feature's value set (the first restart
-    starts fully unrestricted, later ones uniformly at random), then
-    cycles through the features in seeded random order, replacing each
-    feature's set with its best conditional prefix until a full cycle
-    improves the score by no more than 1e-12 or the iteration cap is hit.
-    The best restart wins; ties prefer fewer restrictions, then the
+    ``features`` is read as a set: it is sorted on entry, so any order of
+    the same features gives the same result. Each restart initializes
+    every feature's value set (the first restart starts fully
+    unrestricted, later ones uniformly at random), then cycles through
+    the features in seeded random order, replacing each feature's set
+    with its best conditional prefix until a full cycle improves the
+    score by no more than 1e-12 or the iteration cap is hit. The best
+    restart wins; ties prefer fewer restrictions, then the
     lexicographically smallest restriction encoding. Deterministic for a
-    fixed seed. Rows are grouped into the pattern table of ``features``,
-    taken from the dataset's shared cache when an earlier scan of the same
-    covariates and feature list built it; results equal a row-level scan.
+    fixed seed. Rows are grouped into the pattern table of the sorted
+    features, taken from the dataset's shared cache when an earlier scan
+    of the same covariates and feature set built it; results equal a
+    row-level scan.
+
+    The table's memo maps (``cfg``, the packed outcome bits) to the
+    finished result, an exact key: a repeat scan of the same set, config
+    and outcome on any ``with_outcome`` copy returns the stored result
+    without searching. The memo lives and dies with the table, so it
+    holds at most the scans of one feature set.
     """
+    features = sorted(features)
     if not features:
         raise NoFeaturesError("scan needs at least one feature")
     if len(set(features)) != len(features):
@@ -280,6 +274,10 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
         raise DegenerateOutcomeError(f"outcome mean {alpha_g} leaves nothing to contrast")
 
     inverse, codes, n_p = _pattern_table(data, features)
+    memo = data.covariate_cache["scan_patterns"][2]
+    memo_key = (cfg, np.packbits(data.outcome).tobytes())
+    if memo_key in memo:
+        return memo[memo_key]
     s_p = np.bincount(inverse, weights=data.outcome, minlength=len(n_p))
     full = [tuple(range(len(lv))) for lv in levels]
 
@@ -341,4 +339,5 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
         if best is None or key < best[0]:
             best = (key, result)
 
+    memo[memo_key] = best[1]
     return best[1]

@@ -1,10 +1,10 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 These deliberately avoid the library's search code paths: subset maxima
-come from exhaustive enumeration, the score maximizer from a refined
-grid, the CSV reference reader from a cell-by-cell loop and the tree
-grower from a per-node filter of the global sort order, so they can
-certify the fast implementations.
+come from exhaustive enumeration, per-value counts from a row filter,
+the score maximizer from a refined grid, the CSV reference reader from
+a cell-by-cell loop and the tree grower from a per-node filter of the
+global sort order, so they can certify the fast implementations.
 """
 
 import csv
@@ -20,7 +20,7 @@ from featscan.errors import (
     ParseError,
     SchemaMismatchError,
 )
-from featscan.mdss import SubsetDescriptor, score_bernoulli
+from featscan.mdss import SubsetDescriptor, ValueRecord, score_bernoulli
 from featscan.tabular import Dataset, FeatureKind, MissingPolicy
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -102,6 +102,28 @@ def brute_force_scan(data, features):
             best_score = sc
             best_desc = SubsetDescriptor(restrictions)
     return best_score, best_desc
+
+
+def aggregate_by_value(data, feature, conditioning):
+    """Member counts and outcome sums per value of one feature.
+
+    Rows, not patterns: rows are first filtered to those matching
+    ``conditioning``, which must not restrict ``feature`` itself. Every
+    value of the feature's domain gets a ``ValueRecord``, including
+    zero-count ones.
+    """
+    if feature in conditioning.restrictions:
+        raise ValueError(f"{feature!r} is restricted in the conditioning")
+    codes = data.codes(feature)
+    levels = data.levels(feature)
+    mask = conditioning.matches(data)
+    n_v = np.bincount(codes[mask], minlength=len(levels))
+    s_v = np.bincount(codes[mask], weights=data.outcome[mask].astype(np.float64),
+                      minlength=len(levels))
+    return [
+        ValueRecord(levels[i], int(n_v[i]), int(round(s_v[i])))
+        for i in range(len(levels))
+    ]
 
 
 def reference_load_csv(path, schema):

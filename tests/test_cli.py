@@ -208,6 +208,25 @@ class TestSweepCommand:
         scores = {line.split(",")[0]: line.split(",")[2] for line in lines[1:]}
         assert len(set(scores.values())) == 1
 
+    def test_every_full_set_cell_equals_all_features(self, synth_dir, tmp_path):
+        # a scan depends on the feature set, not the order a method lists
+        # it in, so each cell that selects every feature repeats the
+        # all-features cell block for block
+        rc = main(["sweep", "--k-sweep", "4,6",
+                   *common_flags(synth_dir, tmp_path)])
+        assert rc == 0
+        want = json.loads((tmp_path / "sweep_all_features_k6.json").read_text())
+        full = [p for p in sorted(tmp_path.glob("sweep_*_k6.json"))
+                if p.name != "sweep_all_features_k6.json"]
+        assert len(full) == 4
+        for path in full:
+            doc = json.loads(path.read_text())
+            assert doc["features_scanned"] == want["features_scanned"]
+            for block in ("subset", "significance", "effect", "characterization"):
+                assert doc[block] == want[block], (path.name, block)
+        summary = json.loads((tmp_path / "sweep_summary.json").read_text())
+        assert summary["n_scans"] == 4 * 2 + 1
+
     def test_concentrated_signal_needs_few_features(self, tmp_path):
         # five features carry all the signal, so every embedded method
         # reaches the all-features score by K=10

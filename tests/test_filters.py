@@ -291,6 +291,38 @@ class TestFilterSelect:
         assert diag.kept_categorical == ["g1", "h"]
         assert [f for f, _ in diag.dropped] == ["g2"]
 
+    def test_categorical_statistics_equal_public_functions(self):
+        # the cascade codes each column once; its figures must be the
+        # exact values the public per-pair functions give
+        rng = np.random.default_rng(87)
+        g = rng.integers(0, 4, size=500)
+        cat = {
+            "g1": g.astype(str),
+            "g2": np.where(rng.random(500) < 0.9, g, 3).astype(str),
+            "h": rng.integers(0, 2, 500).astype(str),
+            "k": rng.choice(["x", "yy", "z"], size=500),
+            "one": np.full(500, "c"),
+        }
+        y = (rng.random(500) < np.where(g == 0, 0.6, 0.2)).astype(int)
+        diag = filter_select(mixed_dataset({}, cat, y),
+                             FilterThresholds(cramers_v_max=0.5))
+        assert diag.mi_values == [
+            (f, mutual_information(cat[f], y)) for f in cat
+        ]
+        names = list(cat)
+        want_chi2, want_v = [], []
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                if "one" in (a, b):
+                    continue   # degenerate table, noted and skipped
+                chi2, _, p = chi_square(cat[a], cat[b])
+                want_chi2.append((a, b, chi2, p))
+                want_v.append((a, b, cramers_v(cat[a], cat[b])))
+        assert diag.chi2_pairs == want_chi2
+        assert diag.cramers_pairs == want_v
+        assert len(diag.notes) == 4
+        assert [f for f, _ in diag.dropped] == ["g2"]
+
     def test_partition_invariant(self):
         rng = np.random.default_rng(89)
         d = mixed_dataset(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from featscan import synth
 from featscan.errors import (
     AlphaOutOfRangeError,
     DegenerateOutcomeError,
@@ -16,14 +17,19 @@ from featscan.mdss import (
     _pattern_table,
     SubsetDescriptor,
     ValueRecord,
-    aggregate_by_value,
     best_value_subset,
     scan,
     score_bernoulli,
 )
+from featscan.inference import empirical_p_value
 from featscan.tabular import Dataset, DiscretizationSpec, FeatureKind, MissingPolicy, Schema, discretize
 
-from oracles import brute_force_scan, brute_force_value_subset, grid_max_score
+from oracles import (
+    aggregate_by_value,
+    brute_force_scan,
+    brute_force_value_subset,
+    grid_max_score,
+)
 
 
 def categorical_dataset(columns, outcome):
@@ -347,5 +353,89 @@ class TestPatternTable:
         scan(rep, ["f1", "f2"], cfg)
         assert d.covariate_cache["scan_patterns"] is table
         scan(rep, ["f2", "f1"], cfg)
+        assert d.covariate_cache["scan_patterns"] is table
+        scan(rep, ["f1", "f3"], cfg)
         assert d.covariate_cache["scan_patterns"] is not table
         assert list(d.covariate_cache) == ["scan_patterns"]
+
+
+def wide_dataset():
+    # 12 features on 600 rows: few rows per pattern, so the coordinate
+    # order changes where an ascent ends up
+    plant = synth.PlantSpec({"cat01": ("a",), "cat02": ("b",)}, 3.0)
+    spec = synth.SynthSpec(n_rows=600, base_rate=0.2, n_continuous=4,
+                           arities=(2, 3, 4, 5, 2, 3, 4, 5), plant=plant,
+                           seed=23)
+    return discretize(synth.generate(spec)[0], DiscretizationSpec())
+
+
+class TestFeatureSetSemantics:
+    def test_any_order_gives_the_same_scan_and_p_value(self):
+        cfg = ScanConfig(n_restarts=2, seed=5)
+        schema_order = list(wide_dataset().feature_names)
+        rng = np.random.default_rng(4)
+        orders = [schema_order, schema_order[::-1]]
+        orders += [[schema_order[i] for i in rng.permutation(len(schema_order))]
+                   for _ in range(4)]
+        results = []
+        for feats in orders:
+            d = wide_dataset()   # a fresh cache: no table or memo to reuse
+            observed = scan(d, feats, cfg)
+            sig = empirical_p_value(d, feats, cfg, observed, 19)
+            results.append((observed, sig))
+        assert all(r == results[0] for r in results[1:])
+
+    def test_table_is_built_over_the_sorted_set(self):
+        d = planted_dataset(seed=2, n=200)
+        scan(d, ["f3", "f1", "f2"], ScanConfig(n_restarts=1))
+        assert d.covariate_cache["scan_patterns"][0] == ("f1", "f2", "f3")
+
+
+class TestScanMemo:
+    FEATS = ["f3", "f1", "f2"]
+    CFG = ScanConfig(n_restarts=4, seed=6)
+
+    @staticmethod
+    def memo(d):
+        return d.covariate_cache["scan_patterns"][2]
+
+    def test_hit_equals_fresh_scan(self):
+        d = planted_dataset(seed=4, n=400)
+        first = scan(d, self.FEATS, self.CFG)
+        assert len(self.memo(d)) == 1
+        again = scan(d, self.FEATS[::-1], self.CFG)
+        assert again is first
+        assert len(self.memo(d)) == 1
+        assert again == scan(planted_dataset(seed=4, n=400), self.FEATS, self.CFG)
+
+    def test_new_outcome_misses_and_equals_fresh_scan(self):
+        d = planted_dataset(seed=4, n=400)
+        first = scan(d, self.FEATS, self.CFG)
+        y2 = np.random.default_rng(9).integers(0, 2, size=d.n_rows)
+        got = scan(d.with_outcome(y2), self.FEATS, self.CFG)
+        assert len(self.memo(d)) == 2
+        fresh = scan(planted_dataset(seed=4, n=400).with_outcome(y2),
+                     self.FEATS, self.CFG)
+        assert got == fresh
+        assert got != first
+        assert scan(d, self.FEATS, self.CFG) is first
+
+    def test_changed_config_misses(self):
+        d = planted_dataset(seed=4, n=400)
+        scan(d, self.FEATS, self.CFG)
+        for cfg in (ScanConfig(n_restarts=4, seed=7),
+                    ScanConfig(n_restarts=5, seed=6),
+                    ScanConfig(n_restarts=4, max_iterations=1, seed=6)):
+            got = scan(d, self.FEATS, cfg)
+            assert got == scan(planted_dataset(seed=4, n=400), self.FEATS, cfg)
+        assert len(self.memo(d)) == 4
+
+    def test_another_set_drops_the_memo_with_the_table(self):
+        d = planted_dataset(seed=4, n=400)
+        first = scan(d, self.FEATS, self.CFG)
+        memo = self.memo(d)
+        scan(d, ["f1", "f2"], self.CFG)
+        assert self.memo(d) is not memo
+        assert len(self.memo(d)) == 1
+        again = scan(d, self.FEATS, self.CFG)
+        assert again == first and again is not first

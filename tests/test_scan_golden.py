@@ -2,9 +2,10 @@
 
 ``data/scan_golden.json`` pins the score, restrictions, member count,
 outcome sum and every replicate score of three scan shapes, captured
-from the row-level scanner that predates pattern compression. Any change
-to the search, its tie-breaking or the random streams shows up here as
-an exact mismatch. Regenerate the file only for a deliberate,
+once the scan sorted its features (the order-dependent scanner before
+that change gives the same values when handed the sorted lists). Any
+change to the search, its tie-breaking or the random streams shows up
+here as an exact mismatch. Regenerate the file only for a deliberate,
 documented change of results:
 
     PYTHONPATH=src python tests/test_scan_golden.py > tests/data/scan_golden.json
