@@ -246,10 +246,20 @@ def _write_meta(out_dir: Path, command: str) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
+def _check_k(schema: Schema, k_values) -> None:
+    """Reject a K outside [1, number of features] before any data is read."""
+    m = len(schema.feature_names)
+    for k in k_values:
+        if not 1 <= k <= m:
+            raise KTooLargeError(f"k={k} outside [1, {m}]")
+
+
 def cmd_select(cfg: PipelineConfig) -> int:
-    dataset = load_csv(cfg.data, Schema.from_json_file(cfg.schema))
+    schema = Schema.from_json_file(cfg.schema)
     if cfg.k is None:
         raise FeatscanError("select needs --k")
+    _check_k(schema, (cfg.k,))
+    dataset = load_csv(cfg.data, schema)
     methods = METHODS if cfg.method == "all" else (cfg.method,)
     runner = SelectionRunner(dataset, cfg, cfg.k)
     results = {}
@@ -297,9 +307,11 @@ def cmd_scan(cfg: PipelineConfig, features_arg: str) -> int:
 
 
 def cmd_sweep(cfg: PipelineConfig) -> int:
-    dataset = load_csv(cfg.data, Schema.from_json_file(cfg.schema))
+    schema = Schema.from_json_file(cfg.schema)
     if not cfg.k_sweep:
         raise FeatscanError("sweep needs a non-empty --k-sweep")
+    _check_k(schema, cfg.k_sweep)
+    dataset = load_csv(cfg.data, schema)
     k_values = tuple(sorted(set(cfg.k_sweep)))
     dd = discretize(dataset, cfg.discretization())
 

@@ -60,13 +60,13 @@ class GbmConfig:
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0,1], got {self.learning_rate}")
         if self.min_child_weight < 0.0:
-            raise ValueError(f"min_child_weight must be >= 0")
+            raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
         if self.l2_reg < 0.0:
-            raise ValueError(f"l2_reg must be >= 0")
+            raise ValueError(f"l2_reg must be >= 0, got {self.l2_reg}")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError(f"subsample must be in (0,1], got {self.subsample}")
         if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError(f"holdout_fraction must be in (0,1)")
+            raise ValueError(f"holdout_fraction must be in (0,1), got {self.holdout_fraction}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -226,25 +226,23 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None):
     sources = []
     for name in dataset.feature_names:
         kind = dataset.kind(name)
-        col = dataset.column(name)
         if kind is FeatureKind.CONTINUOUS:
-            cols.append(col.astype(np.float64))
+            cols.append(dataset.column(name))
             sources.append(name)
         elif kind is FeatureKind.BINARY or preset is Preset.A:
-            levels = sorted(np.unique(col).tolist())
-            if kind is FeatureKind.BINARY:
-                levels = levels[-1:]    # indicator of the larger label
-            for v in levels:
-                cols.append((col == v).astype(np.float64))
+            # a binary column gets the indicator of its larger label only
+            levels = range(dataset.arity(name))
+            for i in levels[-1:] if kind is FeatureKind.BINARY else levels:
+                cols.append((dataset.codes(name) == i).astype(np.float64))
                 sources.append(name)
         else:
+            codes = dataset.codes(name)
             idx = train_idx if train_idx is not None else np.arange(dataset.n_rows)
             y = dataset.outcome[idx].astype(np.float64)
             prior = float(y.mean())
-            levels, codes = np.unique(col, return_inverse=True)
             # sums of 0/1 outcomes are exact in any summation order
-            count = np.bincount(codes[idx], minlength=len(levels))
-            hits = np.bincount(codes[idx], weights=y, minlength=len(levels))
+            count = np.bincount(codes[idx], minlength=dataset.arity(name))
+            hits = np.bincount(codes[idx], weights=y, minlength=len(count))
             stat = np.where(
                 count > 0,
                 (hits + _TARGET_STAT_PRIOR_WEIGHT * prior)

@@ -327,11 +327,11 @@ def filter_select(dataset: Dataset, thresholds: FilterThresholds) -> FilterDiagn
     diag.kept_continuous = [f for f in continuous if alive[f]]
 
     # --- categorical path ---------------------------------------------
-    # each column and the outcome are coded once, each pair's table built
-    # once; the tables equal those chi_square, cramers_v and
-    # mutual_information build
+    # the dataset's codes are sorted-label codes, so each pair's table,
+    # built once, equals the one chi_square, cramers_v and
+    # mutual_information build from the labels
     alive_cat = {f: True for f in categorical}
-    codes = {f: _codes(dataset.column(f)) for f in categorical}
+    codes = {f: dataset.codes(f) for f in categorical}
     outcome_codes = _codes(dataset.outcome)
     for f in categorical:
         diag.mi_values.append(

@@ -188,8 +188,7 @@ def characterize(data: DiscreteDataset, scored: ScoredSubset) -> Characterizatio
     for feature, values in sorted(scored.subset.restrictions.items()):
         levels = data.levels(feature)
         codes = data.codes(feature)
-        allowed = np.isin(np.asarray(levels), sorted(values))
-        pop_prev = float(allowed[codes].mean())
+        pop_prev = float(SubsetDescriptor({feature: values}).matches(data).mean())
         shares = {}
         for v in sorted(values):
             vi = levels.index(v)

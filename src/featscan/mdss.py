@@ -30,7 +30,7 @@ from .errors import (
     NoFeaturesError,
     UnknownFeatureError,
 )
-from .tabular import Dataset, DiscreteDataset, FeatureKind
+from .tabular import Dataset, DiscreteDataset
 
 
 @dataclass(frozen=True)
@@ -56,30 +56,23 @@ class SubsetDescriptor:
     def n_restricted(self) -> int:
         return len(self.restrictions)
 
-    def matches(self, data) -> np.ndarray:
-        """Boolean row mask of members; works on discrete or raw datasets."""
-        if isinstance(data, DiscreteDataset):
-            mask = np.ones(data.n_rows, dtype=bool)
-            for f, values in self.restrictions.items():
-                levels = data.levels(f)
-                unknown = values - set(levels)
-                if unknown:
-                    raise UnknownFeatureError(
-                        f"values {sorted(unknown)} not in domain of {f!r}"
-                    )
-                allowed = np.isin(np.asarray(levels), sorted(values))
-                mask &= allowed[data.codes(f)]
-            return mask
-        if isinstance(data, Dataset):
-            mask = np.ones(data.n_rows, dtype=bool)
-            for f, values in self.restrictions.items():
-                if data.kind(f) is FeatureKind.CONTINUOUS:
-                    raise ValueError(
-                        f"{f!r} is continuous; match against the discretized view"
-                    )
-                mask &= np.isin(data.column(f), sorted(values))
-            return mask
-        raise TypeError(f"cannot match against {type(data).__name__}")
+    def matches(self, data: Dataset | DiscreteDataset) -> np.ndarray:
+        """Boolean row mask of members, on a discretized or a raw dataset.
+
+        Every value must be in its feature's domain; a raw dataset's
+        continuous features have none, so discretize it first.
+        """
+        mask = np.ones(data.n_rows, dtype=bool)
+        for f, values in self.restrictions.items():
+            levels = data.levels(f)
+            unknown = values - set(levels)
+            if unknown:
+                raise UnknownFeatureError(
+                    f"values {sorted(unknown)} not in domain of {f!r}"
+                )
+            allowed = np.isin(np.asarray(levels), sorted(values))
+            mask &= allowed[data.codes(f)]
+        return mask
 
     def canonicalized(self, data: DiscreteDataset) -> "SubsetDescriptor":
         """Drop any restriction that covers a feature's full domain."""
@@ -117,7 +110,7 @@ class ScanConfig:
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
         if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1")
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

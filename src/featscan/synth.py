@@ -60,7 +60,7 @@ class SynthSpec:
         if self.n_rows < 1:
             raise InvalidSpecError(f"n_rows must be >= 1, got {self.n_rows}")
         if not 0.0 < self.base_rate < 1.0:
-            raise InvalidSpecError(f"base_rate must be in (0,1)")
+            raise InvalidSpecError(f"base_rate must be in (0,1), got {self.base_rate}")
         if self.n_continuous < 0 or self.n_continuous + len(self.arities) == 0:
             raise InvalidSpecError("need at least one feature")
         c = self.n_continuous

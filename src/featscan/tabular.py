@@ -2,8 +2,10 @@
 
 A :class:`Dataset` is the single immutable view of the data that every other
 module reads. Columns are typed as continuous, binary, or nominal; the
-outcome is a 0/1 vector. Continuous columns can be binned into a
-:class:`DiscreteDataset`, which is what the scanner consumes.
+outcome is a 0/1 vector. Binary and nominal columns are coded once, here,
+into int64 codes and sorted levels; ``Dataset.column`` materializes labels.
+Binning the continuous columns gives the scanner's :class:`DiscreteDataset`,
+which shares those codes.
 """
 
 from __future__ import annotations
@@ -98,17 +100,49 @@ class Schema:
             return cls.from_json_dict(json.load(fh))
 
 
-class Dataset:
+class _CodedTable:
+    """Accessors shared by :class:`Dataset` and :class:`DiscreteDataset`.
+
+    Each coded column is held as read-only int64 codes into the array of
+    its labels, its levels, which are sorted for binary and nominal columns.
+    """
+
+    @property
+    def feature_names(self) -> tuple[str, ...]:
+        return self.schema.feature_names
+
+    def _coded(self, table: dict, name: str) -> np.ndarray:
+        if name in table:
+            return table[name]
+        if name in self.schema.feature_names:
+            raise ValueError(f"{name!r} is continuous; discretize it first")
+        raise UnknownFeatureError(f"no feature named {name!r}")
+
+    def codes(self, name: str) -> np.ndarray:
+        return self._coded(self._codes, name)
+
+    def levels(self, name: str) -> tuple[str, ...]:
+        return tuple(self._coded(self._levels, name).tolist())
+
+    def arity(self, name: str) -> int:
+        return len(self._coded(self._levels, name))
+
+    def outcome_mean(self) -> float:
+        return float(self.outcome.mean())
+
+
+class Dataset(_CodedTable):
     """Immutable typed table with a binary outcome.
 
-    Continuous columns are float64 arrays; binary and nominal columns are
-    string arrays. The outcome is an int8 array of 0/1.
+    Continuous columns are float64 arrays. Binary and nominal columns are
+    coded once, into the int64 codes and sorted levels every other module
+    reads; :meth:`column` materializes their labels. The outcome is int8.
     """
 
     def __init__(self, schema: Schema, columns: dict[str, np.ndarray],
                  outcome: np.ndarray):
         self.schema = schema
-        self._columns = {}
+        self._continuous, self._codes, self._levels = {}, {}, {}
         outcome = np.asarray(outcome)
         if outcome.ndim != 1:
             raise SchemaMismatchError("outcome must be a vector")
@@ -126,38 +160,35 @@ class Dataset:
                     f"column {name!r} has {len(col)} rows, expected {self.n_rows}"
                 )
             if schema.kind(name) is FeatureKind.CONTINUOUS:
-                col = col.astype(np.float64)
-            else:
-                col = col.astype(str)
-                if schema.kind(name) is FeatureKind.BINARY:
-                    levels = np.unique(col)
-                    if len(levels) > 2:
-                        raise SchemaMismatchError(
-                            f"binary feature {name!r} has {len(levels)} distinct "
-                            f"values: {list(levels[:4])}"
-                        )
-            col.setflags(write=False)
-            self._columns[name] = col
+                self._continuous[name] = col.astype(np.float64)
+                continue
+            levels, codes = np.unique(col.astype(str), return_inverse=True)
+            if schema.kind(name) is FeatureKind.BINARY and len(levels) > 2:
+                raise SchemaMismatchError(
+                    f"binary feature {name!r} has {len(levels)} distinct "
+                    f"values: {list(levels[:4])}"
+                )
+            self._levels[name] = levels
+            self._codes[name] = codes.astype(np.int64, copy=False)
         extra = set(columns) - set(schema.feature_names)
         if extra:
             raise SchemaMismatchError(f"unexpected columns: {sorted(extra)}")
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.schema.feature_names
+        for col in (*self._continuous.values(), *self._codes.values(),
+                    *self._levels.values()):
+            col.setflags(write=False)
 
     def column(self, name: str) -> np.ndarray:
-        if name not in self._columns:
-            raise UnknownFeatureError(f"no feature named {name!r}")
-        return self._columns[name]
+        """A continuous column, or a categorical column's labels (a new array)."""
+        if name in self._continuous:
+            return self._continuous[name]
+        labels = self._coded(self._levels, name)[self._codes[name]]
+        labels.setflags(write=False)
+        return labels
 
     def kind(self, name: str) -> FeatureKind:
-        if name not in self._columns:
+        if name not in self._continuous and name not in self._codes:
             raise UnknownFeatureError(f"no feature named {name!r}")
         return self.schema.kind(name)
-
-    def outcome_mean(self) -> float:
-        return float(self.outcome.mean())
 
 
 def _missing_cells(cells: tuple[str, ...]) -> set[str]:
@@ -373,16 +404,16 @@ def assign_bins(values: np.ndarray, cut_points: np.ndarray) -> np.ndarray:
                            side="left").astype(np.int64)
 
 
-class DiscreteDataset:
-    """Every column categorical: integer codes plus an ordered label list.
+class DiscreteDataset(_CodedTable):
+    """Every column categorical: integer codes plus their levels.
 
     Binned continuous features keep their cut points so labels are
-    reproducible; binary and nominal features keep their original values
-    as labels, in sorted order.
+    reproducible; binary and nominal features share the source dataset's
+    codes and levels.
     """
 
     def __init__(self, source_schema: Schema, outcome: np.ndarray,
-                 codes: dict[str, np.ndarray], levels: dict[str, tuple[str, ...]],
+                 codes: dict[str, np.ndarray], levels: dict[str, np.ndarray],
                  cut_points: dict[str, np.ndarray], covariate_cache: dict | None = None):
         self.schema = source_schema
         self.outcome = outcome
@@ -393,28 +424,6 @@ class DiscreteDataset:
         # state derived from the covariates alone (the scanner's pattern
         # table), shared with every with_outcome copy
         self.covariate_cache = {} if covariate_cache is None else covariate_cache
-        for name, col in codes.items():
-            col.setflags(write=False)
-
-    @property
-    def feature_names(self) -> tuple[str, ...]:
-        return self.schema.feature_names
-
-    def codes(self, name: str) -> np.ndarray:
-        if name not in self._codes:
-            raise UnknownFeatureError(f"no feature named {name!r}")
-        return self._codes[name]
-
-    def levels(self, name: str) -> tuple[str, ...]:
-        if name not in self._levels:
-            raise UnknownFeatureError(f"no feature named {name!r}")
-        return self._levels[name]
-
-    def arity(self, name: str) -> int:
-        return len(self.levels(name))
-
-    def outcome_mean(self) -> float:
-        return float(self.outcome.mean())
 
     def with_outcome(self, outcome: np.ndarray) -> "DiscreteDataset":
         """Same covariates, different outcome vector (used by randomization)."""
@@ -433,24 +442,18 @@ def discretize(dataset: Dataset, spec: DiscretizationSpec) -> DiscreteDataset:
 
     Equal-frequency cuts use the nearest-rank quantile; values tied with a
     cut point fall into the lower bin. A constant column yields a single
-    bin. Cut points are stored per feature for reproducibility.
+    bin. Cut points are stored per feature for reproducibility. Binary and
+    nominal columns share the dataset's code arrays rather than copy them.
     """
-    codes: dict[str, np.ndarray] = {}
-    levels: dict[str, tuple[str, ...]] = {}
+    codes = dict(dataset._codes)
+    levels = dict(dataset._levels)
     cut_points: dict[str, np.ndarray] = {}
-    for name in dataset.feature_names:
-        col = dataset.column(name)
-        if dataset.kind(name) is FeatureKind.CONTINUOUS:
-            cuts = _cut_points(col, spec.method, spec.n_bins)
-            code = assign_bins(col, cuts)
-            n_levels = len(cuts) + 1
-            codes[name] = code
-            levels[name] = tuple(str(i) for i in range(n_levels))
-            cut_points[name] = cuts
-        else:
-            lv, code = np.unique(col, return_inverse=True)
-            codes[name] = code.astype(np.int64)
-            levels[name] = tuple(lv.tolist())
+    for name, col in dataset._continuous.items():
+        cuts = _cut_points(col, spec.method, spec.n_bins)
+        codes[name] = assign_bins(col, cuts)
+        codes[name].setflags(write=False)
+        levels[name] = np.arange(len(cuts) + 1).astype(str)
+        cut_points[name] = cuts
     return DiscreteDataset(dataset.schema, dataset.outcome, codes, levels,
                            cut_points)
 
@@ -470,21 +473,16 @@ def one_hot(dataset: Dataset, features: list[str]) -> tuple[np.ndarray, list[str
     col_names: list[str] = []
     col_sources: list[str] = []
     for name in features:
-        kind = dataset.kind(name)
-        col = dataset.column(name)
-        if kind is FeatureKind.CONTINUOUS:
-            blocks.append(col.astype(np.float64).reshape(-1, 1))
+        if dataset.kind(name) is FeatureKind.CONTINUOUS:
+            blocks.append(dataset.column(name).reshape(-1, 1))
             col_names.append(name)
             col_sources.append(name)
         else:
-            # reference level is the lexicographically smallest; a constant
-            # column contributes no design columns at all
-            keep = sorted(np.unique(col).tolist())[1:]
-            if keep:
-                block = np.column_stack(
-                    [(col == v).astype(np.float64) for v in keep]
-                )
-                blocks.append(block)
+            # level 0, the lexicographically smallest, is the reference; a
+            # constant column contributes no design columns at all
+            keep = dataset.levels(name)[1:]
+            indicators = dataset.codes(name)[:, None] == np.arange(1, len(keep) + 1)
+            blocks.append(indicators.astype(np.float64))
             col_names.extend(f"{name}={v}" for v in keep)
             col_sources.extend(name for _ in keep)
     if blocks:

@@ -159,8 +159,6 @@ def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> Elimi
         raise ValueError("duplicate candidate features")
     if k > len(candidates):
         raise KTooLargeError(f"k={k} but only {len(candidates)} candidates")
-    for f in candidates:
-        dataset.kind(f)   # raises UnknownFeatureError
 
     initial = tuple(candidates)
     survivors = list(candidates)

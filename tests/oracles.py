@@ -3,8 +3,9 @@
 These deliberately avoid the library's search code paths: subset maxima
 come from exhaustive enumeration, per-value counts from a row filter,
 the score maximizer from a refined grid, the CSV reference reader from
-a cell-by-cell loop and the tree grower from a per-node filter of the
-global sort order, so they can certify the fast implementations.
+a cell-by-cell loop, the tree grower from a per-node filter of the
+global sort order and the design-matrix encoders from per-level string
+comparisons, so they can certify the fast implementations.
 """
 
 import csv
@@ -12,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from featscan.embedded import GbmConfig, _Tree
+from featscan.embedded import _TARGET_STAT_PRIOR_WEIGHT, GbmConfig, Preset, _Tree
 from featscan.errors import (
     DegenerateColumnError,
     MissingValueError,
@@ -328,3 +329,90 @@ def reference_target_statistic(col, outcome, idx, prior_weight):
             / (float(sel.sum()) + prior_weight)
         )
     return np.array([stats.get(v, prior) for v in col])
+
+
+def reference_one_hot(dataset: Dataset, features: list[str]) -> tuple[np.ndarray, list[str], list[str]]:
+    """The string-comparison encoder that ``tabular.one_hot`` must match.
+
+    Build a numeric design matrix for the listed features.
+
+    Continuous columns pass through. A binary column becomes one 0/1
+    indicator of its lexicographically larger value. A nominal column with
+    c levels becomes c-1 indicators, dropping the lexicographically
+    smallest level as the reference.
+
+    Returns ``(matrix, column_names, column_sources)`` where
+    ``column_sources[i]`` is the feature each design column came from.
+    """
+    blocks = []
+    col_names: list[str] = []
+    col_sources: list[str] = []
+    for name in features:
+        kind = dataset.kind(name)
+        col = dataset.column(name)
+        if kind is FeatureKind.CONTINUOUS:
+            blocks.append(col.astype(np.float64).reshape(-1, 1))
+            col_names.append(name)
+            col_sources.append(name)
+        else:
+            # reference level is the lexicographically smallest; a constant
+            # column contributes no design columns at all
+            keep = sorted(np.unique(col).tolist())[1:]
+            if keep:
+                block = np.column_stack(
+                    [(col == v).astype(np.float64) for v in keep]
+                )
+                blocks.append(block)
+            col_names.extend(f"{name}={v}" for v in keep)
+            col_sources.extend(name for _ in keep)
+    if blocks:
+        matrix = np.hstack(blocks)
+    else:
+        matrix = np.empty((dataset.n_rows, 0))
+    return matrix, col_names, col_sources
+
+
+def reference_encode_design(dataset: Dataset, preset: Preset, train_idx=None):
+    """The string-comparison encoder that ``embedded.encode_design`` must match.
+
+    Build the numeric matrix the trees split on.
+
+    Continuous columns pass through; binary columns become one indicator.
+    Nominal columns become per-level indicators under preset A, or a
+    single smoothed outcome-mean column under preset B (statistics from
+    the training rows only). The ``(n_rows, n_cols)`` matrix is stored
+    column by column, the layout the tree grower reads.
+    """
+    cols = []
+    sources = []
+    for name in dataset.feature_names:
+        kind = dataset.kind(name)
+        col = dataset.column(name)
+        if kind is FeatureKind.CONTINUOUS:
+            cols.append(col.astype(np.float64))
+            sources.append(name)
+        elif kind is FeatureKind.BINARY or preset is Preset.A:
+            levels = sorted(np.unique(col).tolist())
+            if kind is FeatureKind.BINARY:
+                levels = levels[-1:]    # indicator of the larger label
+            for v in levels:
+                cols.append((col == v).astype(np.float64))
+                sources.append(name)
+        else:
+            idx = train_idx if train_idx is not None else np.arange(dataset.n_rows)
+            y = dataset.outcome[idx].astype(np.float64)
+            prior = float(y.mean())
+            levels, codes = np.unique(col, return_inverse=True)
+            # sums of 0/1 outcomes are exact in any summation order
+            count = np.bincount(codes[idx], minlength=len(levels))
+            hits = np.bincount(codes[idx], weights=y, minlength=len(levels))
+            stat = np.where(
+                count > 0,
+                (hits + _TARGET_STAT_PRIOR_WEIGHT * prior)
+                / (count + _TARGET_STAT_PRIOR_WEIGHT),
+                prior,
+            )
+            cols.append(stat[codes])
+            sources.append(name)
+    XT = np.stack(cols) if cols else np.empty((0, dataset.n_rows))
+    return XT.T, sources

@@ -1,13 +1,17 @@
 """End-to-end command-line behavior: files in, reports out, exit codes."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from featscan.cli import main
+from featscan.embedded import GbmConfig
+from featscan.errors import InvalidSpecError
 from featscan.mdss import ScanConfig, scan
+from featscan.synth import SynthSpec
 from featscan.tabular import DiscretizationSpec, Schema, discretize, load_csv
 
 from oracles import brute_force_scan
@@ -342,6 +346,29 @@ class TestErrorExitCodes:
     def test_scan_without_features_exits_one(self, synth_dir, tmp_path):
         assert main(["scan", *common_flags(synth_dir, tmp_path)]) == 1
 
+    def missing_data_flags(self, synth_dir, tmp_path):
+        return ["--data", str(tmp_path / "missing.csv"),
+                "--schema", str(synth_dir / "schema.json"),
+                "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("argv", [
+        ["select", "--method", "committee"],
+        ["select", "--method", "embedded_a", "--k", "0"],
+        ["select", "--method", "embedded_a", "--k", "7"],
+        ["sweep", "--k-sweep", "2,7"],
+    ], ids=["select-without-k", "k-zero", "k-above-features", "sweep-k-above"])
+    def test_usage_error_exits_one_before_data_is_read(self, synth_dir, tmp_path,
+                                                       argv):
+        # the fixture's schema has 6 features; its data path does not exist
+        assert main([*argv, *self.missing_data_flags(synth_dir, tmp_path)]) == 1
+
+    def test_empty_k_sweep_exits_one_before_data_is_read(self, synth_dir, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"k_sweep": []}))
+        rc = main(["sweep", "--config", str(cfg_path),
+                   *self.missing_data_flags(synth_dir, tmp_path)])
+        assert rc == 1
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--help"])
@@ -370,3 +397,17 @@ class TestErrorExitCodes:
         rc = main(["select", "--method", "filter_wrapper", "--k", "2",
                    *common_flags(synth_dir, tmp_path)])
         assert rc == 3
+
+
+@pytest.mark.parametrize("build, value", [
+    (lambda v: ScanConfig(max_iterations=v), -3),
+    (lambda v: GbmConfig.preset_a(min_child_weight=v), -0.25),
+    (lambda v: GbmConfig.preset_a(l2_reg=v), -1.5),
+    (lambda v: GbmConfig.preset_a(holdout_fraction=v), 1.75),
+    (lambda v: SynthSpec(n_rows=10, base_rate=v, arities=(2,)), 1.125),
+], ids=["max_iterations", "min_child_weight", "l2_reg", "holdout_fraction",
+        "base_rate"])
+def test_config_error_names_rejected_value(build, value):
+    with pytest.raises((ValueError, InvalidSpecError),
+                       match=re.escape(f"got {value}")):
+        build(value)

@@ -11,6 +11,7 @@ from featscan.errors import (
     DegenerateOutcomeError,
     EmptyRecordsError,
     NoFeaturesError,
+    UnknownFeatureError,
 )
 from featscan.mdss import (
     ScanConfig,
@@ -193,6 +194,47 @@ class TestSubsetDescriptor:
         )
         desc = SubsetDescriptor({"g": frozenset({"a"})})
         np.testing.assert_array_equal(desc.matches(d), [True, False, True, False])
+
+    def raw_and_discretized(self):
+        rng = np.random.default_rng(11)
+        schema = Schema(
+            ("g", "b", "x"),
+            {"g": FeatureKind.NOMINAL, "b": FeatureKind.BINARY,
+             "x": FeatureKind.CONTINUOUS},
+            "y",
+        )
+        raw = Dataset(
+            schema,
+            {"g": rng.choice(list("abcd"), size=50),
+             "b": rng.choice(["0", "1"], size=50), "x": rng.normal(size=50)},
+            rng.integers(0, 2, size=50),
+        )
+        return raw, discretize(raw, DiscretizationSpec())
+
+    @pytest.mark.parametrize("restrictions", [
+        {}, {"g": {"a"}}, {"g": {"b", "d"}, "b": {"1"}}, {"b": {"0", "1"}},
+    ])
+    def test_raw_and_discretized_masks_agree(self, restrictions):
+        raw, dd = self.raw_and_discretized()
+        desc = SubsetDescriptor({f: frozenset(v) for f, v in restrictions.items()})
+        want = np.ones(raw.n_rows, dtype=bool)
+        for f, values in restrictions.items():
+            want &= np.isin(raw.column(f), sorted(values))
+        np.testing.assert_array_equal(desc.matches(raw), want)
+        np.testing.assert_array_equal(desc.matches(dd), want)
+
+    def test_out_of_domain_value_rejected_on_both_views(self):
+        desc = SubsetDescriptor({"g": frozenset({"a", "zz"})})
+        for data in self.raw_and_discretized():
+            with pytest.raises(UnknownFeatureError, match="zz"):
+                desc.matches(data)
+
+    def test_continuous_restriction_rejected_on_raw_dataset(self):
+        raw, dd = self.raw_and_discretized()
+        desc = SubsetDescriptor({"x": frozenset({"0"})})
+        with pytest.raises(ValueError):
+            desc.matches(raw)
+        assert desc.matches(dd).sum() == (dd.codes("x") == 0).sum()
 
     def test_json_round_trip(self):
         desc = SubsetDescriptor({"g": frozenset({"a", "c"})})

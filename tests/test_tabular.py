@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from featscan.embedded import Preset, encode_design
 from featscan.errors import (
     DegenerateColumnError,
     MissingValueError,
@@ -28,7 +29,12 @@ from featscan.tabular import (
     write_csv,
 )
 
-from oracles import reference_load_csv, reference_write_csv
+from oracles import (
+    reference_encode_design,
+    reference_load_csv,
+    reference_one_hot,
+    reference_write_csv,
+)
 
 
 def make_schema(missing=MissingPolicy.ERROR):
@@ -444,6 +450,108 @@ class TestOneHot:
         X, _, _ = one_hot(d, ["x", "b", "g"])
         # continuous 1 + binary 1 + nominal (3-1) = 4
         assert X.shape[1] == 4
+
+
+def non_ascii_labels(tmp_path):
+    rng = np.random.default_rng(0)
+    schema = Schema(
+        ("x", "b", "g"),
+        {"x": FeatureKind.CONTINUOUS, "b": FeatureKind.BINARY,
+         "g": FeatureKind.NOMINAL},
+        "y",
+    )
+    return Dataset(
+        schema,
+        {
+            "x": rng.normal(size=40),
+            "b": rng.choice(["Ω", "ß"], size=40),
+            "g": rng.choice(["é", "a", "Z", "ß", "Ω", "z", "日本"], size=40),
+        },
+        rng.integers(0, 2, size=40),
+    )
+
+
+def one_level_columns(tmp_path):
+    schema = Schema(
+        ("b", "g", "h"),
+        {"b": FeatureKind.BINARY, "g": FeatureKind.NOMINAL,
+         "h": FeatureKind.NOMINAL},
+        "y",
+    )
+    return Dataset(
+        schema,
+        {"b": np.array(["M"] * 6), "g": np.array(["x"] * 6),
+         "h": np.array(["p", "q", "r", "p", "q", "r"])},
+        np.array([0, 1, 0, 1, 1, 0]),
+    )
+
+
+def padded_labels_from_csv(tmp_path):
+    path = write_lines(tmp_path, [
+        HEADER, " 1.5 ,M , icu,0", "2.5, F,er ,1", "3.5,M,icu  ,1",
+        "4.5,F,\u3000ward,0", "5.5, M,er,1",
+    ])
+    return load_csv(path, make_schema())
+
+
+def rows_dropped_from_csv(tmp_path):
+    d = load_csv(rich_csv(tmp_path, 5), RICH_SCHEMA)
+    assert d.n_rows < 60
+    return d
+
+
+AWKWARD = [non_ascii_labels, one_level_columns, padded_labels_from_csv,
+           rows_dropped_from_csv]
+
+
+def assert_same_design(got, want):
+    (X, *labels), (X_ref, *labels_ref) = got, want
+    assert X.shape == X_ref.shape and X.dtype == X_ref.dtype
+    assert X.tobytes() == X_ref.tobytes()
+    assert labels == labels_ref
+
+
+class TestEncodersMatchReference:
+    """The code-based encoders equal the string-comparison references."""
+
+    @pytest.mark.parametrize("make", AWKWARD, ids=lambda f: f.__name__)
+    def test_one_hot(self, tmp_path, make):
+        d = make(tmp_path)
+        features = list(d.feature_names)
+        assert_same_design(one_hot(d, features), reference_one_hot(d, features))
+
+    @pytest.mark.parametrize("preset", list(Preset))
+    @pytest.mark.parametrize("make", AWKWARD, ids=lambda f: f.__name__)
+    def test_encode_design(self, tmp_path, make, preset):
+        d = make(tmp_path)
+        for rows in (None, np.arange(0, d.n_rows, 2)):
+            assert_same_design(encode_design(d, preset, rows),
+                               reference_encode_design(d, preset, rows))
+
+
+class TestCategoricalCoding:
+    def test_discretize_shares_code_arrays(self, tmp_path):
+        d = load_csv(rich_csv(tmp_path, 1), RICH_SCHEMA)
+        dd = discretize(d, DiscretizationSpec())
+        for f in ("b", "ward", "grp"):
+            assert dd.codes(f) is d.codes(f)
+            assert dd.levels(f) == d.levels(f)
+
+    @pytest.mark.parametrize("values", [
+        np.array(["bb", "a", "bb"]),
+        np.array(["a", "b", "a"], dtype="<U10"),
+        np.array(["x", "yy", "x"], dtype=object),
+        np.array([3, 12, 3]),
+    ], ids=["exact-width", "wide", "object", "int"])
+    def test_column_keeps_label_dtype_and_is_read_only(self, values):
+        schema = Schema(("g",), {"g": FeatureKind.NOMINAL}, "y")
+        col = Dataset(schema, {"g": values}, np.array([0, 1, 0])).column("g")
+        want = values.astype(str)
+        assert col.dtype == want.dtype
+        np.testing.assert_array_equal(col, want)
+        assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            col[0] = "z"
 
 
 class TestSchema:
