@@ -5,6 +5,12 @@ CSV tables into an output directory, and exits 0 on success, 1 on
 configuration errors, 2 on data errors, 3 on numeric errors. Reports are
 byte-identical for identical inputs, config, and seed; wall-clock
 metadata goes to a separate run_meta.json.
+
+Each option of the data commands (select, scan, sweep) is declared once,
+as a :class:`PipelineConfig` field; its flag, config-file key, types and
+help derive from that field. Every option is checked when the config is
+built, and the command's usage against the schema, before any data is
+read.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import json
 import logging
 import sys
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -43,30 +49,70 @@ SWEEP_CSV_HEADER = [
     "method", "k", "score", "p_value", "odds_ratio", "ci_low", "ci_high",
     "n_members",
 ]
+_METHOD_CHOICES = METHODS + ("all",)
+_DATA_COMMANDS = {
+    "select": "rank and select top-K features",
+    "scan": "scan a feature list for the top subset",
+    "sweep": "select+scan across methods and K values",
+}
 
 
 @dataclass
 class PipelineConfig:
-    data: Path
-    schema: Path
-    out_dir: Path
-    method: str = "committee"
-    k: int | None = None
-    k_sweep: tuple[int, ...] = DEFAULT_K_SWEEP
+    """The settings of a data command, one field per option.
+
+    A field's flag is ``--`` plus its name with dashes and its config-file
+    key is its name, unless its metadata's ``flag`` (``cramers_max`` for
+    ``--cramers-max``) or ``key`` renames them; its ``commands`` limit where
+    the flag exists. A flag wins over the file and the file over the default.
+    """
+
+    data: Path = field(metadata={"help": "input CSV"})
+    schema: Path = field(metadata={"help": "schema JSON"})
+    out_dir: Path = field(metadata={"flag": "out", "key": "output_dir",
+                                    "help": "output directory"})
+    method: str = field(default="committee", metadata={
+        "choices": _METHOD_CHOICES, "commands": ("select",)})
+    k: int | None = field(default=None, metadata={"commands": ("select",)})
+    k_sweep: tuple[int, ...] = field(default=DEFAULT_K_SWEEP, metadata={
+        "help": "comma-separated K values", "commands": ("sweep",)})
     rho_max: float = 0.9
     vif_max: float = 10.0
     chi2_alpha: float = 0.05
-    cramers_v_max: float = 0.9
+    cramers_v_max: float = field(default=0.9, metadata={"flag": "cramers_max"})
     bins: int = 5
-    bin_method: str = "equal_frequency"
+    bin_method: str = field(default="equal_frequency", metadata={
+        "choices": [m.value for m in BinMethod]})
     gbm_trees: int = 200
     gbm_depth: int = 4
     gbm_lr: float = 0.1
-    n_restarts: int = 20
+    n_restarts: int = field(default=20, metadata={"flag": "restarts"})
     max_iterations: int = 50
     bootstrap_r: int = 100
     score_tolerance: float = 0.01
     seed: int = 0
+
+    def __post_init__(self):
+        self.data, self.schema, self.out_dir = (
+            Path(self.data), Path(self.schema), Path(self.out_dir))
+        self.k_sweep = tuple(self.k_sweep)
+        if self.method not in _METHOD_CHOICES:
+            raise ValueError(f"method must be one of {_METHOD_CHOICES}, "
+                             f"got {self.method!r}")
+        if self.bootstrap_r < inference.MIN_REPLICATES:
+            raise ValueError(f"bootstrap_r must be >= {inference.MIN_REPLICATES}, "
+                             f"got {self.bootstrap_r}")
+        if not 0.0 <= self.score_tolerance < 1.0:
+            raise ValueError(
+                f"score_tolerance must be in [0,1), got {self.score_tolerance}")
+        # each stage's config checks its own ranges, so build them all before
+        # any data is read. The GBM gets the seed as given: deriving its seeds
+        # would load numpy.random before the CSV, +5 MiB on the load's peak.
+        mdss.ScanConfig(self.n_restarts, self.max_iterations, self.seed)
+        embedded.GbmConfig.preset_a(seed=self.seed, n_trees=self.gbm_trees,
+                                    max_depth=self.gbm_depth, learning_rate=self.gbm_lr)
+        self.thresholds()
+        self.discretization()
 
     def thresholds(self) -> FilterThresholds:
         return FilterThresholds(self.rho_max, self.vif_max, self.chi2_alpha,
@@ -78,21 +124,16 @@ class PipelineConfig:
     def gbm(self, preset_name: str) -> embedded.GbmConfig:
         ctor = (embedded.GbmConfig.preset_a if preset_name == "a"
                 else embedded.GbmConfig.preset_b)
-        return ctor(
-            seed=_derive_seed(self.seed, 4, 0 if preset_name == "a" else 1),
-            n_trees=self.gbm_trees,
-            max_depth=self.gbm_depth,
-            learning_rate=self.gbm_lr,
-        )
+        return ctor(seed=_derive_seed(self.seed, 4, 0 if preset_name == "a" else 1),
+                    n_trees=self.gbm_trees, max_depth=self.gbm_depth,
+                    learning_rate=self.gbm_lr)
 
     def scan_config(self, features: list[str]) -> mdss.ScanConfig:
         # seed keyed on the feature set, so identical sets scan identically
         key = zlib.crc32("\x1f".join(sorted(features)).encode("utf-8"))
-        return mdss.ScanConfig(
-            n_restarts=self.n_restarts,
-            max_iterations=self.max_iterations,
-            seed=_derive_seed(self.seed, 3, key),
-        )
+        return mdss.ScanConfig(n_restarts=self.n_restarts,
+                               max_iterations=self.max_iterations,
+                               seed=_derive_seed(self.seed, 3, key))
 
 
 def _derive_seed(seed: int, *key: int) -> int:
@@ -215,9 +256,9 @@ def _scan_bundle(dd, features: list[str], cfg: PipelineConfig):
     return payload, observed, significance, effect
 
 
-def _load_feature_list(arg: str, dataset: Dataset) -> list[str]:
+def _load_feature_list(arg: str, schema: Schema) -> list[str]:
     if arg == "all":
-        return list(dataset.feature_names)
+        return list(schema.feature_names)
     with open(arg, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if isinstance(doc, dict):
@@ -226,10 +267,13 @@ def _load_feature_list(arg: str, dataset: Dataset) -> list[str]:
         features = doc
     if not isinstance(features, list) or not features:
         raise FeatscanError(f"{arg}: no feature list found")
-    unknown = [f for f in features if f not in dataset.feature_names]
+    unknown = [f for f in features if f not in schema.feature_names]
     if unknown:
         raise FeatscanError(f"{arg}: unknown features {unknown}")
-    return [str(f) for f in features]
+    if len(set(features)) < len(features):
+        repeated = sorted({f for f in features if features.count(f) > 1})
+        raise FeatscanError(f"{arg}: duplicate features {repeated}")
+    return features
 
 
 def _write_meta(out_dir: Path, command: str) -> None:
@@ -246,20 +290,23 @@ def _write_meta(out_dir: Path, command: str) -> None:
 # commands
 # ---------------------------------------------------------------------------
 
-def _check_k(schema: Schema, k_values) -> None:
-    """Reject a K outside [1, number of features] before any data is read."""
+def _check_usage(args: argparse.Namespace, cfg: PipelineConfig,
+                 schema: Schema) -> list[str]:
+    """Check a data command's K values or feature list against the schema."""
+    if args.command == "scan":
+        return _load_feature_list(args.features, schema)
+    if args.command == "select" and cfg.k is None:
+        raise FeatscanError("select needs --k")
+    if args.command == "sweep" and not cfg.k_sweep:
+        raise FeatscanError("sweep needs a non-empty --k-sweep")
     m = len(schema.feature_names)
-    for k in k_values:
+    for k in (cfg.k,) if args.command == "select" else cfg.k_sweep:
         if not 1 <= k <= m:
             raise KTooLargeError(f"k={k} outside [1, {m}]")
+    return []
 
 
-def cmd_select(cfg: PipelineConfig) -> int:
-    schema = Schema.from_json_file(cfg.schema)
-    if cfg.k is None:
-        raise FeatscanError("select needs --k")
-    _check_k(schema, (cfg.k,))
-    dataset = load_csv(cfg.data, schema)
+def cmd_select(cfg: PipelineConfig, dataset: Dataset) -> None:
     methods = METHODS if cfg.method == "all" else (cfg.method,)
     runner = SelectionRunner(dataset, cfg, cfg.k)
     results = {}
@@ -270,22 +317,13 @@ def cmd_select(cfg: PipelineConfig) -> int:
         log.info("select %s -> %s", method, payload["selected"])
     if cfg.method == "all":
         overlap = len(set(results["embedded_a"]) & set(results["embedded_b"]))
-        reportio.write_report(
-            cfg.out_dir / "select_summary.json",
-            {
-                "k": cfg.k,
-                "selected": results,
-                "overlap_embedded_a_b": overlap,
-            },
-        )
+        reportio.write_report(cfg.out_dir / "select_summary.json", {
+            "k": cfg.k, "selected": results, "overlap_embedded_a_b": overlap})
         log.info("embedded A/B top-%d overlap: %d", cfg.k, overlap)
-    _write_meta(cfg.out_dir, "select")
-    return 0
 
 
-def cmd_scan(cfg: PipelineConfig, features_arg: str) -> int:
-    dataset = load_csv(cfg.data, Schema.from_json_file(cfg.schema))
-    features = _load_feature_list(features_arg, dataset)
+def cmd_scan(cfg: PipelineConfig, dataset: Dataset, features: list[str],
+             features_arg: str) -> None:
     dd = discretize(dataset, cfg.discretization())
     payload, observed, significance, _ = _scan_bundle(dd, features, cfg)
     name = "all" if features_arg == "all" else Path(features_arg).stem
@@ -295,23 +333,14 @@ def cmd_scan(cfg: PipelineConfig, features_arg: str) -> int:
         ["replicate", "score"],
         [[i, s] for i, s in enumerate(significance.replicate_scores)],
     )
-    reportio.write_report(
-        cfg.out_dir / f"cutpoints_{name}.json",
-        {"cut_points": dd.cut_points_json_dict()},
-    )
-    _write_meta(cfg.out_dir, "scan")
+    reportio.write_report(cfg.out_dir / f"cutpoints_{name}.json",
+                          {"cut_points": dd.cut_points_json_dict()})
     log.info("scan over %d features: score=%.6g p=%.4g members=%d",
              len(features), observed.score, significance.p_value,
              observed.n_members)
-    return 0
 
 
-def cmd_sweep(cfg: PipelineConfig) -> int:
-    schema = Schema.from_json_file(cfg.schema)
-    if not cfg.k_sweep:
-        raise FeatscanError("sweep needs a non-empty --k-sweep")
-    _check_k(schema, cfg.k_sweep)
-    dataset = load_csv(cfg.data, schema)
+def cmd_sweep(cfg: PipelineConfig, dataset: Dataset) -> None:
     k_values = tuple(sorted(set(cfg.k_sweep)))
     dd = discretize(dataset, cfg.discretization())
 
@@ -363,10 +392,8 @@ def cmd_sweep(cfg: PipelineConfig) -> int:
             "n_scans": len(cells),
         },
     )
-    _write_meta(cfg.out_dir, "sweep")
     log.info("sweep complete: %d scans, all-features score %.6g",
              len(cells), all_score)
-    return 0
 
 
 def cmd_synth(spec_path: str, out_dir: str, seed: int | None) -> int:
@@ -387,102 +414,57 @@ def cmd_synth(spec_path: str, out_dir: str, seed: int | None) -> int:
 # argument plumbing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--data", help="input CSV")
-    p.add_argument("--schema", help="schema JSON")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--bins", type=int)
-    p.add_argument("--bin-method", choices=[m.value for m in BinMethod])
-    p.add_argument("--rho-max", type=float)
-    p.add_argument("--vif-max", type=float)
-    p.add_argument("--chi2-alpha", type=float)
-    p.add_argument("--cramers-max", type=float)
-    p.add_argument("--gbm-trees", type=int)
-    p.add_argument("--gbm-depth", type=int)
-    p.add_argument("--gbm-lr", type=float)
-    p.add_argument("--restarts", type=int)
-    p.add_argument("--max-iterations", type=int)
-    p.add_argument("--bootstrap-r", type=int)
-    p.add_argument("--score-tolerance", type=float)
+def _int_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
 
 
-_FLAG_TO_FIELD = {
-    "seed": "seed", "bins": "bins", "bin_method": "bin_method",
-    "rho_max": "rho_max", "vif_max": "vif_max", "chi2_alpha": "chi2_alpha",
-    "cramers_max": "cramers_v_max", "gbm_trees": "gbm_trees",
-    "gbm_depth": "gbm_depth", "gbm_lr": "gbm_lr", "restarts": "n_restarts",
-    "max_iterations": "max_iterations", "bootstrap_r": "bootstrap_r",
-    "score_tolerance": "score_tolerance",
-    "method": "method", "k": "k",
+# PipelineConfig annotation -> (its flag's argparse type, the JSON types a
+# config file may give it)
+_TYPES = {
+    "Path": (str, str), "str": (str, str), "int": (int, int),
+    "int | None": (int, int), "float": (float, (int, float)),
+    "tuple[int, ...]": (_int_list, list),
 }
-
-
-# PipelineConfig annotation -> the JSON type a config file gives it
-_JSON_TYPES = {"Path": str, "str": str, "int": int, "int | None": int,
-               "float": (int, float)}
 
 
 def _json_matches(value, annotation: str) -> bool:
     if annotation == "tuple[int, ...]":
         return isinstance(value, list) and all(_json_matches(v, "int") for v in value)
-    return (isinstance(value, _JSON_TYPES[annotation])
-            and not isinstance(value, bool))
-
-
-def _load_config_file(path: str) -> dict:
-    """The config file's object; an unknown key or a mistyped value is an error.
-
-    Its keys are the PipelineConfig field names, with ``output_dir`` for
-    ``out_dir``.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise FeatscanError(f"{path}: config must be a JSON object")
-    annotations = {f.name: f.type for f in fields(PipelineConfig)}
-    annotations["output_dir"] = annotations.pop("out_dir")
-    for key, value in doc.items():
-        if key not in annotations:
-            raise FeatscanError(f"{path}: unknown config key {key!r}")
-        if not _json_matches(value, annotations[key]):
-            raise FeatscanError(f"{path}: config key {key!r} must be "
-                                f"{annotations[key]}, got {value!r}")
-    return doc
+    return isinstance(value, _TYPES[annotation][1]) and not isinstance(value, bool)
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = _load_config_file(args.config)
+    """Each field from its flag, else from the config file, else its default.
 
-    def pick(flag: str, field_name: str, default):
-        flag_val = getattr(args, flag, None)
-        if flag_val is not None:
-            return flag_val
-        if field_name in file_cfg:
-            return file_cfg[field_name]
-        return default
-
-    data = pick("data", "data", None)
-    schema = pick("schema", "schema", None)
-    out = pick("out", "output_dir", None)
-    if not data or not schema or not out:
+    The file's keys are the field names, with ``output_dir`` for
+    ``out_dir``; an unknown key or a mistyped value is an error.
+    """
+    values = {}
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise FeatscanError(f"{args.config}: config must be a JSON object")
+        by_key = {f.metadata.get("key", f.name): f for f in fields(PipelineConfig)}
+        for key, value in doc.items():
+            if key not in by_key:
+                raise FeatscanError(f"{args.config}: unknown config key {key!r}")
+            f = by_key[key]
+            if not _json_matches(value, f.type):
+                raise FeatscanError(f"{args.config}: config key {key!r} must be "
+                                    f"{f.type}, got {value!r}")
+            values[f.name] = value
+    for f in fields(PipelineConfig):
+        flag_value = getattr(args, f.metadata.get("flag", f.name), None)
+        if flag_value is not None:
+            values[f.name] = flag_value
+    if not all(values.get(name) for name in ("data", "schema", "out_dir")):
         raise FeatscanError("--data, --schema, and --out are required")
-
-    kwargs = {}
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        val = pick(flag, field_name, None)
-        if val is not None:
-            kwargs[field_name] = val
-    k_sweep = getattr(args, "k_sweep", None)
-    if k_sweep is not None:
-        kwargs["k_sweep"] = tuple(int(x) for x in k_sweep.split(","))
-    elif "k_sweep" in file_cfg:
-        kwargs["k_sweep"] = tuple(file_cfg["k_sweep"])
-    return PipelineConfig(data=Path(data), schema=Path(schema),
-                          out_dir=Path(out), **kwargs)
+    return PipelineConfig(**values)
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -498,24 +480,21 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
-        prog="featscan",
-        description="Feature selection plus anomalous subset scanning",
-    )
+        prog="featscan", description="Feature selection plus anomalous subset scanning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("select", help="rank and select top-K features")
-    _add_common(p)
-    p.add_argument("--method", choices=METHODS + ("all",))
-    p.add_argument("--k", type=int)
-
-    p = sub.add_parser("scan", help="scan a feature list for the top subset")
-    _add_common(p)
-    p.add_argument("--features", required=True,
-                   help="'all' or a JSON file with a feature list")
-
-    p = sub.add_parser("sweep", help="select+scan across methods and K values")
-    _add_common(p)
-    p.add_argument("--k-sweep", help="comma-separated K values")
+    for command, help_text in _DATA_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="JSON config file; flags override it")
+        for f in fields(PipelineConfig):
+            if command in f.metadata.get("commands", _DATA_COMMANDS):
+                flag = "--" + f.metadata.get("flag", f.name).replace("_", "-")
+                p.add_argument(flag, type=_TYPES[f.type][0],
+                               choices=f.metadata.get("choices"),
+                               help=f.metadata.get("help"))
+        if command == "scan":
+            p.add_argument("--features", required=True,
+                           help="'all' or a JSON file with a feature list")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="SynthSpec JSON")
@@ -533,14 +512,20 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(args.spec, args.out, args.seed)
         cfg = _build_config(args)
+        # the data commands' prologue: read the schema, check the usage
+        # against it, and only then read the CSV and write anything
+        schema = Schema.from_json_file(cfg.schema)
+        features = _check_usage(args, cfg, schema)
+        dataset = load_csv(cfg.data, schema)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "select":
-            return cmd_select(cfg)
-        if args.command == "scan":
-            return cmd_scan(cfg, args.features)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        parser.error(f"unknown command {args.command}")
+            cmd_select(cfg, dataset)
+        elif args.command == "scan":
+            cmd_scan(cfg, dataset, features, args.features)
+        else:
+            cmd_sweep(cfg, dataset)
+        _write_meta(cfg.out_dir, args.command)
+        return 0
     except FeatscanError as exc:
         log.error("%s", exc)
         return exc.exit_code
@@ -553,7 +538,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_DATA
-    return 0
 
 
 if __name__ == "__main__":

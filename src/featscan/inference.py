@@ -21,6 +21,9 @@ from .errors import EmptySubsetError, FullSubsetError
 from .mdss import ScanConfig, ScoredSubset, SubsetDescriptor, scan
 from .tabular import DiscreteDataset
 
+# the fewest bootstrap replicates that can give p < 0.05
+MIN_REPLICATES = 19
+
 
 @dataclass(frozen=True)
 class SignificanceResult:
@@ -54,8 +57,9 @@ def empirical_p_value(data: DiscreteDataset, features: list[str],
     (1 + #{replicate >= observed}) / (r + 1), so ties count against
     significance and p is never 0.
     """
-    if r < 19:
-        raise ValueError(f"need at least 19 replicates for p < 0.05, got {r}")
+    if r < MIN_REPLICATES:
+        raise ValueError(
+            f"need at least {MIN_REPLICATES} replicates for p < 0.05, got {r}")
     alpha_g = data.outcome_mean()
     scores = []
     for i in range(r):

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: files in, reports out, exit codes."""
 
+import argparse
 import json
 import re
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from featscan.cli import main
+from featscan.cli import DEFAULT_K_SWEEP, _build_config, build_parser, main
 from featscan.embedded import GbmConfig
 from featscan.errors import InvalidSpecError
 from featscan.mdss import ScanConfig, scan
@@ -325,9 +326,16 @@ class TestConfigFile:
         cfg_path = self.write_config(synth_dir, tmp_path, **{key: value})
         assert main(["select", "--config", str(cfg_path)]) == 1
 
+    def test_bin_method_checked_where_unused(self, synth_dir, tmp_path, caplog):
+        # embedded_a never discretizes, yet every option is checked
+        cfg_path = self.write_config(synth_dir, tmp_path, bin_method="nope")
+        assert main(["select", "--config", str(cfg_path)]) == 1
+        assert "nope" in caplog.text
+        assert list((tmp_path / "out").glob("*")) == []
+
     def test_well_typed_values_accepted(self, synth_dir, tmp_path):
         # an integer is a valid JSON number for a float field
-        cfg_path = self.write_config(synth_dir, tmp_path, rho_max=1,
+        cfg_path = self.write_config(synth_dir, tmp_path, vif_max=12,
                                      k_sweep=[2, 3], n_restarts=2)
         assert main(["select", "--config", str(cfg_path)]) == 0
 
@@ -361,6 +369,16 @@ class TestErrorExitCodes:
                                                        argv):
         # the fixture's schema has 6 features; its data path does not exist
         assert main([*argv, *self.missing_data_flags(synth_dir, tmp_path)]) == 1
+
+    @pytest.mark.parametrize("features", [[], ["nope"], ["cat01", "num01", "cat01"]],
+                             ids=["empty", "unknown", "duplicated"])
+    def test_bad_feature_file_exits_one_before_data_is_read(self, synth_dir,
+                                                            tmp_path, features):
+        feats = tmp_path / "feats.json"
+        feats.write_text(json.dumps({"features": features}))
+        rc = main(["scan", "--features", str(feats),
+                   *self.missing_data_flags(synth_dir, tmp_path)])
+        assert rc == 1
 
     def test_empty_k_sweep_exits_one_before_data_is_read(self, synth_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -411,3 +429,147 @@ def test_config_error_names_rejected_value(build, value):
     with pytest.raises((ValueError, InvalidSpecError),
                        match=re.escape(f"got {value}")):
         build(value)
+
+
+# flag, config key, value: each is out of range for its option
+BAD_VALUES = [
+    ("--bins", "bins", 1),
+    ("--bin-method", "bin_method", "nope"),
+    ("--rho-max", "rho_max", 2),
+    ("--rho-max", "rho_max", 1),
+    ("--gbm-lr", "gbm_lr", 0),
+    ("--gbm-depth", "gbm_depth", 0),
+    ("--gbm-trees", "gbm_trees", -1),
+    ("--restarts", "n_restarts", 0),
+    ("--max-iterations", "max_iterations", 0),
+    ("--bootstrap-r", "bootstrap_r", 5),
+    ("--seed", "seed", -1),
+    ("--method", "method", "bogus"),
+    ("--score-tolerance", "score_tolerance", 1.5),
+    ("--score-tolerance", "score_tolerance", -0.125),
+]
+COMMAND_ARGV = {
+    "select": ["select", "--k", "2"],
+    "scan": ["scan", "--features", "all"],
+    "sweep": ["sweep", "--k-sweep", "2"],
+}
+
+
+def bad_value_cases():
+    for flag, key, value in BAD_VALUES:
+        for command in COMMAND_ARGV:
+            yield pytest.param(command, [], {key: value},
+                               id=f"{command}-config-{key}={value}")
+            if flag != "--method" or command == "select":
+                yield pytest.param(command, [flag, str(value)], {},
+                                   id=f"{command}-flag-{flag}={value}")
+
+
+@pytest.mark.parametrize("command, flags, config", bad_value_cases())
+def test_bad_option_value_exits_one_before_data_is_read(synth_dir, tmp_path,
+                                                        command, flags, config):
+    # the data path does not exist, so reading it would exit 2
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main([*COMMAND_ARGV[command], "--config", str(cfg_path), *flags,
+               "--data", str(tmp_path / "missing.csv"),
+               "--schema", str(synth_dir / "schema.json"), "--out", str(out)])
+    assert rc == 1
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("tolerance", ["1.5", "-0.125"])
+def test_score_tolerance_outside_unit_interval_exits_one(synth_dir, tmp_path,
+                                                         tolerance):
+    # 1.5 would make every K sufficient; a negative one can make none so
+    rc = main(["sweep", "--k-sweep", "2", "--score-tolerance", tolerance,
+               *common_flags(synth_dir, tmp_path)])
+    assert rc == 1
+    assert not (tmp_path / "sweep_summary.json").exists()
+
+
+DATA_COMMAND_FLAGS = {
+    "--data", "--schema", "--out", "--config", "--seed", "--bins",
+    "--bin-method", "--rho-max", "--vif-max", "--chi2-alpha", "--cramers-max",
+    "--gbm-trees", "--gbm-depth", "--gbm-lr", "--restarts", "--max-iterations",
+    "--bootstrap-r", "--score-tolerance",
+}
+SURFACE = {
+    "select": DATA_COMMAND_FLAGS | {"--method", "--k"},
+    "scan": DATA_COMMAND_FLAGS | {"--features"},
+    "sweep": DATA_COMMAND_FLAGS | {"--k-sweep"},
+    "synth": {"--spec", "--out", "--seed"},
+}
+
+
+def test_each_command_accepts_exactly_its_flags():
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(SURFACE)
+    for command, flags in SURFACE.items():
+        got = {s for a in commands[command]._actions for s in a.option_strings}
+        assert got - {"-h", "--help"} == flags, command
+    assert len(set().union(*SURFACE.values())) == 23
+
+
+REQUIRED = {"data": "d.csv", "schema": "s.json", "output_dir": "o"}
+# flag, config key, PipelineConfig field, flag text, the value it parses to,
+# config value, the value that gives, default (REQUIRED: none)
+OPTIONS = [
+    ("--data", "data", "data", "f.csv", Path("f.csv"), "c.csv", Path("c.csv"),
+     REQUIRED),
+    ("--schema", "schema", "schema", "f.json", Path("f.json"), "c.json",
+     Path("c.json"), REQUIRED),
+    ("--out", "output_dir", "out_dir", "f", Path("f"), "c", Path("c"), REQUIRED),
+    ("--method", "method", "method", "embedded_b", "embedded_b",
+     "filter_wrapper", "filter_wrapper", "committee"),
+    ("--k", "k", "k", "3", 3, 2, 2, None),
+    ("--k-sweep", "k_sweep", "k_sweep", "4,6", (4, 6), [3], (3,),
+     DEFAULT_K_SWEEP),
+    ("--rho-max", "rho_max", "rho_max", "0.5", 0.5, 0.75, 0.75, 0.9),
+    ("--vif-max", "vif_max", "vif_max", "5", 5.0, 7.5, 7.5, 10.0),
+    ("--chi2-alpha", "chi2_alpha", "chi2_alpha", "0.01", 0.01, 0.1, 0.1, 0.05),
+    ("--cramers-max", "cramers_v_max", "cramers_v_max", "0.5", 0.5, 0.75, 0.75,
+     0.9),
+    ("--bins", "bins", "bins", "3", 3, 4, 4, 5),
+    ("--bin-method", "bin_method", "bin_method", "equal_frequency",
+     "equal_frequency", "equal_width", "equal_width", "equal_frequency"),
+    ("--gbm-trees", "gbm_trees", "gbm_trees", "7", 7, 9, 9, 200),
+    ("--gbm-depth", "gbm_depth", "gbm_depth", "2", 2, 3, 3, 4),
+    ("--gbm-lr", "gbm_lr", "gbm_lr", "0.5", 0.5, 0.25, 0.25, 0.1),
+    ("--restarts", "n_restarts", "n_restarts", "4", 4, 6, 6, 20),
+    ("--max-iterations", "max_iterations", "max_iterations", "8", 8, 9, 9, 50),
+    ("--bootstrap-r", "bootstrap_r", "bootstrap_r", "29", 29, 39, 39, 100),
+    ("--score-tolerance", "score_tolerance", "score_tolerance", "0.02", 0.02,
+     0.05, 0.05, 0.01),
+    ("--seed", "seed", "seed", "4", 4, 5, 5, 0),
+]
+
+
+@pytest.mark.parametrize("flag, key, field, flag_text, flag_value, file_value, "
+                         "file_parsed, default", OPTIONS, ids=[o[0] for o in OPTIONS])
+def test_flag_then_config_file_then_default(tmp_path, flag, key, field, flag_text,
+                                            flag_value, file_value, file_parsed,
+                                            default):
+    commands = [c for c, flags in SURFACE.items() if c != "synth" and flag in flags]
+    assert commands
+
+    def built(command, flag_given, file_given):
+        doc = {k: v for k, v in REQUIRED.items() if k != key}
+        if file_given:
+            doc[key] = file_value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(cfg_path)]
+        argv += ["--features", "all"] if command == "scan" else []
+        argv += [flag, flag_text] if flag_given else []
+        return getattr(_build_config(build_parser().parse_args(argv)), field)
+
+    for command in commands:
+        assert built(command, True, False) == flag_value
+        assert built(command, False, True) == file_parsed
+        assert built(command, True, True) == flag_value
+        if default is not REQUIRED:
+            assert built(command, False, False) == default
