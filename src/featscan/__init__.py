@@ -42,7 +42,6 @@ from .mdss import (
     ScanConfig,
     ScoredSubset,
     SubsetDescriptor,
-    ValueRecord,
     best_value_subset,
     scan,
     score_bernoulli,
@@ -71,7 +70,7 @@ __all__ = [
     "FeatureKind", "FeatureRanking", "FilterDiagnostics", "FilterThresholds",
     "FitMetrics", "GbmConfig", "MissingPolicy", "OlsFit", "PlantSpec",
     "Preset", "RankingSource", "ScanConfig", "Schema", "ScoredSubset",
-    "SignificanceResult", "SubsetDescriptor", "SynthSpec", "ValueRecord",
+    "SignificanceResult", "SubsetDescriptor", "SynthSpec",
     "backward_eliminate", "best_value_subset", "characterize",
     "chi_square", "committee_vote", "cramers_v", "discretize",
     "empirical_p_value", "extract_importance",

@@ -146,12 +146,17 @@ def _derive_seed(seed: int, *key: int) -> int:
 # ---------------------------------------------------------------------------
 
 class SelectionRunner:
-    """Caches per-method artifacts so a K sweep reuses trained models."""
+    """Caches per-method artifacts so a K sweep reuses trained models.
 
-    def __init__(self, dataset: Dataset, cfg: PipelineConfig, min_k: int):
+    ``k_values`` are the K values ``select`` will be asked for: the largest
+    must not exceed the filters' survivors, and elimination runs down to
+    the smallest.
+    """
+
+    def __init__(self, dataset: Dataset, cfg: PipelineConfig, k_values: tuple[int, ...]):
         self.dataset = dataset
         self.cfg = cfg
-        self.min_k = min_k
+        self.k_values = k_values
         self._filter_diag = None
         self._trace = None
         self._embedded = {}
@@ -160,11 +165,11 @@ class SelectionRunner:
         if self._filter_diag is None:
             self._filter_diag = filter_select(self.dataset, self.cfg.thresholds())
             candidates = self._filter_diag.kept
-            if self.min_k > len(candidates):
+            if max(self.k_values) > len(candidates):
                 raise KTooLargeError(
-                    f"k={self.min_k} but filters kept {len(candidates)} features"
+                    f"k={max(self.k_values)} but filters kept {len(candidates)} features"
                 )
-            self._trace = backward_eliminate(self.dataset, candidates, self.min_k)
+            self._trace = backward_eliminate(self.dataset, candidates, min(self.k_values))
         return self._filter_diag, self._trace
 
     def embedded_artifacts(self, preset_name: str):
@@ -256,11 +261,19 @@ def _scan_bundle(dd, features: list[str], cfg: PipelineConfig):
     return payload, observed, significance, effect
 
 
+def _load_json_option(path) -> object:
+    """Parse the JSON file an option names; an unreadable one is a usage error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise FeatscanError(f"{path}: {exc.strerror or exc}") from None
+
+
 def _load_feature_list(arg: str, schema: Schema) -> list[str]:
     if arg == "all":
         return list(schema.feature_names)
-    with open(arg, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json_option(arg)
     if isinstance(doc, dict):
         features = doc.get("features", doc.get("selected"))
     else:
@@ -277,13 +290,10 @@ def _load_feature_list(arg: str, schema: Schema) -> list[str]:
 
 
 def _write_meta(out_dir: Path, command: str) -> None:
-    meta = {
+    reportio.write_json(out_dir / "run_meta.json", {
         "command": command,
         "written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    with open(out_dir / "run_meta.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +318,7 @@ def _check_usage(args: argparse.Namespace, cfg: PipelineConfig,
 
 def cmd_select(cfg: PipelineConfig, dataset: Dataset) -> None:
     methods = METHODS if cfg.method == "all" else (cfg.method,)
-    runner = SelectionRunner(dataset, cfg, cfg.k)
+    runner = SelectionRunner(dataset, cfg, (cfg.k,))
     results = {}
     for method in methods:
         payload = runner.select(method, cfg.k)
@@ -344,7 +354,7 @@ def cmd_sweep(cfg: PipelineConfig, dataset: Dataset) -> None:
     k_values = tuple(sorted(set(cfg.k_sweep)))
     dd = discretize(dataset, cfg.discretization())
 
-    runner = SelectionRunner(dataset, cfg, min(k_values))
+    runner = SelectionRunner(dataset, cfg, k_values)
     cells = []   # (method, k, features)
     for method in METHODS:
         for k in k_values:
@@ -397,8 +407,7 @@ def cmd_sweep(cfg: PipelineConfig, dataset: Dataset) -> None:
 
 
 def cmd_synth(spec_path: str, out_dir: str, seed: int | None) -> int:
-    with open(spec_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json_option(spec_path)
     if seed is not None:
         doc["seed"] = seed
     spec = synth.SynthSpec.from_json_dict(doc)
@@ -445,8 +454,7 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """
     values = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = _load_json_option(args.config)
         if not isinstance(doc, dict):
             raise FeatscanError(f"{args.config}: config must be a JSON object")
         by_key = {f.metadata.get("key", f.name): f for f in fields(PipelineConfig)}

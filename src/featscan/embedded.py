@@ -59,9 +59,9 @@ class GbmConfig:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0,1], got {self.learning_rate}")
-        if self.min_child_weight < 0.0:
+        if not self.min_child_weight >= 0.0:   # so NaN fails too
             raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
-        if self.l2_reg < 0.0:
+        if not self.l2_reg >= 0.0:
             raise ValueError(f"l2_reg must be >= 0, got {self.l2_reg}")
         if not 0.0 < self.subsample <= 1.0:
             raise ValueError(f"subsample must be in (0,1], got {self.subsample}")

@@ -3,7 +3,10 @@
 Continuous features are screened with pairwise Pearson correlation and a
 variance-inflation-factor loop; categorical features (binary and nominal)
 with chi-square association, Cramer's V, and mutual information against
-the outcome. Survivors of both paths feed the wrapper stage.
+the outcome. Both paths prune redundant pairs by one rule,
+``_drop_redundant``: strongest pair first, the member less related to the
+outcome (|correlation| or mutual information) goes, and ties keep the
+alphabetically first name. Survivors of both paths feed the wrapper stage.
 """
 
 from __future__ import annotations
@@ -192,7 +195,7 @@ class FilterThresholds:
     def __post_init__(self):
         if not 0.0 < self.rho_max < 1.0:
             raise ValueError(f"rho_max must be in (0,1), got {self.rho_max}")
-        if self.vif_max <= 0.0:
+        if not self.vif_max > 0.0:   # so NaN fails too
             raise ValueError(f"vif_max must be positive, got {self.vif_max}")
         if not 0.0 < self.chi2_alpha < 1.0:
             raise ValueError(f"chi2_alpha must be in (0,1), got {self.chi2_alpha}")
@@ -249,6 +252,27 @@ def _outcome_corr_or_zero(dataset, feature, diag) -> float:
         return 0.0
 
 
+def _drop_redundant(pairs, relevance, diag) -> set[str]:
+    """Drop one member of each redundant pair; return the dropped names.
+
+    ``pairs`` holds (strength, fi, fj, reason) for each pair over its
+    threshold, ``reason`` with a ``{keeper}`` field. The strongest pair
+    goes first, ties by name; a pair with a member already dropped is
+    skipped. Of the rest, the member with the lower ``relevance`` (read
+    per pair visited) is dropped; on a tie the alphabetically first is
+    kept.
+    """
+    dropped: set[str] = set()
+    for _, fi, fj, reason in sorted(pairs, key=lambda t: (-t[0], t[1], t[2])):
+        if fi in dropped or fj in dropped:
+            continue
+        ri, rj = relevance(fi), relevance(fj)
+        loser, keeper = (fj, fi) if ri > rj or (ri == rj and fi < fj) else (fi, fj)
+        dropped.add(loser)
+        diag.dropped.append((loser, reason.format(keeper=keeper)))
+    return dropped
+
+
 def filter_select(dataset: Dataset, thresholds: FilterThresholds) -> FilterDiagnostics:
     """Run the redundancy cascade and return survivors plus diagnostics.
 
@@ -258,8 +282,9 @@ def filter_select(dataset: Dataset, thresholds: FilterThresholds) -> FilterDiagn
     exceeds ``vif_max``, recomputing after each drop. Categorical path:
     for every pair significant at ``chi2_alpha`` with Cramer's V above
     ``cramers_v_max`` (strongest first), drop the member with less mutual
-    information with the outcome. All ties break toward keeping the
-    alphabetically first feature name.
+    information with the outcome. Both pair prunings run one rule,
+    ``_drop_redundant``. All ties break toward keeping the alphabetically
+    first feature name.
     """
     diag = FilterDiagnostics()
     schema = dataset.schema
@@ -270,8 +295,7 @@ def filter_select(dataset: Dataset, thresholds: FilterThresholds) -> FilterDiagn
     ]
 
     # --- continuous path: pairwise correlation sweep -----------------
-    alive = {f: True for f in continuous}
-    pairs = []
+    rho_pairs = []
     for i, fi in enumerate(continuous):
         for fj in continuous[i + 1:]:
             try:
@@ -280,30 +304,15 @@ def filter_select(dataset: Dataset, thresholds: FilterThresholds) -> FilterDiagn
                 rho = None
                 diag.notes.append(f"pearson undefined for ({fi}, {fj}), using 0")
             diag.pearson_pairs.append((fi, fj, rho))
-            pairs.append((fi, fj, rho))
-    pairs.sort(key=lambda t: (-(abs(t[2]) if t[2] is not None else 0.0), t[0], t[1]))
-    for fi, fj, rho in pairs:
-        if rho is None or abs(rho) <= thresholds.rho_max:
-            continue
-        if not (alive[fi] and alive[fj]):
-            continue
-        ci = _outcome_corr_or_zero(dataset, fi, diag)
-        cj = _outcome_corr_or_zero(dataset, fj, diag)
-        # keep the member more correlated with the outcome; on a tie keep
-        # the alphabetically first
-        if ci > cj or (ci == cj and fi < fj):
-            loser, keeper = fj, fi
-        else:
-            loser, keeper = fi, fj
-        alive[loser] = False
-        diag.dropped.append(
-            (loser,
-             f"|rho|={abs(rho):.4f} with {keeper} above {thresholds.rho_max}, "
-             f"weaker outcome correlation")
-        )
+            if rho is not None and abs(rho) > thresholds.rho_max:
+                rho_pairs.append((abs(rho), fi, fj,
+                                  f"|rho|={abs(rho):.4f} with {{keeper}} above "
+                                  f"{thresholds.rho_max}, weaker outcome correlation"))
+    dropped = _drop_redundant(
+        rho_pairs, lambda f: _outcome_corr_or_zero(dataset, f, diag), diag)
 
     # --- continuous path: VIF elimination loop -----------------------
-    survivors = [f for f in continuous if alive[f]]
+    survivors = [f for f in continuous if f not in dropped]
     last_vif: dict[str, float] = {}
     while len(survivors) >= 2:
         vifs = {}
@@ -319,26 +328,23 @@ def filter_select(dataset: Dataset, thresholds: FilterThresholds) -> FilterDiagn
         # drop the worst offender; on ties drop the alphabetically last
         worst = max(over, key=lambda f: (over[f], f))
         survivors.remove(worst)
-        alive[worst] = False
         diag.dropped.append(
             (worst, f"VIF={over[worst]:.4g} above {thresholds.vif_max}")
         )
     diag.vif_values = sorted(last_vif.items())
-    diag.kept_continuous = [f for f in continuous if alive[f]]
+    diag.kept_continuous = survivors
 
     # --- categorical path ---------------------------------------------
     # the dataset's codes are sorted-label codes, so each pair's table,
     # built once, equals the one chi_square, cramers_v and
     # mutual_information build from the labels
-    alive_cat = {f: True for f in categorical}
     codes = {f: dataset.codes(f) for f in categorical}
     outcome_codes = _codes(dataset.outcome)
     for f in categorical:
         diag.mi_values.append(
             (f, _mutual_information_of(_table(codes[f], outcome_codes), True))
         )
-    mi_of = dict(diag.mi_values)
-    cat_pairs = []
+    v_pairs = []
     for i, fi in enumerate(categorical):
         for fj in categorical[i + 1:]:
             table = _table(codes[fi], codes[fj])
@@ -352,23 +358,10 @@ def filter_select(dataset: Dataset, thresholds: FilterThresholds) -> FilterDiagn
                 continue
             diag.chi2_pairs.append((fi, fj, chi2, p))
             diag.cramers_pairs.append((fi, fj, phi))
-            cat_pairs.append((fi, fj, p, phi))
-    cat_pairs.sort(key=lambda t: (-t[3], t[0], t[1]))
-    for fi, fj, p, phi in cat_pairs:
-        if p >= thresholds.chi2_alpha or phi <= thresholds.cramers_v_max:
-            continue
-        if not (alive_cat[fi] and alive_cat[fj]):
-            continue
-        mi, mj = mi_of[fi], mi_of[fj]
-        if mi > mj or (mi == mj and fi < fj):
-            loser, keeper = fj, fi
-        else:
-            loser, keeper = fi, fj
-        alive_cat[loser] = False
-        diag.dropped.append(
-            (loser,
-             f"association with {keeper} (V={phi:.4f}, p={p:.3g}), "
-             f"lower mutual information with outcome")
-        )
-    diag.kept_categorical = [f for f in categorical if alive_cat[f]]
+            if p < thresholds.chi2_alpha and phi > thresholds.cramers_v_max:
+                v_pairs.append((phi, fi, fj,
+                                f"association with {{keeper}} (V={phi:.4f}, p={p:.3g}), "
+                                f"lower mutual information with outcome"))
+    dropped = _drop_redundant(v_pairs, dict(diag.mi_values).__getitem__, diag)
+    diag.kept_categorical = [f for f in categorical if f not in dropped]
     return diag

@@ -4,16 +4,18 @@ The scanner searches conjunctions of per-feature value sets for the
 subset with the strongest evidence of elevated outcome odds, measured by
 a Bernoulli likelihood-ratio score against the global outcome mean. Each
 feature's optimal value set given the others is found in linear time by
-evaluating priority-ordered prefixes; coordinate ascent with random
-restarts drives the joint search. The search is defined on a feature
-*set*: ``scan`` sorts the features it is given, so a result depends only
-on (data, feature set, config), never on list order. It runs on a pattern
-table: the distinct joint codes of the scanned features with a row count
-and an outcome sum each. The table is built once per dataset and feature
-set and shared by every bootstrap replicate of that dataset. It carries
-a memo of that set's finished scans, keyed by (config, outcome bits), so
-a repeat scan returns its stored result; the memo is dropped with the
-table when another feature set is scanned.
+evaluating priority-ordered prefixes of its per-value counts:
+``best_value_subset`` is that step, the one ``scan`` runs and the oracles
+certify. Coordinate ascent with random restarts drives the joint search.
+The search is defined on a feature *set*: ``scan`` sorts the features it
+is given, so a result depends only on (data, feature set, config), never
+on list order. It runs on a pattern table: the distinct joint codes of
+the scanned features with a row count and an outcome sum each. The table
+is built once per dataset and feature set and shared by every bootstrap
+replicate of that dataset. It carries a memo of that set's finished
+scans, keyed by (config, outcome bits), so a repeat scan returns its
+stored result; the memo is dropped with the table when another feature
+set is scanned.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .tabular import Dataset, DiscreteDataset
 class SubsetDescriptor:
     """Conjunction of per-feature retained value sets.
 
-    Features absent from ``restrictions`` are unrestricted. The canonical
-    form never carries a restriction equal to a feature's full domain.
+    Features absent from ``restrictions`` are unrestricted. ``scan`` never
+    emits a restriction equal to a feature's full domain.
     """
 
     restrictions: dict[str, frozenset[str]] = field(default_factory=dict)
@@ -73,14 +75,6 @@ class SubsetDescriptor:
             allowed = np.isin(np.asarray(levels), sorted(values))
             mask &= allowed[data.codes(f)]
         return mask
-
-    def canonicalized(self, data: DiscreteDataset) -> "SubsetDescriptor":
-        """Drop any restriction that covers a feature's full domain."""
-        kept = {}
-        for f, values in self.restrictions.items():
-            if values != frozenset(data.levels(f)):
-                kept[f] = values
-        return SubsetDescriptor(kept)
 
     def encode(self) -> str:
         """Canonical string form, usable as a deterministic sort key."""
@@ -162,20 +156,15 @@ def score_bernoulli(sum_y: float, n_s: float, alpha_g: float) -> tuple[float, fl
     return max(score, 0.0), q_hat
 
 
-@dataclass(frozen=True)
-class ValueRecord:
-    value: str
-    n: int
-    sum_y: int
+def best_value_subset(n_v, s_v, alpha_g: float) -> tuple[list[int], float]:
+    """Highest-scoring value subset of one feature via prefix evaluation.
 
-
-def _best_prefix(n_v, s_v, alpha_g: float):
-    """Best priority-ordered prefix of positive-count values.
-
-    Takes per-value float counts and outcome sums; returns (chosen codes,
-    score). Values rank by sum_y / (n * alpha) descending, then by code;
-    the linear-time scan property puts the best value subset on one of
-    these prefixes. Ties go to the larger prefix (see below).
+    Takes per-value counts and outcome sums, indexed by value code;
+    returns (chosen codes, score). Values rank by sum_y / (n * alpha)
+    descending, then by code, and zero-count values are left out; the
+    linear-time subset scanning property (Neill, JRSS-B 2012) puts the
+    best value subset on one of these prefixes. Ties go to the larger
+    prefix (see below). This is the step ``scan`` runs for each feature.
     """
     pos = [i for i, n in enumerate(n_v) if n > 0]
     if not pos:
@@ -193,13 +182,6 @@ def _best_prefix(n_v, s_v, alpha_g: float):
             best_score = sc
             best_j = j
     return order[: best_j + 1], best_score
-
-
-def best_value_subset(records: list[ValueRecord], alpha_g: float) -> tuple[frozenset[str], float]:
-    """Highest-scoring value subset of one feature via prefix evaluation."""
-    chosen, score = _best_prefix([float(r.n) for r in records],
-                                 [float(r.sum_y) for r in records], alpha_g)
-    return frozenset(records[i].value for i in chosen), score
 
 
 def _pattern_table(data: DiscreteDataset, features: list[str]):
@@ -316,7 +298,7 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
                 codes_j = codes[j][members]
                 n_v = np.bincount(codes_j, weights=n_p[members], minlength=len(full[j]))
                 s_v = np.bincount(codes_j, weights=s_p[members], minlength=len(full[j]))
-                chosen, score = _best_prefix(n_v.tolist(), s_v.tolist(), alpha_g)
+                chosen, score = best_value_subset(n_v.tolist(), s_v.tolist(), alpha_g)
                 set_selection(j, tuple(sorted(chosen)))
             if score <= cycle_start + 1e-12:
                 break
@@ -325,7 +307,7 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
         final_score, q = score_bernoulli(sum_y, n_s, alpha_g)
         restrictions = {f: frozenset(levels[j][i] for i in selected[j])
                         for j, f in enumerate(features) if selected[j] != full[j]}
-        subset = SubsetDescriptor(restrictions).canonicalized(data)
+        subset = SubsetDescriptor(restrictions)
         result = ScoredSubset(subset=subset, score=final_score, q_mle=q,
                               n_members=n_s, sum_outcomes=sum_y, alpha_g=alpha_g)
         key = (-final_score, subset.n_restricted, subset.encode())

@@ -1,9 +1,11 @@
-"""Byte-stable report serialization.
+"""Byte-stable JSON and CSV serialization.
 
 Reports must be byte-identical across repeated runs with the same inputs,
 config and seed, so floats are rendered with 17 significant digits, object
 keys are sorted, and files are written atomically (temp file then rename).
 Infinities use the Infinity token, which Python's json module reads back.
+Every JSON file featscan writes goes through ``write_json``: the reports,
+the run metadata (``run_meta.json``) and synth's schema and ground truth.
 """
 
 from __future__ import annotations
@@ -70,11 +72,16 @@ def write_text_atomic(path, text: str) -> Path:
     return path
 
 
+def write_json(path, doc) -> Path:
+    """Write a JSON document in the canonical form, atomically."""
+    return write_text_atomic(path, dumps_canonical(doc) + "\n")
+
+
 def write_report(path, payload: dict) -> Path:
     """Write a versioned JSON report deterministically."""
     doc = {"report_version": REPORT_VERSION}
     doc.update(payload)
-    return write_text_atomic(path, dumps_canonical(doc) + "\n")
+    return write_json(path, doc)
 
 
 def write_csv_atomic(path, header: list[str], rows: list[list]) -> Path:

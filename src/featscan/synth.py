@@ -8,7 +8,6 @@ ground truth for end-to-end tests.
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ import numpy as np
 
 from .errors import InvalidSpecError
 from .mdss import SubsetDescriptor
+from .reportio import write_json
 from .tabular import Dataset, FeatureKind, MissingPolicy, Schema, write_csv
 
 _LETTERS = string.ascii_lowercase
@@ -190,11 +190,7 @@ def save(dataset: Dataset, ground_truth: SubsetDescriptor | None,
         "ground_truth": out / "ground_truth.json",
     }
     write_csv(dataset, paths["data"])
-    with open(paths["schema"], "w", encoding="utf-8") as fh:
-        json.dump(dataset.schema.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(paths["ground_truth"], "w", encoding="utf-8") as fh:
-        doc = ground_truth.to_json_dict() if ground_truth is not None else None
-        json.dump({"plant": doc}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(paths["schema"], dataset.schema.to_json_dict())
+    write_json(paths["ground_truth"], {
+        "plant": ground_truth.to_json_dict() if ground_truth is not None else None})
     return paths

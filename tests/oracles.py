@@ -21,7 +21,7 @@ from featscan.errors import (
     ParseError,
     SchemaMismatchError,
 )
-from featscan.mdss import SubsetDescriptor, ValueRecord, score_bernoulli
+from featscan.mdss import SubsetDescriptor, score_bernoulli
 from featscan.tabular import Dataset, FeatureKind, MissingPolicy
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -109,9 +109,10 @@ def aggregate_by_value(data, feature, conditioning):
     """Member counts and outcome sums per value of one feature.
 
     Rows, not patterns: rows are first filtered to those matching
-    ``conditioning``, which must not restrict ``feature`` itself. Every
-    value of the feature's domain gets a ``ValueRecord``, including
-    zero-count ones.
+    ``conditioning``, which must not restrict ``feature`` itself. Returns
+    (counts, sums), two int lists indexed by value code, the order of
+    ``data.levels(feature)``, zero-count values included: the arguments
+    ``best_value_subset`` takes.
     """
     if feature in conditioning.restrictions:
         raise ValueError(f"{feature!r} is restricted in the conditioning")
@@ -121,10 +122,7 @@ def aggregate_by_value(data, feature, conditioning):
     n_v = np.bincount(codes[mask], minlength=len(levels))
     s_v = np.bincount(codes[mask], weights=data.outcome[mask].astype(np.float64),
                       minlength=len(levels))
-    return [
-        ValueRecord(levels[i], int(n_v[i]), int(round(s_v[i])))
-        for i in range(len(levels))
-    ]
+    return [int(n) for n in n_v], [int(round(s)) for s in s_v]
 
 
 def reference_load_csv(path, schema):

@@ -17,7 +17,7 @@ from featscan.cli import main
 from featscan.embedded import GbmConfig, extract_importance, gbm_train, top_k
 from featscan.filters import FilterThresholds, chi_square, cramers_v, filter_select, pearson, vif
 from featscan.inference import empirical_p_value
-from featscan.mdss import ScanConfig, ValueRecord, best_value_subset, scan, score_bernoulli
+from featscan.mdss import ScanConfig, best_value_subset, scan, score_bernoulli
 from featscan.synth import PlantSpec, SynthSpec, generate
 from featscan.tabular import Dataset, DiscretizationSpec, FeatureKind, Schema, discretize
 from featscan.wrapper import backward_eliminate
@@ -76,9 +76,7 @@ class TestLtssPrefixProperty:
                 counts[0] = 1
             sums = np.array([rng.integers(0, c + 1) for c in counts])
             alpha = float(rng.uniform(0.05, 0.95))
-            recs = [ValueRecord(f"v{t}", int(counts[t]), int(sums[t]))
-                    for t in range(j)]
-            _, got = best_value_subset(recs, alpha)
+            _, got = best_value_subset(counts.tolist(), sums.tolist(), alpha)
             want, _ = brute_force_value_subset(counts.tolist(), sums.tolist(),
                                                alpha)
             assert got == want, f"set {i}: {got} != {want}"

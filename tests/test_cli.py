@@ -269,6 +269,22 @@ class TestSweepCommand:
             assert summary["smallest_sufficient_k"][method] is not None
             assert summary["smallest_sufficient_k"][method] <= 10
 
+    def test_k_above_filter_survivors_exits_one(self, tmp_path, caplog):
+        # the collinear triple loses one member to the VIF filter, so 6 of
+        # the 7 features survive; sweep must refuse K=7 as select does
+        spec = {"n_rows": 500, "base_rate": 0.2, "n_continuous": 3,
+                "collinear_triples": [[0, 1, 2]], "arities": [3, 2, 2, 3],
+                "seed": 8}
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        src = tmp_path / "synth"
+        assert main(["synth", "--spec", str(spec_path), "--out", str(src)]) == 0
+        out = tmp_path / "out"
+        rc = main(["sweep", "--k-sweep", "2,7", *common_flags(src, out)])
+        assert rc == 1
+        assert "k=7 but filters kept 6 features" in caplog.text
+        assert not list(out.glob("sweep*"))
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, synth_dir, tmp_path):
@@ -380,6 +396,26 @@ class TestErrorExitCodes:
                    *self.missing_data_flags(synth_dir, tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("option, expected", [
+        ("--config", 1), ("--features", 1), ("--spec", 1),
+        ("--schema", 2), ("--data", 2),
+    ])
+    def test_missing_input_file_exit_code(self, synth_dir, tmp_path, caplog,
+                                          option, expected):
+        # a missing config-like file is a usage error; missing data is not
+        missing = str(tmp_path / "missing.json")
+        out = tmp_path / "out"
+        if option == "--spec":
+            argv = ["synth", "--spec", missing, "--out", str(out)]
+        else:
+            flags = {"--features": "all", "--data": str(synth_dir / "data.csv"),
+                     "--schema": str(synth_dir / "schema.json"), "--out": str(out),
+                     option: missing}
+            argv = ["scan", *(x for pair in flags.items() for x in pair)]
+        assert main(argv) == expected
+        assert missing in caplog.text
+        assert not out.exists()
+
     def test_empty_k_sweep_exits_one_before_data_is_read(self, synth_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"k_sweep": []}))
@@ -421,10 +457,12 @@ class TestErrorExitCodes:
     (lambda v: ScanConfig(max_iterations=v), -3),
     (lambda v: GbmConfig.preset_a(min_child_weight=v), -0.25),
     (lambda v: GbmConfig.preset_a(l2_reg=v), -1.5),
+    (lambda v: GbmConfig.preset_a(min_child_weight=v), float("nan")),
+    (lambda v: GbmConfig.preset_a(l2_reg=v), float("nan")),
     (lambda v: GbmConfig.preset_a(holdout_fraction=v), 1.75),
     (lambda v: SynthSpec(n_rows=10, base_rate=v, arities=(2,)), 1.125),
-], ids=["max_iterations", "min_child_weight", "l2_reg", "holdout_fraction",
-        "base_rate"])
+], ids=["max_iterations", "min_child_weight", "l2_reg", "min_child_weight_nan",
+        "l2_reg_nan", "holdout_fraction", "base_rate"])
 def test_config_error_names_rejected_value(build, value):
     with pytest.raises((ValueError, InvalidSpecError),
                        match=re.escape(f"got {value}")):
@@ -437,6 +475,7 @@ BAD_VALUES = [
     ("--bin-method", "bin_method", "nope"),
     ("--rho-max", "rho_max", 2),
     ("--rho-max", "rho_max", 1),
+    ("--vif-max", "vif_max", float("nan")),
     ("--gbm-lr", "gbm_lr", 0),
     ("--gbm-depth", "gbm_depth", 0),
     ("--gbm-trees", "gbm_trees", -1),

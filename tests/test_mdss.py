@@ -17,7 +17,6 @@ from featscan.mdss import (
     ScanConfig,
     _pattern_table,
     SubsetDescriptor,
-    ValueRecord,
     best_value_subset,
     scan,
     score_bernoulli,
@@ -91,18 +90,15 @@ class TestAggregateByValue:
         return categorical_dataset({"g": g, "b": b}, y)
 
     def test_unconditioned_counts(self):
-        recs = aggregate_by_value(self.fixture(), "g", SubsetDescriptor())
-        assert [(r.value, r.n, r.sum_y) for r in recs] == [
-            ("a", 4, 2), ("b", 3, 1), ("c", 5, 3),
-        ]
+        # counts and sums follow the levels a, b, c
+        got = aggregate_by_value(self.fixture(), "g", SubsetDescriptor())
+        assert got == ([4, 3, 5], [2, 1, 3])
 
     def test_conditioned_counts(self):
         cond = SubsetDescriptor({"b": frozenset({"1"})})
-        recs = aggregate_by_value(self.fixture(), "g", cond)
+        got = aggregate_by_value(self.fixture(), "g", cond)
         # rows with b=1: indices 1,3,5,7,9,11 -> g a,a,b,c,c,c y 1,0,0,0,1,1
-        assert [(r.value, r.n, r.sum_y) for r in recs] == [
-            ("a", 2, 1), ("b", 1, 0), ("c", 3, 2),
-        ]
+        assert got == ([2, 1, 3], [1, 0, 2])
 
     def test_empty_conditioning(self):
         d = categorical_dataset(
@@ -118,9 +114,9 @@ class TestAggregateByValue:
             {"g": ["a", "b", "a"], "b": ["0", "0", "1"]}, [0, 1, 1]
         )
         cond = SubsetDescriptor({"g": frozenset({"b"})})
-        recs = aggregate_by_value(d, "b", cond)
-        # only row 1 matches g=b; b column there is "0"
-        assert [(r.value, r.n, r.sum_y) for r in recs] == [("0", 1, 1), ("1", 0, 0)]
+        got = aggregate_by_value(d, "b", cond)
+        # only row 1 matches g=b; b column there is "0" (levels "0", "1")
+        assert got == ([1, 0], [1, 0])
 
     def test_restricted_feature_rejected(self):
         d = self.fixture()
@@ -128,38 +124,31 @@ class TestAggregateByValue:
             aggregate_by_value(d, "g", SubsetDescriptor({"g": frozenset({"a"})}))
 
 
-def record(value, n, s):
-    return ValueRecord(value, n, s)
-
-
 class TestBestValueSubset:
     def test_single_value(self):
-        values, score = best_value_subset([record("a", 10, 7)], 0.5)
-        assert values == frozenset({"a"})
+        codes, score = best_value_subset([10], [7], 0.5)
+        assert codes == [0]
         assert score == pytest.approx(score_bernoulli(7, 10, 0.5)[0])
 
     def test_two_values_brute_forced(self):
-        recs = [record("A", 10, 9), record("B", 10, 1)]
-        values, score = best_value_subset(recs, 0.5)
+        codes, score = best_value_subset([10, 10], [9, 1], 0.5)
         want_score, want_combo = brute_force_value_subset([10, 10], [9, 1], 0.5)
-        assert values == frozenset({"A"})
+        assert codes == [0]
         assert score == want_score
         assert want_combo == (0,)
 
     def test_all_at_expectation_returns_full_domain(self):
-        recs = [record("a", 10, 5), record("b", 4, 2), record("c", 2, 1)]
-        values, score = best_value_subset(recs, 0.5)
+        codes, score = best_value_subset([10, 4, 2], [5, 2, 1], 0.5)
         assert score == 0.0
-        assert values == frozenset({"a", "b", "c"})
+        assert sorted(codes) == [0, 1, 2]
 
     def test_zero_count_values_excluded(self):
-        recs = [record("a", 10, 8), record("ghost", 0, 0)]
-        values, _ = best_value_subset(recs, 0.5)
-        assert values == frozenset({"a"})
+        codes, _ = best_value_subset([10, 0], [8, 0], 0.5)
+        assert codes == [0]
 
     def test_empty_records_error(self):
         with pytest.raises(EmptyRecordsError):
-            best_value_subset([record("a", 0, 0)], 0.5)
+            best_value_subset([0], [0], 0.5)
 
     def test_ltss_prefix_matches_brute_force(self):
         rng = np.random.default_rng(111)
@@ -170,20 +159,13 @@ class TestBestValueSubset:
             if counts.sum() == 0:
                 continue
             alpha = float(rng.uniform(0.05, 0.95))
-            recs = [record(f"v{i}", int(counts[i]), int(sums[i]))
-                    for i in range(j)]
-            _, got = best_value_subset(recs, alpha)
+            _, got = best_value_subset(counts.tolist(), sums.tolist(), alpha)
             want, _ = brute_force_value_subset(counts.tolist(), sums.tolist(),
                                                alpha)
             assert got == want
 
 
 class TestSubsetDescriptor:
-    def test_canonicalized_drops_full_domain(self):
-        d = categorical_dataset({"g": ["a", "b", "a"]}, [0, 1, 0])
-        desc = SubsetDescriptor({"g": frozenset({"a", "b"})})
-        assert desc.canonicalized(d).restrictions == {}
-
     def test_encode_sorted(self):
         desc = SubsetDescriptor({"b": frozenset({"2", "1"}), "a": frozenset({"x"})})
         assert desc.encode() == "a=x;b=1|2"
@@ -321,8 +303,8 @@ class TestScan:
         feats = ["f1", "f2", "f3"]
         result = scan(d, feats, ScanConfig(n_restarts=1, seed=0))
         for f in feats:
-            recs = aggregate_by_value(d, f, SubsetDescriptor())
-            _, single = best_value_subset(recs, d.outcome_mean())
+            counts, sums = aggregate_by_value(d, f, SubsetDescriptor())
+            _, single = best_value_subset(counts, sums, d.outcome_mean())
             assert result.score >= single - 1e-12
 
     def test_restrictions_never_full_domain(self):
