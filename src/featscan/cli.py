@@ -50,6 +50,11 @@ SWEEP_CSV_HEADER = [
     "n_members",
 ]
 _METHOD_CHOICES = METHODS + ("all",)
+_BIN_METHODS = tuple(m.value for m in BinMethod)
+# a stage config's field -> the PipelineConfig field it is built from, where
+# the two names differ
+_STAGE_FIELDS = {"n_bins": "bins", "n_trees": "gbm_trees",
+                 "max_depth": "gbm_depth", "learning_rate": "gbm_lr"}
 _DATA_COMMANDS = {
     "select": "rank and select top-K features",
     "scan": "scan a feature list for the top subset",
@@ -82,7 +87,7 @@ class PipelineConfig:
     cramers_v_max: float = field(default=0.9, metadata={"flag": "cramers_max"})
     bins: int = 5
     bin_method: str = field(default="equal_frequency", metadata={
-        "choices": [m.value for m in BinMethod]})
+        "choices": _BIN_METHODS})
     gbm_trees: int = 200
     gbm_depth: int = 4
     gbm_lr: float = 0.1
@@ -96,12 +101,26 @@ class PipelineConfig:
         self.data, self.schema, self.out_dir = (
             Path(self.data), Path(self.schema), Path(self.out_dir))
         self.k_sweep = tuple(self.k_sweep)
+        try:
+            self._check_values()
+        except ValueError as exc:
+            # name the option as the user gave it, not a stage config's field
+            name, _, rest = str(exc).partition(" ")
+            option = {f.name: f for f in fields(self)}.get(_STAGE_FIELDS.get(name, name))
+            if option is None:
+                raise
+            raise ValueError(f"{_flag(option)} / {_key(option)} {rest}") from None
+
+    def _check_values(self) -> None:
         if self.method not in _METHOD_CHOICES:
             raise ValueError(f"method must be one of {_METHOD_CHOICES}, "
                              f"got {self.method!r}")
         if self.bootstrap_r < inference.MIN_REPLICATES:
             raise ValueError(f"bootstrap_r must be >= {inference.MIN_REPLICATES}, "
                              f"got {self.bootstrap_r}")
+        if self.bin_method not in _BIN_METHODS:
+            raise ValueError(f"bin_method must be one of {_BIN_METHODS}, "
+                             f"got {self.bin_method!r}")
         if not 0.0 <= self.score_tolerance < 1.0:
             raise ValueError(
                 f"score_tolerance must be in [0,1), got {self.score_tolerance}")
@@ -270,6 +289,14 @@ def _load_json_option(path) -> object:
         raise FeatscanError(f"{path}: {exc.strerror or exc}") from None
 
 
+def _load_json_object(path, what: str) -> dict:
+    """Parse an option's JSON file, which must hold an object."""
+    doc = _load_json_option(path)
+    if not isinstance(doc, dict):
+        raise FeatscanError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def _load_feature_list(arg: str, schema: Schema) -> list[str]:
     if arg == "all":
         return list(schema.feature_names)
@@ -407,7 +434,7 @@ def cmd_sweep(cfg: PipelineConfig, dataset: Dataset) -> None:
 
 
 def cmd_synth(spec_path: str, out_dir: str, seed: int | None) -> int:
-    doc = _load_json_option(spec_path)
+    doc = _load_json_object(spec_path, "spec")
     if seed is not None:
         doc["seed"] = seed
     spec = synth.SynthSpec.from_json_dict(doc)
@@ -440,6 +467,16 @@ _TYPES = {
 }
 
 
+def _flag(f) -> str:
+    """A PipelineConfig field's command-line flag."""
+    return "--" + f.metadata.get("flag", f.name).replace("_", "-")
+
+
+def _key(f) -> str:
+    """A PipelineConfig field's config-file key."""
+    return f.metadata.get("key", f.name)
+
+
 def _json_matches(value, annotation: str) -> bool:
     if annotation == "tuple[int, ...]":
         return isinstance(value, list) and all(_json_matches(v, "int") for v in value)
@@ -454,10 +491,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
     """
     values = {}
     if args.config:
-        doc = _load_json_option(args.config)
-        if not isinstance(doc, dict):
-            raise FeatscanError(f"{args.config}: config must be a JSON object")
-        by_key = {f.metadata.get("key", f.name): f for f in fields(PipelineConfig)}
+        doc = _load_json_object(args.config, "config")
+        by_key = {_key(f): f for f in fields(PipelineConfig)}
         for key, value in doc.items():
             if key not in by_key:
                 raise FeatscanError(f"{args.config}: unknown config key {key!r}")
@@ -496,8 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file; flags override it")
         for f in fields(PipelineConfig):
             if command in f.metadata.get("commands", _DATA_COMMANDS):
-                flag = "--" + f.metadata.get("flag", f.name).replace("_", "-")
-                p.add_argument(flag, type=_TYPES[f.type][0],
+                p.add_argument(_flag(f), type=_TYPES[f.type][0],
                                choices=f.metadata.get("choices"),
                                help=f.metadata.get("help"))
         if command == "scan":

@@ -68,6 +68,15 @@ class TestSynthCommand:
         spec.write_text(json.dumps({"n_rows": 0, "base_rate": 0.2}))
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("seed", [[], ["--seed", "4"]], ids=["no-seed", "seed"])
+    def test_spec_not_an_object_exits_one(self, tmp_path, caplog, seed):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1, 2]")
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec), "--out", str(out), *seed]) == 1
+        assert f"{spec}: spec must be a JSON object" in caplog.text
+        assert not out.exists()
+
 
 class TestSelectCommand:
     def test_committee_returns_k_features(self, synth_dir, tmp_path):
@@ -497,16 +506,19 @@ COMMAND_ARGV = {
 def bad_value_cases():
     for flag, key, value in BAD_VALUES:
         for command in COMMAND_ARGV:
-            yield pytest.param(command, [], {key: value},
+            yield pytest.param(command, [], {key: value}, f"{flag} / {key} ",
                                id=f"{command}-config-{key}={value}")
             if flag != "--method" or command == "select":
-                yield pytest.param(command, [flag, str(value)], {},
+                # argparse itself rejects a choice flag's value, naming the flag
+                named = (f"argument {flag}: invalid choice" if flag in
+                         ("--method", "--bin-method") else f"{flag} / {key} ")
+                yield pytest.param(command, [flag, str(value)], {}, named,
                                    id=f"{command}-flag-{flag}={value}")
 
 
-@pytest.mark.parametrize("command, flags, config", bad_value_cases())
-def test_bad_option_value_exits_one_before_data_is_read(synth_dir, tmp_path,
-                                                        command, flags, config):
+@pytest.mark.parametrize("command, flags, config, named", bad_value_cases())
+def test_bad_option_value_exits_one_before_data_is_read(synth_dir, tmp_path, caplog,
+                                                        command, flags, config, named):
     # the data path does not exist, so reading it would exit 2
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -515,6 +527,7 @@ def test_bad_option_value_exits_one_before_data_is_read(synth_dir, tmp_path,
                "--data", str(tmp_path / "missing.csv"),
                "--schema", str(synth_dir / "schema.json"), "--out", str(out)])
     assert rc == 1
+    assert named in caplog.text
     assert list(out.glob("*")) == []
 
 

@@ -2,10 +2,12 @@
 
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from featscan import tabular
 from featscan.embedded import Preset, encode_design
 from featscan.errors import (
     DegenerateColumnError,
@@ -15,6 +17,7 @@ from featscan.errors import (
     SchemaMismatchError,
     UnknownFeatureError,
 )
+from featscan.synth import SynthSpec, generate
 from featscan.tabular import (
     BinMethod,
     Dataset,
@@ -115,7 +118,8 @@ class TestLoadCsv:
         path = write_lines(tmp_path, [
             "age,sex,dept,died", "1,M,icu,0", "2,F,icu,0", "3,X,icu,1",
         ])
-        with pytest.raises(SchemaMismatchError):
+        with pytest.raises(SchemaMismatchError,
+                           match=r"'sex' has 3 distinct values: \['F', 'M', 'X'\]$"):
             load_csv(path, make_schema())
 
     def test_round_trip(self, tmp_path):
@@ -179,6 +183,83 @@ class TestLoadCsvErrorLines:
             load_csv(path, make_schema())
         assert info.type is error
         assert str(info.value).startswith(f"{path}:{line}: ")
+
+
+@pytest.fixture(params=[1, 2], ids=lambda n: f"block{n}")
+def small_blocks(request, monkeypatch):
+    """Make load_csv read one or two records per block."""
+    monkeypatch.setattr(tabular, "BLOCK_ROWS", request.param)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoadCsvErrorLinesInSmallBlocks(TestLoadCsvErrorLines):
+    """The same errors and lines when every defect sits in its own block."""
+
+
+class TestLoadCsvBlockEdges:
+    """Defects in different blocks keep the whole file's precedence."""
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("rows, error, line", [
+        # a wrong width in a later block wins over a missing cell in block 1
+        (["NA,M,icu,0", "1.0,M,icu,0", "2.0,F,er,1", "1.0,M,icu"], ParseError, 5),
+        # a bad outcome in a later block wins over an unparseable cell
+        (["abc,M,icu,0", "1.0,M,icu,0", "2.0,F,er,1", "1.0,M,icu,5"],
+         NonBinaryOutcomeError, 5),
+        # the first missing cell names its line, not a later block's
+        (["1.0,M,icu,0", "2.0,,er,1", "3.0,F,NA,1", "NA,M,icu,0"],
+         MissingValueError, 3),
+        # within a feature, a later block's unparseable cell wins over a
+        # non-finite one; across features, schema order decides
+        (["inf,M,icu,0", "1.0,M,icu,0", "abc,F,er,1"], ParseError, 4),
+        # of several bad outcomes new to one block, the first line is named
+        (["1.0,M,icu,0", "1.0,M,icu,3", "1.0,M,icu,2", "1.0,M,icu,4"],
+         NonBinaryOutcomeError, 3),
+        # blank records at a block edge still count as lines
+        (["1.0,M,icu,0", "", "", "", "2.0,F,er,2"], NonBinaryOutcomeError, 6),
+    ])
+    def test_precedence_across_blocks(self, tmp_path, monkeypatch, block, rows,
+                                      error, line):
+        monkeypatch.setattr(tabular, "BLOCK_ROWS", block)
+        path = write_lines(tmp_path, [HEADER] + rows)
+        with pytest.raises(error) as info:
+            load_csv(path, make_schema())
+        assert info.type is error
+        assert str(info.value).startswith(f"{path}:{line}: ")
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_multi_line_cell_counts_as_one_record(self, tmp_path, monkeypatch,
+                                                  block):
+        # record 3 spans file lines 3-4, so the bad outcome on file line 6
+        # is record 5, whichever block the quoted cell ends
+        monkeypatch.setattr(tabular, "BLOCK_ROWS", block)
+        path = write_lines(tmp_path, [
+            HEADER, "1.0,M,icu,0", '1.5,F,"two', 'lines",1', "2.0,M,icu,0",
+            "2.5,F,er,7",
+        ])
+        with pytest.raises(NonBinaryOutcomeError, match=f"^{path}:5: "):
+            load_csv(path, make_schema())
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_drop_row_empties_a_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(tabular, "BLOCK_ROWS", block)
+        path = write_lines(tmp_path, [
+            HEADER, "1.0,M,icu,0", "NA,F,er,1", "2.0,,er,1", "null,M,NA,0",
+            "", "3.0,F,er,1",
+        ])
+        schema = make_schema(MissingPolicy.DROP_ROW)
+        got = load_csv(path, schema)
+        np.testing.assert_array_equal(got.column("age"), [1.0, 3.0])
+        assert_same_dataset(got, reference_load_csv(path, schema))
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_drop_row_empties_every_block(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(tabular, "BLOCK_ROWS", block)
+        path = write_lines(tmp_path, [
+            HEADER, "NA,F,er,1", "", "2.0,,er,1", "null,M,NA,0", "4.0,M,icu,",
+        ])
+        with pytest.raises(DegenerateColumnError):
+            load_csv(path, make_schema(MissingPolicy.DROP_ROW))
 
 
 RICH_SCHEMA = Schema(
@@ -300,6 +381,32 @@ class TestLoadCsvMatchesReference:
             reference_load_csv(path, RICH_SCHEMA)
         with pytest.raises(DegenerateColumnError):
             load_csv(path, RICH_SCHEMA)
+
+
+@pytest.mark.usefixtures("small_blocks")
+class TestLoadCsvMatchesReferenceInSmallBlocks(TestLoadCsvMatchesReference):
+    """The same arrays when every block holds one or two records."""
+
+
+def test_load_peak_memory_near_finished_arrays(tmp_path):
+    # a whole-file reader holds every cell as a string at once, about 4.8
+    # times the finished arrays on a table like this; blocks keep it near 1
+    spec = SynthSpec(n_rows=50_000, base_rate=0.1, n_continuous=2,
+                     arities=(2, 3, 4, 2, 5), seed=11)
+    dataset, _ = generate(spec)
+    path = tmp_path / "tall.csv"
+    write_csv(dataset, path)
+    tracemalloc.start()
+    try:
+        loaded = load_csv(path, dataset.schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    arrays = loaded.outcome.nbytes + sum(
+        loaded.column(f).nbytes if loaded.kind(f) is FeatureKind.CONTINUOUS
+        else loaded.codes(f).nbytes for f in loaded.feature_names)
+    assert loaded.n_rows == 50_000
+    assert peak < 2.5 * arrays
 
 
 class TestWriteCsv:
