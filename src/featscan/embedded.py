@@ -12,9 +12,13 @@ column blocks: the training matrix is sorted once per column, each tree
 node keeps its rows in that order for every column, and a split divides
 the node's block into its children, so a tree level reads each row once
 per column instead of filtering the whole sort order at every node.
-Trees, gains and held-out metrics are bit-identical to that per-node
-filter, which ``tests/oracles.py`` keeps as the reference. Quantile
-histograms would be faster still, but they move the thresholds.
+Two-valued columns (every one-hot indicator, every binary feature) have
+a single candidate cut and skip the sorted blocks: a node gets their
+left sums for all of them at once from a 0/1 mask, added row by row in
+the order a sorted block would add them. Trees, gains and held-out
+metrics are bit-identical to a per-node filter of the sort order, which
+``tests/oracles.py`` keeps as the reference. Quantile histograms would
+cut the work further, but they move the thresholds.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +38,8 @@ from .errors import (
 from .tabular import Dataset, FeatureKind
 
 _TARGET_STAT_PRIOR_WEIGHT = 10.0
+# most rows per chunk of the two-valued split sums (see _grow_tree)
+_SUM_ROWS = 4096
 
 
 class Preset(enum.Enum):
@@ -255,8 +262,39 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None):
     return XT.T, sources
 
 
+class _Presort(NamedTuple):
+    """What the split search reads of a training matrix, built once per fit.
+
+    A two-valued column holds exactly two distinct values over the training
+    rows. Its stable sorted order in any node is the node's low-value rows
+    in row order, then its high-value rows, so it needs no sorted block.
+    """
+
+    order: np.ndarray   # (n_sorted, n_train) int32 stable argsort of the rest
+    sorted_cols: np.ndarray     # their column indices, ascending
+    two_cols: np.ndarray        # two-valued column indices, ascending
+    low: np.ndarray     # (n_train, n_two) C order, 1.0 where a row is low
+    mid: np.ndarray     # (n_two,) midpoint of each column's two values
+
+
+def _presort(XT: np.ndarray) -> _Presort:
+    """Find the two-valued columns of ``XT`` and argsort the others."""
+    lo = XT.min(axis=1)
+    hi = XT.max(axis=1)
+    is_low = XT == lo[:, None]
+    two = (lo < hi) & (is_low | (XT == hi[:, None])).all(axis=1)
+    sorted_cols = np.flatnonzero(~two)
+    return _Presort(
+        order=np.argsort(XT[sorted_cols], axis=1, kind="stable").astype(np.int32),
+        sorted_cols=sorted_cols,
+        two_cols=np.flatnonzero(two),
+        low=np.ascontiguousarray(is_low[two].T, dtype=np.float64),
+        mid=0.5 * (lo[two] + hi[two]),
+    )
+
+
 def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
-               order: np.ndarray, cfg: GbmConfig,
+               presort: _Presort, cfg: GbmConfig,
                column_gain: np.ndarray) -> tuple[_Tree, float]:
     """One depth-limited regression tree on gradient/hessian targets.
 
@@ -266,36 +304,57 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
     threshold order break gain ties, so growth is deterministic.
 
     ``XT`` is the training matrix stored column by column, ``(n_cols,
-    n_train)``, and ``order`` its stable per-column argsort, computed once
-    by the caller. ``rows`` are the ascending row indices this tree trains
-    on. The search is exact: every node owns a ``(n_cols, n_node)`` block
-    of row indices in sorted order per column, which one mask of the rows
-    going left splits into its children, so a level touches each row once
-    per column. A node scores and splits ``max(1, n_train // n_node)``
-    columns per set of numpy calls, so no temporary outgrows one training
-    column. A node's block is exactly the filtered global stable order, the
-    cumulative sums run in that order and each column's first maximum
-    competes with the earlier columns by strict ``>``, so trees, gains and
-    leaf values are bit-identical to a per-node filter of ``order``.
+    n_train)``, and ``presort`` its per-fit split index from
+    :func:`_presort`. ``rows`` are the ascending row indices this tree
+    trains on. The search is exact and bit-identical to a per-node filter
+    of the global stable argsort (``tests/oracles.py``), in two parts:
+
+    - Every column with more than two values keeps, per node, a block of
+      row indices in its sorted order, which one mask of the rows going
+      left splits into the children, so a level touches each row once per
+      column. A node scores and splits ``max(1, n_train // n_node)`` such
+      columns per set of numpy calls. The block is exactly the filtered
+      global order and the cumulative sums run in that order.
+    - A two-valued column has one candidate, the midpoint, whose left sums
+      are the sequential sums of g and h over the node's low rows in row
+      order, exactly what ``cumsum`` yields in the sorted order. A node
+      multiplies the ``(rows, columns)`` low mask by ``g[rows][:, None]``
+      and adds along axis 0, which numpy does row after row, so each
+      column's sum is sequential; the high rows add only zeros, and a
+      signed zero cannot change ``GL ** 2``, ``G - GL`` or the hessian
+      floor. With one such column numpy would sum pairwise, so that case
+      takes the last row of ``cumsum``. Rows go in chunks of at most
+      ``_SUM_ROWS`` and at most ``n_train // n_two``, so a chunk's arrays
+      stay within about one training column, and each chunk's sums enter
+      the next as its first row.
+
+    Each part's first maximum beats the other's on a larger gain, or on an
+    equal gain at a lower column index, and a NaN gain never wins, so
+    trees, gains and leaf values match the per-node filter. Children of the
+    last searched level are leaves and get no blocks.
     """
-    n_cols, n = XT.shape
+    n = XT.shape[1]
+    order, sorted_cols, two_cols, low, mid = presort
+    n_sorted, n_two = len(sorted_cols), len(two_cols)
+    base = (sorted_cols * n)[:, None]   # flat offset of each sorted column
     lam = cfg.l2_reg
     mcw = cfg.min_child_weight
     tree = _Tree()
     tree_gain = 0.0
     goes_left = np.zeros(n, dtype=bool)
+    sum_rows = max(1, min(_SUM_ROWS, n // max(n_two, 1)))
+    buffer = np.empty((2, sum_rows + 1, n_two))
 
-    def best_split(block: np.ndarray, G: float, H: float):
-        parent = G * G / (H + lam)
+    def best_sorted(block: np.ndarray, G: float, H: float, score: float):
         best = (0.0, -1, 0.0)   # gain, column, threshold
         m = block.shape[1]
         if m < 2:
             return best
         step = max(1, n // m)
-        for c0 in range(0, n_cols, step):
+        for c0 in range(0, n_sorted, step):
             idx = block[c0:c0 + step]
             # each column's node values in sorted order, read from flat XT
-            xv = XT.take(idx + np.arange(c0 * n, (c0 + len(idx)) * n, n)[:, None])
+            xv = XT.take(idx + base[c0:c0 + step])
             # flat positions after which the value changes: the candidates
             edge = np.zeros(xv.shape, dtype=bool)
             np.not_equal(xv[:, :-1], xv[:, 1:], out=edge[:, :-1])
@@ -311,7 +370,7 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
                     continue
             GL = np.cumsum(g.take(idx), axis=1).take(cut)
             GR = G - GL
-            gains = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - parent)
+            gains = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - score)
             nan = np.isnan(gains)
             if nan.any():    # a column with a NaN gain never wins
                 gains[np.isin(cut // m, cut[nan] // m)] = -np.inf
@@ -319,16 +378,55 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
             if gains[b] > best[0]:
                 c, i = divmod(int(cut[b]), m)
                 thr = 0.5 * (xv[c, i] + xv[c, i + 1])
-                best = (float(gains[b]), c0 + c, float(thr))
+                best = (float(gains[b]), int(sorted_cols[c0 + c]), float(thr))
+        return best
+
+    def best_two_valued(rows: np.ndarray, G: float, H: float, score: float):
+        best = (0.0, -1, 0.0)
+        m = len(rows)
+        if m < 2 or not n_two:
+            return best
+        # each chunk's sums so far enter the next chunk as its first row
+        GL = np.zeros(n_two)
+        HL = np.zeros(n_two)
+        n_low = np.zeros(n_two)
+        for r0 in range(0, m, sum_rows):
+            part = rows[r0:r0 + sum_rows]
+            mask = low.take(part, axis=0)
+            n_low += mask.sum(axis=0)
+            w = buffer[:, :len(part) + 1]
+            w[0, 0] = GL
+            w[1, 0] = HL
+            np.multiply(mask, g.take(part)[:, None], out=w[0, 1:])
+            np.multiply(mask, h.take(part)[:, None], out=w[1, 1:])
+            if n_two > 1:
+                GL = np.add.reduce(w[0], axis=0)
+                HL = np.add.reduce(w[1], axis=0)
+            else:
+                GL = np.cumsum(w[0], axis=0)[-1]
+                HL = np.cumsum(w[1], axis=0)[-1]
+        HR = H - HL
+        valid = (n_low > 0) & (n_low < m) & (HL >= mcw) & (HR >= mcw)
+        if not valid.any():
+            return best
+        cols = np.flatnonzero(valid)
+        GL, HL, HR = GL[cols], HL[cols], HR[cols]
+        GR = G - GL
+        gains = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - score)
+        gains[np.isnan(gains)] = -np.inf    # a NaN gain never wins
+        b = int(gains.argmax())
+        if gains[b] > 0.0:
+            c = cols[b]
+            best = (float(gains[b]), int(two_cols[c]), float(mid[c]))
         return best
 
     def split(block: np.ndarray, n_left: int):
         """The block's rows flagged in ``goes_left``, then the others."""
         m = block.shape[1]
-        left = np.empty((n_cols, n_left), dtype=block.dtype)
-        right = np.empty((n_cols, m - n_left), dtype=block.dtype)
+        left = np.empty((n_sorted, n_left), dtype=block.dtype)
+        right = np.empty((n_sorted, m - n_left), dtype=block.dtype)
         step = max(1, n // m)
-        for c0 in range(0, n_cols, step):
+        for c0 in range(0, n_sorted, step):
             part = block[c0:c0 + step].ravel()
             to_left = goes_left.take(part)
             np.compress(to_left, part, out=left[c0:c0 + step].ravel())
@@ -350,8 +448,13 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
             rows, block, parent, side = frontier.pop()
             G = float(g[rows].sum())
             H = float(h[rows].sum())
-            gain, col, thr = (best_split(block, G, H) if depth < cfg.max_depth
-                              else (0.0, -1, 0.0))
+            gain, col, thr = (0.0, -1, 0.0)
+            if depth < cfg.max_depth:
+                score = G * G / (H + lam)   # the node's own term
+                # the larger gain wins, an equal one at the lower column
+                gain, col, thr = min(best_sorted(block, G, H, score),
+                                     best_two_valued(rows, G, H, score),
+                                     key=lambda b: (-b[0], b[1]))
             if col < 0 or gain <= 0.0:
                 nid = tree.add_leaf(-G / (H + lam))
             else:
@@ -360,9 +463,11 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
                 tree_gain += gain
                 go_left = XT[col, rows] <= thr
                 left_rows = rows[go_left]
-                goes_left[left_rows] = True
-                left, right = split(block, len(left_rows))
-                goes_left[left_rows] = False
+                left = right = None
+                if depth + 1 < cfg.max_depth:   # leaves read no block
+                    goes_left[left_rows] = True
+                    left, right = split(block, len(left_rows))
+                    goes_left[left_rows] = False
                 next_frontier.append((left_rows, left, nid, "L"))
                 next_frontier.append((rows[~go_left], right, nid, "R"))
             del block   # a level's blocks go as soon as their children exist
@@ -409,7 +514,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     column_gain = np.zeros(n_cols)
     total_gain = 0.0
     trees: list[_Tree] = []
-    order = np.argsort(XT, axis=1, kind="stable").astype(np.int32)
+    presort = _presort(XT)
     for _ in range(cfg.n_trees):
         if cfg.subsample < 1.0:
             m = max(1, int(round(cfg.subsample * n_train)))
@@ -419,7 +524,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
         p = _sigmoid(raw_train)
         grad = p - yt
         hess = p * (1.0 - p)
-        tree, tgain = _grow_tree(XT, grad, hess, rows, order, cfg, column_gain)
+        tree, tgain = _grow_tree(XT, grad, hess, rows, presort, cfg, column_gain)
         total_gain += tgain
         trees.append(tree)
         raw_train += cfg.learning_rate * tree.predict(XT.T)

@@ -106,15 +106,15 @@ class SynthSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SynthSpec":
-        plant = None
-        if doc.get("plant"):
-            plant = PlantSpec(
-                restrictions={
-                    f: tuple(v) for f, v in doc["plant"]["restrictions"].items()
-                },
-                q_star=float(doc["plant"]["q_star"]),
-            )
         try:
+            plant = None
+            if doc.get("plant"):
+                plant = PlantSpec(
+                    restrictions={
+                        f: tuple(v) for f, v in doc["plant"]["restrictions"].items()
+                    },
+                    q_star=float(doc["plant"]["q_star"]),
+                )
             return cls(
                 n_rows=int(doc["n_rows"]),
                 base_rate=float(doc["base_rate"]),
@@ -127,7 +127,7 @@ class SynthSpec:
                 plant=plant,
                 seed=int(doc.get("seed", 0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise InvalidSpecError(f"malformed synth spec: {exc}") from exc
 
 

@@ -187,10 +187,7 @@ class Dataset(_CodedTable):
         self._continuous, self._codes, self._levels = continuous, {}, {}
         for name, (levels, codes) in coded.items():
             if schema.kind(name) is FeatureKind.BINARY and len(levels) > 2:
-                raise SchemaMismatchError(
-                    f"binary feature {name!r} has {len(levels)} distinct "
-                    f"values: {levels[:4].tolist()}"
-                )
+                raise _too_many_levels(name, levels)
             self._levels[name] = levels
             self._codes[name] = codes.astype(np.int64, copy=False)
         for col in (outcome, *continuous.values(), *self._codes.values(),
@@ -209,6 +206,14 @@ class Dataset(_CodedTable):
         if name not in self._continuous and name not in self._codes:
             raise UnknownFeatureError(f"no feature named {name!r}")
         return self.schema.kind(name)
+
+
+def _too_many_levels(name: str, levels: np.ndarray,
+                     where: str = "") -> SchemaMismatchError:
+    return SchemaMismatchError(
+        f"{where}binary feature {name!r} has {len(levels)} distinct values: "
+        f"{levels[:4].tolist()}"
+    )
 
 
 # records load_csv reads and processes per step. Larger blocks load no
@@ -257,6 +262,9 @@ class _ColumnReader:
         self.codes = {f: array("i") for f in schema.feature_names
                       if f not in self.values}
         self.index = {f: {} for f in self.codes}   # raw cell -> its code
+        # each binary column's stripped labels so far, up to its third
+        self.labels = {f: set() for f in schema.features_of_kind(FeatureKind.BINARY)}
+        self.third_line: dict[str, int] = {}
         self.outcome, self.outcome_of = array("b"), {}
         self.errors: dict = {}
         self.n_records = 0
@@ -317,8 +325,11 @@ class _ColumnReader:
                 self.values[f].frombytes(values.tobytes())
         for f, index in self.index.items():
             col = cells[f]
-            for cell in set(col).difference(index):
+            new = set(col).difference(index)
+            for cell in new:
                 index[cell] = len(index)
+            if f in self.labels and new and f not in self.third_line:
+                self._locate_third_label(f, col, lines)
             _extend(self.codes[f], map(index.__getitem__, col), len(col))
 
         col = cells[self.schema.outcome_name]
@@ -330,6 +341,16 @@ class _ColumnReader:
             self._fail("outcome", NonBinaryOutcomeError, lines[row],
                        f"outcome value {col[row].strip()!r} is not 0 or 1")
         _extend(self.outcome, map(self.outcome_of.__getitem__, col), len(col))
+
+    def _locate_third_label(self, name: str, cells: tuple[str, ...],
+                            lines: np.ndarray) -> None:
+        seen = self.labels[name]
+        for line, label in zip(lines, map(str.strip, cells)):
+            if label not in seen:
+                seen.add(label)
+                if len(seen) > 2:
+                    self.third_line[name] = int(line)
+                    return
 
     def _locate_bad_float(self, name: str, cells: tuple[str, ...],
                           lines: np.ndarray) -> None:
@@ -362,6 +383,9 @@ class _ColumnReader:
             # codes frees each before the next column's int64 codes are made
             labels = np.asarray([cell.strip() for cell in index], dtype=str)
             levels, code_of = np.unique(labels, return_inverse=True)
+            if f in self.third_line:
+                line = self.third_line[f]
+                raise _too_many_levels(f, levels, f"{self.path}:{line}: ")
             coded[f] = levels, code_of[np.frombuffer(self.codes.pop(f), dtype=np.int32)]
         outcome = np.frombuffer(self.outcome, dtype=np.int8)
         return Dataset._from_columns(self.schema, outcome, continuous, coded)
@@ -392,7 +416,7 @@ def load_csv(path, schema: Schema) -> Dataset:
     5. an outcome other than 0 or 1 (:class:`NonBinaryOutcomeError`);
     6. per continuous feature in schema order, a cell that does not
        parse, then a non-finite one (:class:`ParseError`);
-    7. a binary feature with more than two values
+    7. per binary feature in schema order, a third distinct value
        (:class:`SchemaMismatchError`).
 
     Errors in data rows name ``path:line``. Lines count the header as 1

@@ -77,6 +77,24 @@ class TestSynthCommand:
         assert f"{spec}: spec must be a JSON object" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("plant", [
+        3,
+        {"q_star": 3.0},
+        {"restrictions": {"cat01": ["a"]}},
+        {"restrictions": [["cat01", "a"]], "q_star": 3.0},
+        {"restrictions": {"cat01": 1}, "q_star": 3.0},
+        {"restrictions": {"cat01": ["a"]}, "q_star": "high"},
+    ], ids=["int", "no-restrictions", "no-q-star", "list-restrictions",
+            "int-values", "text-q-star"])
+    def test_malformed_plant_exits_one(self, tmp_path, caplog, plant):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_rows": 10, "base_rate": 0.2,
+                                    "arities": [2], "plant": plant}))
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "malformed synth spec" in caplog.text
+        assert not out.exists()
+
 
 class TestSelectCommand:
     def test_committee_returns_k_features(self, synth_dir, tmp_path):

@@ -26,6 +26,7 @@ from featscan.embedded import (
     GbmConfig,
     Preset,
     _grow_tree,
+    _presort,
     _Tree,
     encode_design,
     gbm_train,
@@ -59,6 +60,23 @@ def _rounded(n_rows, seed):
         "bits": rng.integers(0, 2, size=n_rows).astype(float),
     }
     logit = cols["r1"] + 0.8 * cols["bits"] - 1.0
+    y = (rng.random(n_rows) < 1 / (1 + np.exp(-logit))).astype(int)
+    names = tuple(cols)
+    schema = Schema(names, {f: FeatureKind.CONTINUOUS for f in names}, "y")
+    return Dataset(schema, cols, y)
+
+
+def _two_valued(n_rows, seed):
+    # two-valued continuous columns beside distinct ones: values {-1.5, 2.5},
+    # a rare indicator that a subsample can miss, and a copy of the first,
+    # constant in every node below a split on either
+    rng = np.random.default_rng(seed)
+    pm = np.where(rng.random(n_rows) < 0.4, -1.5, 2.5)
+    rare = np.zeros(n_rows)
+    rare[rng.choice(n_rows, size=4, replace=False)] = 1.0
+    cols = {"x": rng.normal(size=n_rows), "pm": pm, "rare": rare,
+            "pm_copy": pm.copy(), "z": np.round(rng.normal(size=n_rows), 1)}
+    logit = cols["x"] + 0.5 * pm + 2.0 * rare - 1.0
     y = (rng.random(n_rows) < 1 / (1 + np.exp(-logit))).astype(int)
     names = tuple(cols)
     schema = Schema(names, {f: FeatureKind.CONTINUOUS for f in names}, "y")
@@ -133,8 +151,9 @@ def assert_same_tree(got, want):
 
 
 def _train_reference(dataset, cfg, monkeypatch):
-    def grow(XT, g, h, rows, order, cfg, column_gain):
-        return reference_grow_tree(XT.T, g, h, rows, order.T, cfg, column_gain)
+    def grow(XT, g, h, rows, presort, cfg, column_gain):
+        order = np.argsort(XT.T, axis=0, kind="stable")
+        return reference_grow_tree(XT.T, g, h, rows, order, cfg, column_gain)
 
     with monkeypatch.context() as m:
         m.setattr(embedded, "_grow_tree", grow)
@@ -159,7 +178,23 @@ TRAIN_CASES = {
     "tiny_mcw0_b": (lambda: _rounded(30, 36),
                     GbmConfig.preset_b(seed=6, n_trees=6, max_depth=6,
                                        min_child_weight=0.0)),
+    # two-valued columns: wide one-hot nominals plus binaries
+    "wide_one_hot_a": (lambda: _synth(2_000, 2, (6, 5, 7, 2, 8, 3, 2, 6), 37),
+                       GbmConfig.preset_a(seed=7, n_trees=4)),
+    "wide_one_hot_b": (lambda: _synth(2_000, 2, (6, 5, 7, 2, 8, 3, 2, 6), 37),
+                       GbmConfig.preset_b(seed=7, n_trees=4)),
+    # a single two-valued column, whose axis-0 sum numpy would add pairwise
+    "one_two_valued_a": (lambda: _synth(1_200, 5, (2,), 38),
+                         GbmConfig.preset_a(seed=8, n_trees=5, max_depth=5)),
+    "one_two_valued_b": (lambda: _synth(1_200, 5, (2,), 38),
+                         GbmConfig.preset_b(seed=8, n_trees=5, max_depth=5)),
+    "two_valued_subsample": (lambda: _two_valued(400, 39),
+                             GbmConfig(Preset.B, n_trees=10, max_depth=5,
+                                       subsample=0.3, seed=9,
+                                       min_child_weight=0.0)),
 }
+TWO_VALUED_CASES = ("wide_one_hot_a", "wide_one_hot_b", "one_two_valued_a",
+                    "one_two_valued_b", "two_valued_subsample")
 
 
 @pytest.mark.parametrize("name", sorted(TRAIN_CASES))
@@ -176,14 +211,50 @@ def test_gbm_train_matches_reference_grower(name, monkeypatch):
     assert got_metrics == want_metrics
 
 
+@pytest.mark.parametrize("chunk", [1, 3])
+@pytest.mark.parametrize("name", TWO_VALUED_CASES)
+def test_two_valued_sums_in_small_chunks(name, chunk, monkeypatch):
+    # each chunk's partial sums carry into the next one bit for bit
+    monkeypatch.setattr(embedded, "_SUM_ROWS", chunk)
+    test_gbm_train_matches_reference_grower(name, monkeypatch)
+
+
+@pytest.mark.parametrize("n_cols", [2, 30])
+def test_numpy_adds_axis0_row_by_row(n_cols):
+    # the two-valued split sums rely on this: a C-ordered (rows, columns)
+    # reduce along axis 0 adds row after row, as cumsum does, while a
+    # reduce along one contiguous column adds pairwise
+    rng = np.random.default_rng(500 + n_cols)
+    W = rng.normal(size=(3_000, n_cols))
+    W *= 10.0 ** rng.integers(-6, 7, size=W.shape)
+    sequential = np.cumsum(W, axis=0)[-1]
+    pairwise = np.array([np.add.reduce(np.ascontiguousarray(W[:, c]))
+                         for c in range(n_cols)])
+    assert (pairwise != sequential).any()   # the data tells the orders apart
+    assert np.add.reduce(W, axis=0).tobytes() == sequential.tobytes()
+
+
+def test_presort_finds_two_valued_columns():
+    XT = np.array([[-1.5, 2.5, 2.5, -1.5],
+                   [0.0, 1.0, 2.0, 0.0],
+                   [3.0, 3.0, 3.0, 3.0],
+                   [1.0, 0.0, 0.0, 0.0]])
+    presort = _presort(XT)
+    assert presort.two_cols.tolist() == [0, 3]
+    assert presort.sorted_cols.tolist() == [1, 2]
+    assert presort.order.tolist() == [[0, 3, 1, 2], [0, 1, 2, 3]]
+    assert presort.low.tolist() == [[1, 0], [0, 1], [0, 1], [1, 1]]
+    assert presort.low.flags.c_contiguous
+    assert presort.mid.tolist() == [0.5, 0.5]
+
+
 def _grow_both(X, g, h, rows, cfg):
     order = np.argsort(X, axis=0, kind="stable")
     want_gain = np.zeros(X.shape[1])
     want, want_total = reference_grow_tree(X, g, h, rows, order, cfg, want_gain)
     XT = np.ascontiguousarray(X.T)
     got_gain = np.zeros(X.shape[1])
-    got, got_total = _grow_tree(XT, g, h, rows, order.T.astype(np.int32),
-                                cfg, got_gain)
+    got, got_total = _grow_tree(XT, g, h, rows, _presort(XT), cfg, got_gain)
     assert_same_tree(got, want)
     assert got_gain.tobytes() == want_gain.tobytes()
     assert got_total == want_total
@@ -246,6 +317,36 @@ def test_grow_tree_nan_gain_skips_column(seed):
     cfg = GbmConfig.preset_a(max_depth=3, min_child_weight=0.0, l2_reg=0.0)
     with np.errstate(all="ignore"):
         _grow_both(X, g, h, np.arange(40), cfg)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grow_tree_two_valued_ties_and_nan(seed):
+    # ``b`` is three-valued, and its first cut parts the rows as the
+    # two-valued ``a`` does, which the targets favour; whichever comes first
+    # wins the tie. ``nan_col`` is two-valued, and its low rows hold only
+    # zero gradients and hessians, so under l2_reg=0 its gain is 0/0 and
+    # must not hide the two-valued columns after it.
+    rng = np.random.default_rng(600 + seed)
+    n = 300
+    a = rng.integers(0, 2, size=n).astype(float)
+    b = np.where(a == 1, rng.integers(1, 3, size=n), 0).astype(float)
+    nan_col = np.ones(n)
+    nan_col[:10] = 0.0
+    p = rng.uniform(0.3, 0.7, size=n)
+    y = (rng.random(n) < np.where(a == 1, 0.9, 0.1)).astype(float)
+    g, h = p - y, p * (1.0 - p)
+    g[:10] = h[:10] = 0.0
+    rows = np.arange(n)
+    if seed % 2:
+        rows = np.sort(rng.choice(n, size=240, replace=False))
+    x = rng.normal(size=n)
+    with np.errstate(all="ignore"):
+        for depth, mcw, lam in ((1, 1.0, 1.0), (4, 0.0, 0.0), (6, 0.0, 1.0)):
+            cfg = GbmConfig.preset_a(max_depth=depth, min_child_weight=mcw,
+                                     l2_reg=lam)
+            for X in (np.column_stack([nan_col, a, b, a, x]),
+                      np.column_stack([b, a, a, nan_col, x])):
+                _grow_both(X, g, h, rows, cfg)
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -176,6 +176,12 @@ class TestLoadCsvErrorLines:
         (["inf,M,icu,0", "abc,M,icu,0"], ParseError, 3),
         # a bad outcome wins over a third binary value
         (["1,X,icu,0", "2,M,icu,0", "3,F,icu,3"], NonBinaryOutcomeError, 4),
+        # a continuous cell that does not parse wins over a third binary value
+        (["1,X,icu,0", "2,M,icu,0", "3,F,icu,1", "abc,M,icu,0"], ParseError, 5),
+        # the first record holding a binary feature's third distinct label,
+        # where labels that strip alike are one
+        (["1, M ,icu,0", "2,M,icu,0", "3,F ,icu,1", "4,X,icu,0", "5,Y,icu,1"],
+         SchemaMismatchError, 5),
     ])
     def test_documented_precedence(self, tmp_path, rows, error, line):
         path = write_lines(tmp_path, [HEADER] + rows)
@@ -217,6 +223,9 @@ class TestLoadCsvBlockEdges:
          NonBinaryOutcomeError, 3),
         # blank records at a block edge still count as lines
         (["1.0,M,icu,0", "", "", "", "2.0,F,er,2"], NonBinaryOutcomeError, 6),
+        # a third binary label in a later block names its own line
+        (["1.0,M,icu,0", "2.0,M,er,1", "3.0, F,icu,0", "4.0,F,er,0",
+          "5.0,X,icu,1", "6.0,Y,icu,0"], SchemaMismatchError, 6),
     ])
     def test_precedence_across_blocks(self, tmp_path, monkeypatch, block, rows,
                                       error, line):
