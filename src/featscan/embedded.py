@@ -38,8 +38,11 @@ from .errors import (
 from .tabular import Dataset, FeatureKind
 
 _TARGET_STAT_PRIOR_WEIGHT = 10.0
-# most rows per chunk of the two-valued split sums (see _grow_tree)
-_SUM_ROWS = 4096
+# A chunk of the two-valued split sums holds n_train // n_two rows (see
+# _grow_tree). Tests set this cap to force many small chunks; a fixed cap
+# of 4,096 rows ran 10-15% slower where it bound (one or two such columns
+# over 20k-100k rows), so by default there is none.
+_SUM_ROWS: int | None = None
 
 
 class Preset(enum.Enum):
@@ -273,7 +276,7 @@ class _Presort(NamedTuple):
     order: np.ndarray   # (n_sorted, n_train) int32 stable argsort of the rest
     sorted_cols: np.ndarray     # their column indices, ascending
     two_cols: np.ndarray        # two-valued column indices, ascending
-    low: np.ndarray     # (n_train, n_two) C order, 1.0 where a row is low
+    low: np.ndarray     # (n_train, n_two) bool C order, True where a row is low
     mid: np.ndarray     # (n_two,) midpoint of each column's two values
 
 
@@ -288,7 +291,7 @@ def _presort(XT: np.ndarray) -> _Presort:
         order=np.argsort(XT[sorted_cols], axis=1, kind="stable").astype(np.int32),
         sorted_cols=sorted_cols,
         two_cols=np.flatnonzero(two),
-        low=np.ascontiguousarray(is_low[two].T, dtype=np.float64),
+        low=np.ascontiguousarray(is_low[two].T),
         mid=0.5 * (lo[two] + hi[two]),
     )
 
@@ -319,14 +322,13 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
       are the sequential sums of g and h over the node's low rows in row
       order, exactly what ``cumsum`` yields in the sorted order. A node
       multiplies the ``(rows, columns)`` low mask by ``g[rows][:, None]``
-      and adds along axis 0, which numpy does row after row, so each
-      column's sum is sequential; the high rows add only zeros, and a
-      signed zero cannot change ``GL ** 2``, ``G - GL`` or the hessian
-      floor. With one such column numpy would sum pairwise, so that case
-      takes the last row of ``cumsum``. Rows go in chunks of at most
-      ``_SUM_ROWS`` and at most ``n_train // n_two``, so a chunk's arrays
-      stay within about one training column, and each chunk's sums enter
-      the next as its first row.
+      and by ``h[rows][:, None]`` and takes one ``cumsum`` down the rows,
+      which adds row after row for any number of columns; the high rows
+      add only zeros, and a signed zero cannot change ``GL ** 2``,
+      ``G - GL`` or the hessian floor. Rows go in chunks of at most
+      ``n_train // n_two``, so a chunk's g and h products each stay within
+      about one training column, and each chunk's sums enter the next as
+      its first row.
 
     Each part's first maximum beats the other's on a larger gain, or on an
     equal gain at a lower column index, and a NaN gain never wins, so
@@ -342,7 +344,7 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
     tree = _Tree()
     tree_gain = 0.0
     goes_left = np.zeros(n, dtype=bool)
-    sum_rows = max(1, min(_SUM_ROWS, n // max(n_two, 1)))
+    sum_rows = max(1, min(_SUM_ROWS or n, n // max(n_two, 1)))
     buffer = np.empty((2, sum_rows + 1, n_two))
 
     def best_sorted(block: np.ndarray, G: float, H: float, score: float):
@@ -399,12 +401,8 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
             w[1, 0] = HL
             np.multiply(mask, g.take(part)[:, None], out=w[0, 1:])
             np.multiply(mask, h.take(part)[:, None], out=w[1, 1:])
-            if n_two > 1:
-                GL = np.add.reduce(w[0], axis=0)
-                HL = np.add.reduce(w[1], axis=0)
-            else:
-                GL = np.cumsum(w[0], axis=0)[-1]
-                HL = np.cumsum(w[1], axis=0)[-1]
+            np.cumsum(w, axis=1, out=w)
+            GL, HL = w[:, -1].copy()
         HR = H - HL
         valid = (n_low > 0) & (n_low < m) & (HL >= mcw) & (HR >= mcw)
         if not valid.any():

@@ -183,7 +183,7 @@ TRAIN_CASES = {
                        GbmConfig.preset_a(seed=7, n_trees=4)),
     "wide_one_hot_b": (lambda: _synth(2_000, 2, (6, 5, 7, 2, 8, 3, 2, 6), 37),
                        GbmConfig.preset_b(seed=7, n_trees=4)),
-    # a single two-valued column, whose axis-0 sum numpy would add pairwise
+    # a single two-valued column, where a reduce down the rows adds pairwise
     "one_two_valued_a": (lambda: _synth(1_200, 5, (2,), 38),
                          GbmConfig.preset_a(seed=8, n_trees=5, max_depth=5)),
     "one_two_valued_b": (lambda: _synth(1_200, 5, (2,), 38),
@@ -217,21 +217,6 @@ def test_two_valued_sums_in_small_chunks(name, chunk, monkeypatch):
     # each chunk's partial sums carry into the next one bit for bit
     monkeypatch.setattr(embedded, "_SUM_ROWS", chunk)
     test_gbm_train_matches_reference_grower(name, monkeypatch)
-
-
-@pytest.mark.parametrize("n_cols", [2, 30])
-def test_numpy_adds_axis0_row_by_row(n_cols):
-    # the two-valued split sums rely on this: a C-ordered (rows, columns)
-    # reduce along axis 0 adds row after row, as cumsum does, while a
-    # reduce along one contiguous column adds pairwise
-    rng = np.random.default_rng(500 + n_cols)
-    W = rng.normal(size=(3_000, n_cols))
-    W *= 10.0 ** rng.integers(-6, 7, size=W.shape)
-    sequential = np.cumsum(W, axis=0)[-1]
-    pairwise = np.array([np.add.reduce(np.ascontiguousarray(W[:, c]))
-                         for c in range(n_cols)])
-    assert (pairwise != sequential).any()   # the data tells the orders apart
-    assert np.add.reduce(W, axis=0).tobytes() == sequential.tobytes()
 
 
 def test_presort_finds_two_valued_columns():
