@@ -283,10 +283,12 @@ def _scan_bundle(dd, features: list[str], cfg: PipelineConfig):
 def _load_json_option(path) -> object:
     """Parse the JSON file an option names; an unreadable one is a usage error."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return json.load(fh)
     except OSError as exc:
         raise FeatscanError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:   # not UTF-8, or not JSON
+        raise FeatscanError(f"{path}: {exc}") from None
 
 
 def _load_json_object(path, what: str) -> dict:
@@ -574,7 +576,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:   # a ValueError, but numeric
         log.error("%s", exc)
         return EXIT_NUMERIC
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
     except OSError as exc:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -138,14 +138,7 @@ class FitMetrics:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "f1": self.f1,
-            "accuracy": self.accuracy,
-            "log_loss": self.log_loss,
-            "holdout_fraction": self.holdout_fraction,
-            "n_holdout": self.n_holdout,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 class _Tree:

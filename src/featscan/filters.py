@@ -11,6 +11,7 @@ alphabetically first name. Survivors of both paths feed the wrapper stage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -258,10 +259,11 @@ def _drop_redundant(pairs, relevance, diag) -> set[str]:
     ``pairs`` holds (strength, fi, fj, reason) for each pair over its
     threshold, ``reason`` with a ``{keeper}`` field. The strongest pair
     goes first, ties by name; a pair with a member already dropped is
-    skipped. Of the rest, the member with the lower ``relevance`` (read
-    per pair visited) is dropped; on a tie the alphabetically first is
-    kept.
+    skipped. Of the rest, the member with the lower ``relevance`` is
+    dropped; on a tie the alphabetically first is kept. Each feature's
+    relevance is read once, at the first pair visited that holds it.
     """
+    relevance = functools.cache(relevance)
     dropped: set[str] = set()
     for _, fi, fj, reason in sorted(pairs, key=lambda t: (-t[0], t[1], t[2])):
         if fi in dropped or fj in dropped:

@@ -13,7 +13,7 @@ confidence interval on the log scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -36,13 +36,7 @@ class SignificanceResult:
     seed: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "observed_score": self.observed_score,
-            "p_value": self.p_value,
-            "r_replicates": self.r_replicates,
-            "seed": self.seed,
-            "replicate_scores": list(self.replicate_scores),
-        }
+        return asdict(self)
 
 
 def empirical_p_value(data: DiscreteDataset, features: list[str],
@@ -156,14 +150,6 @@ class RestrictionProfile:
     population_prevalence: float
     subset_value_shares: dict[str, float]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "feature": self.feature,
-            "values": list(self.values),
-            "population_prevalence": self.population_prevalence,
-            "subset_value_shares": dict(sorted(self.subset_value_shares.items())),
-        }
-
 
 @dataclass(frozen=True)
 class Characterization:
@@ -175,12 +161,7 @@ class Characterization:
     alpha_g: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "records": [r.to_json_dict() for r in self.records],
-            "subset_size": self.subset_size,
-            "subset_outcome_rate": self.subset_outcome_rate,
-            "alpha_g": self.alpha_g,
-        }
+        return asdict(self)
 
 
 def characterize(data: DiscreteDataset, scored: ScoredSubset) -> Characterization:

@@ -92,14 +92,20 @@ class Schema:
             }
             outcome = doc["outcome"]
             policy = MissingPolicy(doc.get("missing_policy", "error"))
+            if not all(isinstance(name, str) for name in (*names, outcome)):
+                raise TypeError("feature and outcome names must be strings")
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaMismatchError(f"malformed schema document: {exc}") from exc
         return cls(names, kinds, outcome, policy)
 
     @classmethod
     def from_json_file(cls, path) -> "Schema":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        """Read a schema file; an error in its bytes or its document names it."""
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            try:
+                return cls.from_json_dict(json.load(fh))
+            except (ValueError, SchemaMismatchError) as exc:
+                raise SchemaMismatchError(f"{path}: {exc}") from None
 
 
 class _CodedTable:
@@ -394,10 +400,10 @@ class _ColumnReader:
 def load_csv(path, schema: Schema) -> Dataset:
     """Read a comma-delimited UTF-8 file into a validated :class:`Dataset`.
 
-    The header must contain exactly the schema's feature names plus the
-    outcome column, in any order. Blank lines are skipped. Missing cells
-    are handled per the schema's missing policy. A continuous cell must
-    parse as a finite number.
+    A leading byte-order mark is skipped. The header must contain exactly
+    the schema's feature names plus the outcome column, in any order.
+    Blank lines are skipped. Missing cells are handled per the schema's
+    missing policy. A continuous cell must parse as a finite number.
 
     The records are read and processed :data:`BLOCK_ROWS` at a time: each
     block's cells are checked, parsed and coded, and appended to one
@@ -409,7 +415,8 @@ def load_csv(path, schema: Schema) -> Dataset:
     whichever blocks the defects sit in:
 
     1. the header (:class:`SchemaMismatchError`);
-    2. a row of the wrong width (:class:`ParseError`);
+    2. a row of the wrong width, a byte that is not UTF-8, or a cell
+       longer than the csv module's field limit (:class:`ParseError`);
     3. under ``MissingPolicy.ERROR``, a missing cell
        (:class:`MissingValueError`);
     4. no data rows left (:class:`DegenerateColumnError`);
@@ -421,28 +428,38 @@ def load_csv(path, schema: Schema) -> Dataset:
 
     Errors in data rows name ``path:line``. Lines count the header as 1
     and every CSV record after it, blank lines included, so they are file
-    lines unless a quoted cell spans lines.
+    lines unless a quoted cell spans lines. The errors of step 2 raise
+    when they are met. The decoder reads ahead of the CSV reader, so a bad
+    byte can be met before the lines ahead of it are checked, the
+    header's included. A bad byte or an overlong cell names the file but
+    no line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaMismatchError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        expected = set(schema.feature_names) | {schema.outcome_name}
-        got = set(header)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            raise SchemaMismatchError(
-                f"{path}: header mismatch (missing={missing}, extra={extra})"
-            )
-        if len(header) != len(expected):
-            raise SchemaMismatchError(f"{path}: duplicated header columns")
-        columns = _ColumnReader(path, schema, header)
-        for rows in iter(lambda: list(islice(reader, BLOCK_ROWS)), []):
-            columns.add(rows)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise SchemaMismatchError(f"{path}: empty file") from None
+            header = [h.strip() for h in header]
+            expected = set(schema.feature_names) | {schema.outcome_name}
+            got = set(header)
+            if got != expected:
+                missing = sorted(expected - got)
+                extra = sorted(got - expected)
+                raise SchemaMismatchError(
+                    f"{path}: header mismatch (missing={missing}, extra={extra})"
+                )
+            if len(header) != len(expected):
+                raise SchemaMismatchError(f"{path}: duplicated header columns")
+            columns = _ColumnReader(path, schema, header)
+            for rows in iter(lambda: list(islice(reader, BLOCK_ROWS)), []):
+                columns.add(rows)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} "
+                         f"0x{exc.object[exc.start]:02x})") from None
+    except csv.Error as exc:   # a cell longer than csv.field_size_limit()
+        raise ParseError(f"{path}: {exc}") from None
     return columns.dataset()
 
 

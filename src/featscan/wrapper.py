@@ -8,7 +8,7 @@ dropped repeatedly until exactly K remain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -129,18 +129,7 @@ class EliminationTrace:
         raise KTooLargeError(f"no snapshot of size {k} in trace")
 
     def to_json_dict(self) -> dict:
-        return {
-            "initial": list(self.initial),
-            "steps": [
-                {
-                    "dropped": s.dropped,
-                    "p_value": s.p_value,
-                    "surviving": list(s.surviving),
-                }
-                for s in self.steps
-            ],
-            "final": list(self.final),
-        }
+        return asdict(self)
 
 
 def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> EliminationTrace:

@@ -423,6 +423,16 @@ class TestErrorExitCodes:
                    *self.missing_data_flags(synth_dir, tmp_path)])
         assert rc == 1
 
+    @staticmethod
+    def input_file_argv(synth_dir, out, option, path):
+        """A command that reads ``path`` for ``option``, the rest well-formed."""
+        if option == "--spec":
+            return ["synth", "--spec", path, "--out", str(out)]
+        flags = {"--features": "all", "--data": str(synth_dir / "data.csv"),
+                 "--schema": str(synth_dir / "schema.json"), "--out": str(out),
+                 option: path}
+        return ["scan", *(x for pair in flags.items() for x in pair)]
+
     @pytest.mark.parametrize("option, expected", [
         ("--config", 1), ("--features", 1), ("--spec", 1),
         ("--schema", 2), ("--data", 2),
@@ -432,16 +442,58 @@ class TestErrorExitCodes:
         # a missing config-like file is a usage error; missing data is not
         missing = str(tmp_path / "missing.json")
         out = tmp_path / "out"
-        if option == "--spec":
-            argv = ["synth", "--spec", missing, "--out", str(out)]
-        else:
-            flags = {"--features": "all", "--data": str(synth_dir / "data.csv"),
-                     "--schema": str(synth_dir / "schema.json"), "--out": str(out),
-                     option: missing}
-            argv = ["scan", *(x for pair in flags.items() for x in pair)]
-        assert main(argv) == expected
+        assert main(self.input_file_argv(synth_dir, out, option, missing)) == expected
         assert missing in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("option, content, expected", [
+        ("--schema", b'{"features":\n', 2),
+        ("--schema", b"\xff{}", 2),
+        ("--schema", b'{"features": 3, "outcome": "y"}', 2),
+        ("--schema", b'{"features": [{"name": 1, "kind": "binary"}], "outcome": "y"}', 2),
+        ("--data", b"\xff", 2),
+        ("--data", b"9" * 131_073, 2),
+        ("--config", b"{oops}", 1),
+        ("--config", b"\xff{}", 1),
+        ("--features", b"{oops}", 1),
+        ("--spec", b"{oops}", 1),
+    ], ids=["schema-not-json", "schema-not-utf8", "schema-malformed", "schema-int-name",
+            "data-not-utf8", "data-overlong-cell", "config-not-json", "config-not-utf8",
+            "features-not-json", "spec-not-json"])
+    def test_unreadable_input_file_exit_code(self, synth_dir, tmp_path, caplog,
+                                             option, content, expected):
+        # each names the file; a bad schema or data file is a data error.
+        # A --data case's content goes before the first cell of a data row.
+        if option == "--data":
+            lines = (synth_dir / "data.csv").read_bytes().split(b"\n")
+            lines[3] = content + lines[3]
+            content = b"\n".join(lines)
+        bad = tmp_path / "bad_input"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(self.input_file_argv(synth_dir, out, option, str(bad))) == expected
+        assert f"{bad}: " in caplog.text
+        assert not out.exists()
+
+    def test_byte_order_marks_are_skipped(self, synth_dir, tmp_path):
+        # Excel writes CSV and JSON with a leading UTF-8 byte-order mark
+        plain, bom = tmp_path / "plain", tmp_path / "bom"
+        plain.mkdir()
+        bom.mkdir()
+        (plain / "feats.json").write_text(json.dumps(["cat01", "num01"]))
+        (plain / "cfg.json").write_text(json.dumps({"n_restarts": 2}))
+        for name in ("data.csv", "schema.json"):
+            (plain / name).write_bytes((synth_dir / name).read_bytes())
+        for path in plain.iterdir():
+            (bom / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        for src in (plain, bom):
+            assert main(["scan", "--features", str(src / "feats.json"),
+                         "--config", str(src / "cfg.json"),
+                         "--data", str(src / "data.csv"),
+                         "--schema", str(src / "schema.json"),
+                         "--out", str(src / "out"), "--bootstrap-r", "19"]) == 0
+        assert ((bom / "out" / "scan_feats.json").read_bytes()
+                == (plain / "out" / "scan_feats.json").read_bytes())
 
     def test_empty_k_sweep_exits_one_before_data_is_read(self, synth_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"

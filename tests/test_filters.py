@@ -254,6 +254,17 @@ class TestFilterSelect:
         assert diag.kept_continuous == ["a_feat", "c_feat"]
         assert [f for f, _ in diag.dropped] == ["b_feat"]
 
+    def test_outcome_correlation_read_once_per_feature(self):
+        # with a constant outcome every read of a feature's outcome
+        # correlation writes a note, so the notes list the reads
+        x = np.random.default_rng(103).normal(size=100)
+        d = mixed_dataset({"p": x, "q": x.copy(), "r": x.copy()}, {},
+                          np.zeros(100, dtype=int))
+        diag = filter_select(d, FilterThresholds())
+        assert diag.notes == [f"outcome correlation undefined for {f}, using 0"
+                              for f in "pqr"]
+        assert [f for f, _ in diag.dropped] == ["q", "r"]
+
     def test_independent_features_all_kept(self):
         rng = np.random.default_rng(73)
         d = mixed_dataset(

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -54,8 +55,9 @@ def make_schema(missing=MissingPolicy.ERROR):
 
 
 def write_lines(tmp_path, lines, name="data.csv"):
+    """Write UTF-8 lines; a lone surrogate "\\udcXX" writes the raw byte XX."""
     path = tmp_path / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -72,6 +74,15 @@ class TestLoadCsv:
         assert d.outcome_mean() == pytest.approx(1 / 3)
         np.testing.assert_allclose(d.column("age"), [34.5, 51.0, 40.25])
         assert list(d.column("sex")) == ["M", "F", "M"]
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Excel writes a CSV with a leading UTF-8 byte-order mark
+        lines = [HEADER, "34.5,M,icu,0", "51.0,F,er,1"]
+        plain = write_lines(tmp_path, lines)
+        bom = write_lines(tmp_path, ["\ufeff" + HEADER, *lines[1:]], name="bom.csv")
+        assert bom.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert_same_dataset(load_csv(bom, make_schema()),
+                            load_csv(plain, make_schema()))
 
     def test_nonbinary_outcome(self, tmp_path):
         path = write_lines(tmp_path, ["age,sex,dept,died", "1.0,M,icu,2"])
@@ -182,13 +193,20 @@ class TestLoadCsvErrorLines:
         # where labels that strip alike are one
         (["1, M ,icu,0", "2,M,icu,0", "3,F ,icu,1", "4,X,icu,0", "5,Y,icu,1"],
          SchemaMismatchError, 5),
+        # a byte that is not UTF-8 raises when it is met, so it wins over an
+        # earlier missing cell and bad outcome; it names the file, no line
+        (["NA,M,icu,0", "1.0,M,icu,5", "2.0,F,\udcffer,1"], ParseError, None),
+        # so does a cell longer than the csv module's field limit
+        (["NA,M,icu,0", "1.0,M,icu,5", "2.0,F," + "e" * 131_073 + ",1"],
+         ParseError, None),
     ])
     def test_documented_precedence(self, tmp_path, rows, error, line):
         path = write_lines(tmp_path, [HEADER] + rows)
         with pytest.raises(error) as info:
             load_csv(path, make_schema())
         assert info.type is error
-        assert str(info.value).startswith(f"{path}:{line}: ")
+        where = path if line is None else f"{path}:{line}"
+        assert str(info.value).startswith(f"{where}: ")
 
 
 @pytest.fixture(params=[1, 2], ids=lambda n: f"block{n}")
@@ -675,6 +693,13 @@ class TestSchema:
         s = make_schema()
         s2 = Schema.from_json_dict(s.to_json_dict())
         assert s2 == s
+
+    def test_json_file_byte_order_mark_skipped(self, tmp_path):
+        text = json.dumps(make_schema().to_json_dict())
+        (tmp_path / "plain.json").write_text(text, encoding="utf-8")
+        (tmp_path / "bom.json").write_text(text, encoding="utf-8-sig")
+        assert (Schema.from_json_file(tmp_path / "bom.json")
+                == Schema.from_json_file(tmp_path / "plain.json") == make_schema())
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(SchemaMismatchError):
