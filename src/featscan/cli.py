@@ -77,25 +77,42 @@ class PipelineConfig:
     out_dir: Path = field(metadata={"flag": "out", "key": "output_dir",
                                     "help": "output directory"})
     method: str = field(default="committee", metadata={
-        "choices": _METHOD_CHOICES, "commands": ("select",)})
-    k: int | None = field(default=None, metadata={"commands": ("select",)})
+        "choices": _METHOD_CHOICES, "commands": ("select",),
+        "help": "selection method, or all of them"})
+    k: int | None = field(default=None, metadata={
+        "commands": ("select",), "help": "number of features to select"})
     k_sweep: tuple[int, ...] = field(default=DEFAULT_K_SWEEP, metadata={
         "help": "comma-separated K values", "commands": ("sweep",)})
-    rho_max: float = 0.9
-    vif_max: float = 10.0
-    chi2_alpha: float = 0.05
-    cramers_v_max: float = field(default=0.9, metadata={"flag": "cramers_max"})
-    bins: int = 5
+    rho_max: float = field(default=0.9, metadata={
+        "help": "filter: largest |Pearson rho| kept between continuous features"})
+    vif_max: float = field(default=10.0, metadata={
+        "help": "filter: largest variance inflation factor kept"})
+    chi2_alpha: float = field(default=0.05, metadata={
+        "help": "filter: chi-square level at which a categorical pair is associated"})
+    cramers_v_max: float = field(default=0.9, metadata={
+        "flag": "cramers_max",
+        "help": "filter: largest Cramer's V kept between associated categorical features"})
+    bins: int = field(default=5, metadata={
+        "help": "bins per continuous feature for the scan, at least 2"})
     bin_method: str = field(default="equal_frequency", metadata={
-        "choices": _BIN_METHODS})
-    gbm_trees: int = 200
-    gbm_depth: int = 4
-    gbm_lr: float = 0.1
-    n_restarts: int = field(default=20, metadata={"flag": "restarts"})
-    max_iterations: int = 50
-    bootstrap_r: int = 100
-    score_tolerance: float = 0.01
-    seed: int = 0
+        "choices": _BIN_METHODS, "help": "how continuous features are binned"})
+    gbm_trees: int = field(default=200, metadata={
+        "help": "boosting rounds of each GBM preset"})
+    gbm_depth: int = field(default=4, metadata={"help": "GBM tree depth"})
+    gbm_lr: float = field(default=0.1, metadata={
+        "help": "GBM learning rate, in (0, 1]"})
+    n_restarts: int = field(default=20, metadata={
+        "flag": "restarts",
+        "help": "random restarts per scan; the first starts unrestricted"})
+    max_iterations: int = field(default=50, metadata={
+        "help": "coordinate-ascent cycles per restart, at most"})
+    bootstrap_r: int = field(default=100, metadata={
+        "help": f"bootstrap replicates, at least {inference.MIN_REPLICATES}"})
+    score_tolerance: float = field(default=0.01, metadata={
+        "help": "sweep: a K suffices when its score is within this fraction "
+                "of the all-features score"})
+    seed: int = field(default=0, metadata={
+        "help": "seed of the GBMs, the scans and the bootstrap"})
 
     def __post_init__(self):
         self.data, self.schema, self.out_dir = (

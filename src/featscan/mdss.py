@@ -16,6 +16,14 @@ replicate of that dataset. It carries a memo of that set's finished
 scans, keyed by (config, outcome bits), so a repeat scan returns its
 stored result; the memo is dropped with the table when another feature
 set is scanned.
+
+The ascent skips steps that cannot change anything. A feature's step
+reads only the other features' value sets, so while no value set has
+changed since that feature's last step, the step would repeat exactly
+and is not run. The running score stays exact through a skip: after
+every step it equals the score of the current joint subset, since the
+chosen prefix is that subset, and a step that relaxes a feature (its
+other features match no pattern) scores the empty subset 0.
 """
 
 from __future__ import annotations
@@ -165,23 +173,43 @@ def best_value_subset(n_v, s_v, alpha_g: float) -> tuple[list[int], float]:
     linear-time subset scanning property (Neill, JRSS-B 2012) puts the
     best value subset on one of these prefixes. Ties go to the larger
     prefix (see below). This is the step ``scan`` runs for each feature.
+    Each prefix scores exactly as ``score_bernoulli`` would score it. An
+    ``alpha_g`` outside (0, 1) raises ``AlphaOutOfRangeError``, and a
+    value without ``0 <= sum_y <= n < inf`` raises ``ValueError``.
     """
-    pos = [i for i, n in enumerate(n_v) if n > 0]
-    if not pos:
+    if not 0.0 < alpha_g < 1.0:
+        raise AlphaOutOfRangeError(f"alpha_g must be in (0,1), got {alpha_g}")
+    ranked = []   # (rank key, code, n, sum_y); codes are distinct
+    for i, (n, s) in enumerate(zip(n_v, s_v, strict=True)):
+        if not 0 <= s <= n < math.inf:
+            raise ValueError(f"need 0 <= sum_y <= n < inf, got sum_y={s}, n={n} "
+                             f"for value {i}")
+        if n > 0:
+            ranked.append((-(s / (n * alpha_g)), i, n, s))
+    if not ranked:
         raise EmptyRecordsError("no value has any members")
-    order = sorted(pos, key=lambda i: (-(s_v[i] / (n_v[i] * alpha_g)), i))
+    ranked.sort()
+    # score_bernoulli's expressions in its order, so that every prefix
+    # score is bit-identical to its; the prefix is never empty
+    log_inv_alpha, one_minus_alpha = math.log(1.0 / alpha_g), 1.0 - alpha_g
     cum_n = cum_s = 0.0
     best_score, best_j = -1.0, 0
-    for j, i in enumerate(order):
-        cum_n += n_v[i]
-        cum_s += s_v[i]
-        sc = score_bernoulli(cum_s, cum_n, alpha_g)[0]
+    for j, (_, _, n, s) in enumerate(ranked):
+        cum_n += n
+        cum_s += s
+        if cum_s == cum_n:
+            sc = cum_n * log_inv_alpha
+        else:
+            q_hat = (cum_s * one_minus_alpha) / (alpha_g * (cum_n - cum_s))
+            sc = 0.0 if q_hat <= 1.0 else max(
+                cum_s * math.log(q_hat)
+                - cum_n * math.log(one_minus_alpha + q_hat * alpha_g), 0.0)
         # >= so exact ties go to the larger prefix; a feature carrying no
         # signal then relaxes to its full domain
         if sc >= best_score:
             best_score = sc
             best_j = j
-    return order[: best_j + 1], best_score
+    return [r[1] for r in ranked[: best_j + 1]], best_score
 
 
 def _pattern_table(data: DiscreteDataset, features: list[str]):
@@ -237,6 +265,13 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
     and outcome on any ``with_outcome`` copy returns the stored result
     without searching. The memo lives and dies with the table, so it
     holds at most the scans of one feature set.
+
+    A random start draws one coin per value in a single ``integers(0, 2)``
+    call (see ``_random_start``). That reproduces one call per feature
+    only because numpy draws split over several calls equal one call of
+    their total size and leave the generator in the same state for the
+    ``permutation`` that follows; a test guards this for the installed
+    numpy.
     """
     features = sorted(features)
     if not features:
@@ -254,65 +289,101 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
     if memo_key in memo:
         return memo[memo_key]
     s_p = np.bincount(inverse, weights=data.outcome, minlength=len(n_p))
-    full = [tuple(range(len(lv))) for lv in levels]
-
-    # both act on the state that each restart below sets up afresh
-    def set_selection(j: int, values: tuple) -> None:
-        if values == selected[j]:
-            return
-        allowed = np.zeros(len(full[j]), dtype=bool)
-        allowed[list(values)] = True
-        new_blocked = ~allowed[codes[j]]
-        np.add(num_blocked, new_blocked, out=num_blocked)
-        np.subtract(num_blocked, blocked[j], out=num_blocked)
-        blocked[j], selected[j] = new_blocked, values
+    arity = [len(lv) for lv in levels]
+    full = [tuple(range(a)) for a in arity]
+    unblocked = np.zeros(len(n_p), dtype=bool)
 
     def joint_stats() -> tuple[int, int]:
         mask = num_blocked == 0
         return int(round(float(s_p[mask].sum()))), int(n_p[mask].sum())
 
-    best: tuple | None = None   # (-score, n_restricted, encoding, ScoredSubset)
+    best_key = best = None   # ((-score, n_restricted), encoding), ScoredSubset
     for restart in range(cfg.n_restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                            spawn_key=(0, restart)))
-        # per feature: the retained codes and the patterns they block
-        selected, num_blocked = list(full), np.zeros(len(n_p), dtype=np.int16)
-        blocked = [np.zeros(len(n_p), dtype=bool) for _ in features]
-        if restart > 0:
-            for j in range(len(features)):
-                sel = np.zeros(1)
-                while not sel.any():   # uniform over non-empty value subsets
-                    sel = rng.integers(0, 2, size=len(full[j]))
-                set_selection(j, tuple(np.flatnonzero(sel).tolist()))
+        # per feature: the retained codes and the patterns they block; block
+        # arrays are replaced, never written, so unrestricted ones share one
+        selected = _random_start(rng, arity) if restart > 0 else list(full)
+        blocked = [unblocked] * len(features)
+        num_blocked = np.zeros(len(n_p), dtype=np.int16)
+        for j, values in enumerate(selected):
+            if values != full[j]:
+                blocked[j] = _block(values, codes[j], arity[j])
+                num_blocked += blocked[j]
         score = score_bernoulli(*joint_stats(), alpha_g)[0]
 
+        # selection changes so far, and their count at each feature's last
+        # step: a feature that has seen every change is skipped (see above)
+        changes, seen = 0, [-1] * len(features)
         for _ in range(cfg.max_iterations):
             cycle_start = score
             for j in rng.permutation(len(features)).tolist():
-                members = np.flatnonzero(num_blocked == blocked[j])
+                if seen[j] == changes:
+                    continue
+                members = (num_blocked == blocked[j]).nonzero()[0]
                 if len(members) == 0:
                     # conjunction of the other features is empty; relax
-                    set_selection(j, full[j])
-                    score = 0.0
-                    continue
-                codes_j = codes[j][members]
-                n_v = np.bincount(codes_j, weights=n_p[members], minlength=len(full[j]))
-                s_v = np.bincount(codes_j, weights=s_p[members], minlength=len(full[j]))
-                chosen, score = best_value_subset(n_v.tolist(), s_v.tolist(), alpha_g)
-                set_selection(j, tuple(sorted(chosen)))
+                    values, score = full[j], 0.0
+                else:
+                    codes_j = codes[j].take(members)
+                    n_v = np.bincount(codes_j, weights=n_p.take(members), minlength=arity[j])
+                    s_v = np.bincount(codes_j, weights=s_p.take(members), minlength=arity[j])
+                    chosen, score = best_value_subset(n_v.tolist(), s_v.tolist(), alpha_g)
+                    values = tuple(sorted(chosen))
+                if values != selected[j]:
+                    new_blocked = (unblocked if values == full[j]
+                                   else _block(values, codes[j], arity[j]))
+                    num_blocked += new_blocked
+                    num_blocked -= blocked[j]
+                    blocked[j], selected[j] = new_blocked, values
+                    changes += 1
+                seen[j] = changes
             if score <= cycle_start + 1e-12:
                 break
 
+        n_restricted = sum(s != f for s, f in zip(selected, full))
+        if best_key is not None and (-score, n_restricted) > best_key[0]:
+            continue   # ``score`` is the final subset's score: it cannot win
         sum_y, n_s = joint_stats()
         final_score, q = score_bernoulli(sum_y, n_s, alpha_g)
         restrictions = {f: frozenset(levels[j][i] for i in selected[j])
                         for j, f in enumerate(features) if selected[j] != full[j]}
         subset = SubsetDescriptor(restrictions)
-        result = ScoredSubset(subset=subset, score=final_score, q_mle=q,
-                              n_members=n_s, sum_outcomes=sum_y, alpha_g=alpha_g)
-        key = (-final_score, subset.n_restricted, subset.encode())
-        if best is None or key < best[0]:
-            best = (key, result)
+        key = ((-final_score, n_restricted), subset.encode())
+        if best_key is None or key < best_key:
+            best_key, best = key, ScoredSubset(subset=subset, score=final_score,
+                                               q_mle=q, n_members=n_s,
+                                               sum_outcomes=sum_y, alpha_g=alpha_g)
 
-    memo[memo_key] = best[1]
-    return best[1]
+    memo[memo_key] = best
+    return best
+
+
+def _random_start(rng, arity: list[int]) -> list[tuple]:
+    """Each feature's value set, uniform over its non-empty subsets.
+
+    One coin per value, feature after feature; a feature that drew no
+    value draws again. The coins come from one ``integers`` call, topped
+    up by exactly the shortfall when a redraw needs more, so they equal
+    per-feature calls and leave the generator where those would (see
+    ``scan``).
+    """
+    coins = rng.integers(0, 2, size=sum(arity)).tolist()
+    selected, at = [], 0
+    for a in arity:
+        while True:
+            if at + a > len(coins):
+                coins += rng.integers(0, 2, size=at + a - len(coins)).tolist()
+            drawn = coins[at:at + a]
+            at += a
+            if any(drawn):
+                break
+        # from a list: on CPython 3.11, tuples built from a generator here
+        # raised a 260-scan sweep's peak resident memory by about 0.2 MiB
+        selected.append(tuple([i for i, c in enumerate(drawn) if c]))
+    return selected
+
+
+def _block(values: tuple, codes: np.ndarray, arity: int) -> np.ndarray:
+    """Boolean mask of the patterns whose code is not in ``values``."""
+    return np.array([i not in values for i in range(arity)]).take(codes)

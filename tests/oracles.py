@@ -1,14 +1,17 @@
 """Independent brute-force oracles used by unit and acceptance tests.
 
 These deliberately avoid the library's search code paths: subset maxima
-come from exhaustive enumeration, per-value counts from a row filter,
+come from exhaustive enumeration, the coordinate ascent from row masks
+and per-prefix scores, per-value counts from a row filter,
 the score maximizer from a refined grid, the CSV reference reader from
 a cell-by-cell loop, the tree grower from a per-node filter of the
 global sort order and the design-matrix encoders from per-level string
 comparisons, so they can certify the fast implementations.
 """
 
+import collections
 import csv
+import dataclasses
 import itertools
 
 import numpy as np
@@ -21,7 +24,7 @@ from featscan.errors import (
     ParseError,
     SchemaMismatchError,
 )
-from featscan.mdss import SubsetDescriptor, score_bernoulli
+from featscan.mdss import ScoredSubset, SubsetDescriptor, score_bernoulli
 from featscan.tabular import Dataset, FeatureKind, MissingPolicy
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -103,6 +106,111 @@ def brute_force_scan(data, features):
             best_score = sc
             best_desc = SubsetDescriptor(restrictions)
     return best_score, best_desc
+
+
+def reference_scan(data, features, cfg, paths=None):
+    """Row-level coordinate ascent that ``mdss.scan`` must match bit for bit.
+
+    The same search as ``scan``, written plainly: one ``integers`` call per
+    feature for a random start, a row mask of the other features for each
+    step, and one ``score_bernoulli`` call per value prefix. Restarts,
+    coordinate orders, tie-breaks and the stopping rule are ``scan``'s.
+    ``paths``, a ``collections.Counter`` if given, counts the start
+    redraws ("redraw") and the steps whose other features match no row
+    ("relax"), so a test can show that it reached both.
+    """
+    features = sorted(features)
+    alpha = data.outcome_mean()
+    y = data.outcome.astype(np.float64)
+    codes = [data.codes(f) for f in features]
+    levels = [data.levels(f) for f in features]
+    full = [tuple(range(len(lv))) for lv in levels]
+    paths = collections.Counter() if paths is None else paths
+
+    def rows_of(selected, skip=None):
+        mask = np.ones(data.n_rows, dtype=bool)
+        for j, values in enumerate(selected):
+            if j != skip:
+                allowed = np.zeros(len(full[j]), dtype=bool)
+                allowed[list(values)] = True
+                mask &= allowed[codes[j]]
+        return mask
+
+    def best_prefix(n_v, s_v):
+        pos = [i for i, n in enumerate(n_v) if n > 0]
+        order = sorted(pos, key=lambda i: (-(s_v[i] / (n_v[i] * alpha)), i))
+        cum_n = cum_s = 0.0
+        best_score, best_k = -1.0, 0
+        for k, i in enumerate(order):
+            cum_n += n_v[i]
+            cum_s += s_v[i]
+            sc = score_bernoulli(cum_s, cum_n, alpha)[0]
+            if sc >= best_score:   # ties go to the larger prefix
+                best_score, best_k = sc, k
+        return tuple(sorted(order[: best_k + 1])), best_score
+
+    best = None
+    for restart in range(cfg.n_restarts):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, restart)))
+        selected = list(full)
+        if restart > 0:
+            for j in range(len(features)):
+                coins = rng.integers(0, 2, size=len(full[j]))
+                while not coins.any():
+                    paths["redraw"] += 1
+                    coins = rng.integers(0, 2, size=len(full[j]))
+                selected[j] = tuple(np.flatnonzero(coins).tolist())
+        mask = rows_of(selected)
+        score = score_bernoulli(int(data.outcome[mask].sum()), int(mask.sum()),
+                                alpha)[0]
+        for _ in range(cfg.max_iterations):
+            cycle_start = score
+            for j in rng.permutation(len(features)).tolist():
+                others = rows_of(selected, skip=j)
+                if not others.any():
+                    paths["relax"] += 1
+                    selected[j], score = full[j], 0.0
+                    continue
+                n_v = np.bincount(codes[j][others], minlength=len(full[j]))
+                s_v = np.bincount(codes[j][others], weights=y[others],
+                                  minlength=len(full[j]))
+                selected[j], score = best_prefix(n_v.astype(np.float64).tolist(),
+                                                 s_v.tolist())
+            if score <= cycle_start + 1e-12:
+                break
+        mask = rows_of(selected)
+        sum_y, n_s = int(data.outcome[mask].sum()), int(mask.sum())
+        final_score, q = score_bernoulli(sum_y, n_s, alpha)
+        subset = SubsetDescriptor({
+            f: frozenset(levels[j][i] for i in selected[j])
+            for j, f in enumerate(features) if selected[j] != full[j]})
+        key = (-final_score, subset.n_restricted, subset.encode())
+        if best is None or key < best[0]:
+            best = (key, ScoredSubset(subset, final_score, q, n_s, sum_y, alpha))
+    return best[1]
+
+
+def reference_replicate_scores(data, features, cfg, r):
+    """Every bootstrap replicate's score, rescanned with ``reference_scan``.
+
+    Redraws the outcomes and derives each replicate's seed as
+    ``inference.empirical_p_value`` does; a constant draw scores 0.
+    """
+    alpha = data.outcome_mean()
+    scores = []
+    for i in range(r):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, i)))
+        y_rep = (rng.random(data.n_rows) < alpha).astype(np.int8)
+        if y_rep.min() == y_rep.max():
+            scores.append(0.0)
+            continue
+        seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2, i))
+                   .generate_state(1)[0])
+        scores.append(reference_scan(data.with_outcome(y_rep), features,
+                                     dataclasses.replace(cfg, seed=seed)).score)
+    return scores
 
 
 def aggregate_by_value(data, feature, conditioning):

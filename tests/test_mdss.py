@@ -1,5 +1,6 @@
 """Scoring function, priority prefixes, and the subset scanner."""
 
+import collections
 import math
 
 import numpy as np
@@ -29,6 +30,8 @@ from oracles import (
     brute_force_scan,
     brute_force_value_subset,
     grid_max_score,
+    reference_replicate_scores,
+    reference_scan,
 )
 
 
@@ -149,6 +152,23 @@ class TestBestValueSubset:
     def test_empty_records_error(self):
         with pytest.raises(EmptyRecordsError):
             best_value_subset([0], [0], 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, math.nan, -0.5, 1.5])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(AlphaOutOfRangeError):
+            best_value_subset([3, 2], [1, 1], alpha)
+
+    @pytest.mark.parametrize("counts, sums", [
+        ([3, 2], [1, 3]),      # more positives than members
+        ([-1, 2], [0, 1]),     # a negative count
+        ([3, 2], [-1, 1]),     # a negative sum
+        ([3, 0], [1, 1]),      # positives in an empty value
+        ([math.inf, 3], [math.inf, 1]),   # an infinite count
+        ([math.nan, 3], [1, 1]),          # a NaN count
+    ])
+    def test_inconsistent_counts_rejected(self, counts, sums):
+        with pytest.raises(ValueError, match="0 <= sum_y <= n < inf"):
+            best_value_subset(counts, sums, 0.5)
 
     def test_ltss_prefix_matches_brute_force(self):
         rng = np.random.default_rng(111)
@@ -463,3 +483,58 @@ class TestScanMemo:
         assert len(self.memo(d)) == 1
         again = scan(d, self.FEATS, self.CFG)
         assert again == first and again is not first
+
+
+def random_scan_case(case):
+    """A small random table, up to 12 features, and a scan config.
+
+    Every third case starts with a one-level feature. Most features are
+    binary, which often draw no value at a random start, and a wide
+    random start on a few dozen rows usually matches no row.
+    """
+    rng = np.random.default_rng(1000 + case)
+    k = int(rng.integers(1, 13))
+    n = int(rng.integers(12, 120))
+    cols = {}
+    for i in range(k):
+        arity = 1 if i == 0 and case % 3 == 0 else int(rng.choice([2, 2, 2, 3, 4, 5]))
+        cols[f"f{i:02d}"] = rng.choice([f"v{v}" for v in range(arity)], size=n)
+    y = (rng.random(n) < rng.uniform(0.1, 0.6)).astype(int)
+    y[:2] = [0, 1]
+    cfg = ScanConfig(n_restarts=int(rng.integers(1, 7)),
+                     max_iterations=int(rng.choice([1, 2, 50])),
+                     seed=int(rng.integers(0, 2**32)))
+    return categorical_dataset(cols, y), list(cols)[::-1], cfg
+
+
+class TestAscentOracle:
+    def test_scan_and_replicates_match_the_row_level_ascent(self):
+        paths = collections.Counter()
+        one_level = 0
+        for case in range(36):
+            d, feats, cfg = random_scan_case(case)
+            one_level += any(d.arity(f) == 1 for f in feats)
+            observed = scan(d, feats, cfg)
+            assert observed == reference_scan(d, feats, cfg, paths), case
+            sig = empirical_p_value(d, feats, cfg, observed, 19)
+            want = reference_replicate_scores(d, feats, cfg, 19)
+            assert sig.replicate_scores == tuple(want), case
+        # the cases reach the start redraw, the relax step and a one-level
+        # feature
+        assert paths["redraw"] > 0 and paths["relax"] > 0 and one_level > 0
+
+
+def test_split_coin_draws_equal_one_draw():
+    # scan draws a restart's coins in one call and tops up by the
+    # shortfall; that equals per-feature calls only while split bounded
+    # draws consume the generator exactly as one draw of their total size
+    rng = np.random.default_rng(77)
+    for seed in range(200):
+        sizes = rng.integers(1, 6, size=int(rng.integers(1, 12))).tolist()
+        split, whole = np.random.default_rng(seed), np.random.default_rng(seed)
+        parts = np.concatenate([split.integers(0, 2, size=s) for s in sizes])
+        same = (np.array_equal(parts, whole.integers(0, 2, size=sum(sizes)))
+                and np.array_equal(split.permutation(len(sizes)),
+                                   whole.permutation(len(sizes))))
+        assert same, (f"numpy {np.__version__}: integers(0, 2) split as {sizes} "
+                      f"differs from one call at seed {seed}")
