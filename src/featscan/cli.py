@@ -559,8 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--spec", required=True, help="SynthSpec JSON")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--out", required=True,
+                   help="output directory for data.csv, schema.json and ground_truth.json")
+    p.add_argument("--seed", type=int, help="RNG seed; overrides the spec's seed")
     return parser
 
 

@@ -5,8 +5,9 @@ come from exhaustive enumeration, the coordinate ascent from row masks
 and per-prefix scores, per-value counts from a row filter,
 the score maximizer from a refined grid, the CSV reference reader from
 a cell-by-cell loop, the tree grower from a per-node filter of the
-global sort order and the design-matrix encoders from per-level string
-comparisons, so they can certify the fast implementations.
+global sort order, the design-matrix encoders from per-level string
+comparisons and OLS p-values from the normal equations solved in 40-digit
+arithmetic, so they can certify the fast implementations.
 """
 
 import collections
@@ -14,6 +15,7 @@ import csv
 import dataclasses
 import itertools
 
+import mpmath
 import numpy as np
 
 from featscan.embedded import _TARGET_STAT_PRIOR_WEIGHT, GbmConfig, Preset, _Tree
@@ -522,3 +524,35 @@ def reference_encode_design(dataset: Dataset, preset: Preset, train_idx=None):
             sources.append(name)
     XT = np.stack(cols) if cols else np.empty((0, dataset.n_rows))
     return XT.T, sources
+
+
+def reference_ols_p_values(X: np.ndarray, y, dps: int = 40) -> list[float]:
+    """Two-sided t p-values of X's columns in a least-squares fit of y on
+    X plus an intercept, from the normal equations in ``dps``-digit
+    arithmetic. X must have full column rank with the intercept.
+    """
+    with mpmath.workdps(dps):
+        rows = [[mpmath.mpf(1)] + [mpmath.mpf(float(v)) for v in row] for row in X]
+        ys = [mpmath.mpf(float(v)) for v in y]
+        n, p = len(rows), X.shape[1] + 1
+        gram = mpmath.matrix(p, p)
+        xty = mpmath.matrix(p, 1)
+        for i in range(p):
+            xty[i] = mpmath.fsum(row[i] * yi for row, yi in zip(rows, ys))
+            for j in range(p):
+                gram[i, j] = mpmath.fsum(row[i] * row[j] for row in rows)
+        inverse = gram ** -1
+        beta = inverse * xty
+        rss = mpmath.fsum(
+            (yi - mpmath.fsum(row[i] * beta[i] for i in range(p))) ** 2
+            for row, yi in zip(rows, ys)
+        )
+        dof = n - p
+        sigma2 = rss / dof
+        out = []
+        for j in range(1, p):
+            t = beta[j] / mpmath.sqrt(sigma2 * inverse[j, j])
+            x = dof / (dof + t ** 2)
+            out.append(float(mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf(1) / 2,
+                                            0, x, regularized=True)))
+        return out

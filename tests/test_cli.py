@@ -636,10 +636,10 @@ def test_each_command_accepts_exactly_its_flags():
     assert len(set().union(*SURFACE.values())) == 23
 
 
-def test_every_data_command_flag_has_help():
+def test_every_command_flag_has_help():
     commands = next(a for a in build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    for command in ("select", "scan", "sweep"):
+    for command in ("select", "scan", "sweep", "synth"):
         for action in commands[command]._actions:
             assert action.help and action.help.strip(), (command, action.option_strings)
 

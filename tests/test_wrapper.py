@@ -9,6 +9,7 @@ import pytest
 from featscan.errors import InsufficientRowsError, KTooLargeError
 from featscan.tabular import Dataset, FeatureKind, Schema, one_hot
 from featscan.wrapper import backward_eliminate, ols_fit
+from oracles import reference_ols_p_values, reference_one_hot
 
 mpmath.mp.dps = 40
 
@@ -47,6 +48,18 @@ class TestOlsFit:
         fit = ols_fit(X, y)
         assert fit.regularized
 
+    def test_rank_tolerance_scales_with_rows(self):
+        # a column within 3e-14 of another: its singular value ratio lies
+        # between (m + 1) eps and n eps, so only the row count flags it
+        rng = np.random.default_rng(59)
+        n = 300
+        x = rng.normal(size=n)
+        X = np.column_stack([x, x + 3e-14 * rng.normal(size=n)])
+        s = np.linalg.svd(np.column_stack([np.ones(n), X]), compute_uv=False)
+        eps = np.finfo(np.float64).eps
+        assert 10 * 3 * eps < s[-1] / s[0] < n * eps / 2
+        assert ols_fit(X, rng.normal(size=n)).regularized
+
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(7)
         X = rng.normal(size=(200, 4))
@@ -83,6 +96,58 @@ class TestOlsFit:
     def test_insufficient_rows(self):
         with pytest.raises(InsufficientRowsError):
             ols_fit(np.ones((3, 2)), np.ones(3))
+
+    @pytest.mark.parametrize("name, value", [
+        ("y", np.nan), ("y", np.inf), ("X", np.nan), ("X", np.inf), ("X", -np.inf),
+    ])
+    def test_non_finite_input_rejected(self, name, value):
+        # a NaN standard error would otherwise read as t = inf, p = 0
+        rng = np.random.default_rng(41)
+        data = {"X": rng.normal(size=(30, 2)), "y": rng.normal(size=30)}
+        data[name].flat[4] = value
+        with pytest.raises(ValueError, match=f"^{name} holds"):
+            ols_fit(data["X"], data["y"])
+
+    def test_intercept_only_design(self):
+        rng = np.random.default_rng(43)
+        y = rng.normal(size=25)
+        fit = ols_fit(np.empty((25, 0)), y)
+        assert fit.intercept == pytest.approx(y.mean(), rel=1e-12)
+        assert fit.p_values.shape == (0,)
+        assert fit.coefficients.shape == (0,)
+        assert fit.residual_dof == 24
+        assert fit.r_squared == pytest.approx(0.0, abs=1e-12)
+        assert not fit.regularized
+
+    def test_pvalues_match_normal_equations_oracle(self):
+        d = oracle_table()
+        X, _, _ = reference_one_hot(d, ORACLE_FEATURES)
+        y = d.outcome.astype(float)
+        fit = ols_fit(X, y)
+        assert not fit.regularized
+        want = reference_ols_p_values(X, y)
+        assert len(want) == X.shape[1] == 6
+        for got, p in zip(fit.p_values, want):
+            assert got == pytest.approx(p, rel=1e-9)
+
+
+ORACLE_FEATURES = ["c1", "grp", "c2", "bin", "c3"]
+
+
+def oracle_table():
+    """200 rows: one nominal, one binary and three continuous features."""
+    rng = np.random.default_rng(53)
+    n = 200
+    g = rng.integers(0, 3, size=n)
+    b = rng.integers(0, 2, size=n)
+    c = rng.normal(size=(3, n))
+    y = (rng.random(n) < sigmoid(0.8 * c[0] - 0.7 * (g == 2) + 0.3 * b)).astype(int)
+    C = FeatureKind.CONTINUOUS
+    return feature_dataset(
+        {"c1": c[0], "grp": g, "c2": c[1], "bin": b, "c3": c[2]}, y,
+        kinds={"c1": C, "grp": FeatureKind.NOMINAL, "c2": C,
+               "bin": FeatureKind.BINARY, "c3": C},
+    )
 
 
 def feature_dataset(columns, outcome, kinds=None):
@@ -165,7 +230,9 @@ class TestBackwardEliminate:
 
     def test_rounds_match_fresh_encoding(self):
         # every round fits the survivors' own one-hot design: each step's
-        # drop and p-value equal those of a fit on a fresh encoding
+        # drop equals that of a fit on a fresh encoding, and its p-value
+        # agrees with that fit to rounding (the round's R factor is the
+        # previous one less the dropped columns, re-triangularized)
         rng = np.random.default_rng(37)
         n = 400
         g = rng.integers(0, 4, size=n)
@@ -188,10 +255,74 @@ class TestBackwardEliminate:
             full = {f: sig.get(f, math.inf) for f in survivors}
             assert step.dropped == max(survivors, key=lambda f: (full[f], f))
             p = full[step.dropped]
-            assert step.p_value == (None if math.isinf(p) else p)
+            if math.isinf(p):
+                assert step.p_value is None
+            else:
+                assert step.p_value == pytest.approx(p, rel=1e-9)
             survivors.remove(step.dropped)
             assert list(step.surviving) == survivors
         assert trace.steps[0].dropped == "flat"
+
+    def test_rounds_match_normal_equations_oracle(self):
+        d = oracle_table()
+        y = d.outcome.astype(float)
+        trace = backward_eliminate(d, ORACLE_FEATURES, k=1)
+        assert len(trace.steps) == 4
+        survivors = list(ORACLE_FEATURES)
+        for step in trace.steps:
+            X, _, sources = reference_one_hot(d, survivors)
+            sig: dict[str, float] = {}
+            for p, src in zip(reference_ols_p_values(X, y), sources):
+                sig[src] = min(p, sig.get(src, math.inf))
+            assert step.dropped == max(survivors, key=lambda f: (sig[f], f))
+            assert step.p_value == pytest.approx(sig[step.dropped], rel=1e-9)
+            survivors.remove(step.dropped)
+            assert list(step.surviving) == survivors
+
+    def test_rank_deficiency_through_downdate(self):
+        # x_copy duplicates x and grp_is_2 is grp's "2" indicator, so the
+        # design stays rank-deficient until one of each pair has gone
+        C, B = FeatureKind.CONTINUOUS, FeatureKind.BINARY
+        candidates = ["x", "grp", "u", "x_copy", "v", "grp_is_2"]
+        pairs = ({"x", "x_copy"}, {"grp", "grp_is_2"})
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            n = 300
+            x = rng.normal(size=n)
+            g = rng.integers(0, 3, size=n)
+            columns = {"x": x, "x_copy": x.copy(), "u": rng.normal(size=n),
+                       "v": rng.normal(size=n), "grp": g,
+                       "grp_is_2": (g == 2).astype(int)}
+            kinds = {"x": C, "x_copy": C, "u": C, "v": C,
+                     "grp": FeatureKind.NOMINAL, "grp_is_2": B}
+            y = (rng.random(n) < sigmoid(1.5 * x + 0.8 * (g == 1))).astype(int)
+            d = feature_dataset(columns, y, kinds=kinds)
+            trace = backward_eliminate(d, candidates, k=1)
+            survivors = list(candidates)
+            for step in trace.steps:
+                X, names, sources = one_hot(d, survivors)
+                fit = ols_fit(X, y.astype(float), names, sources)
+                assert fit.regularized == any(q <= set(survivors) for q in pairs)
+                sig = fit.min_p_by_feature()
+                want = max(survivors, key=lambda f: (sig[f], f))
+                if step.dropped != want:
+                    # exact copies tie: rounding in any fit, a fresh one
+                    # included, decides which of the two goes
+                    assert {step.dropped, want} == {"x", "x_copy"}, seed
+                assert step.p_value == pytest.approx(sig[step.dropped], rel=1e-9)
+                survivors.remove(step.dropped)
+            assert trace.final == survivors
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, value):
+        # Dataset admits only a 0/1 outcome, so the design is what can hold one
+        rng = np.random.default_rng(47)
+        u = rng.normal(size=40)
+        u[7] = value
+        d = feature_dataset({"u": u, "v": rng.normal(size=40)},
+                            rng.integers(0, 2, size=40))
+        with pytest.raises(ValueError, match="^X holds"):
+            backward_eliminate(d, ["u", "v"], k=1)
 
     def test_json_round_trip(self):
         import json
