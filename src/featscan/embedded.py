@@ -12,13 +12,23 @@ column blocks: the training matrix is sorted once per column, each tree
 node keeps its rows in that order for every column, and a split divides
 the node's block into its children, so a tree level reads each row once
 per column instead of filtering the whole sort order at every node.
-Two-valued columns (every one-hot indicator, every binary feature) have
-a single candidate cut and skip the sorted blocks: a node gets their
-left sums for all of them at once from a 0/1 mask, added row by row in
-the order a sorted block would add them. Trees, gains and held-out
-metrics are bit-identical to a per-node filter of the sort order, which
-``tests/oracles.py`` keeps as the reference. Quantile histograms would
-cut the work further, but they move the thresholds.
+Each column is one of three kinds, and each kind has one exact search:
+
+- *tie-free* columns (every continuous feature without a repeated value)
+  cut at every position of a node's block, so the search needs neither
+  the node's values nor a scan for where they change;
+- *tied* columns (target statistics, rounded data) cut only where the
+  sorted values change, found by comparing neighbours;
+- *two-valued* columns (every one-hot indicator, every binary feature)
+  have a single candidate cut and skip the sorted blocks: a node gets
+  their left sums for all of them at once from a 0/1 mask, added row by
+  row in the order a sorted block would add them.
+
+Each kind adds its sums in the sorted order and scores the gain with the
+same operations, so trees, gains and held-out metrics are bit-identical
+to a per-node filter of the sort order, which ``tests/oracles.py`` keeps
+as the reference. Quantile histograms would cut the work further, but
+they move the thresholds.
 """
 
 from __future__ import annotations
@@ -261,28 +271,48 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None):
 class _Presort(NamedTuple):
     """What the split search reads of a training matrix, built once per fit.
 
-    A two-valued column holds exactly two distinct values over the training
-    rows. Its stable sorted order in any node is the node's low-value rows
-    in row order, then its high-value rows, so it needs no sorted block.
+    Every column is one of three kinds over the training rows, and each
+    kind has its own exact search in :func:`_grow_tree`:
+
+    - *two-valued*: exactly two distinct values. Its stable sorted order in
+      any node is the node's low-value rows in row order, then its high-value
+      rows, so it needs no sorted block.
+    - *tie-free*: more than two values, all distinct. Any node's rows are
+      distinct too, so every position of its sorted block is a cut.
+    - *tied*: more than two values, some repeated. A cut is a position
+      where the sorted values change.
+
+    The sorted columns are the tie-free ones, then the tied ones, each group
+    in ascending column order.
     """
 
-    order: np.ndarray   # (n_sorted, n_train) int32 stable argsort of the rest
-    sorted_cols: np.ndarray     # their column indices, ascending
+    order: np.ndarray   # (n_sorted, n_train) int32 stable argsort per sorted column
+    sorted_cols: np.ndarray     # their column indices: tie-free, then tied
+    n_free: int                 # how many of them are tie-free
     two_cols: np.ndarray        # two-valued column indices, ascending
     low: np.ndarray     # (n_train, n_two) bool C order, True where a row is low
     mid: np.ndarray     # (n_two,) midpoint of each column's two values
 
 
 def _presort(XT: np.ndarray) -> _Presort:
-    """Find the two-valued columns of ``XT`` and argsort the others."""
+    """Sort the columns of ``XT`` into its three kinds and argsort two of them."""
     lo = XT.min(axis=1)
     hi = XT.max(axis=1)
     is_low = XT == lo[:, None]
     two = (lo < hi) & (is_low | (XT == hi[:, None])).all(axis=1)
     sorted_cols = np.flatnonzero(~two)
+    argsort = np.argsort(XT[sorted_cols], axis=1, kind="stable")
+    # one column at a time, so no second (n_sorted, n_train) array is made
+    free = np.array([bool((np.diff(XT[c].take(o)) > 0.0).all())
+                     for c, o in zip(sorted_cols, argsort)], dtype=bool)
+    group = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
+    order = np.empty(argsort.shape, dtype=np.int32)
+    for i, j in enumerate(group):
+        order[i] = argsort[j]
     return _Presort(
-        order=np.argsort(XT[sorted_cols], axis=1, kind="stable").astype(np.int32),
-        sorted_cols=sorted_cols,
+        order=order,
+        sorted_cols=sorted_cols[group],
+        n_free=int(free.sum()),
         two_cols=np.flatnonzero(two),
         low=np.ascontiguousarray(is_low[two].T),
         mid=0.5 * (lo[two] + hi[two]),
@@ -302,15 +332,28 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
     ``XT`` is the training matrix stored column by column, ``(n_cols,
     n_train)``, and ``presort`` its per-fit split index from
     :func:`_presort`. ``rows`` are the ascending row indices this tree
-    trains on. The search is exact and bit-identical to a per-node filter
-    of the global stable argsort (``tests/oracles.py``), in two parts:
+    trains on, and ``h`` must be >= 0, as the logistic hessian p(1 - p) is.
+    The search is exact and bit-identical to a per-node filter of the
+    global stable argsort (``tests/oracles.py``), one search per column
+    kind:
 
     - Every column with more than two values keeps, per node, a block of
       row indices in its sorted order, which one mask of the rows going
       left splits into the children, so a level touches each row once per
-      column. A node scores and splits ``max(1, n_train // n_node)`` such
-      columns per set of numpy calls. The block is exactly the filtered
+      column. A node scores ``max(1, n_train // n_node)`` such columns of
+      one kind per set of numpy calls. The block is exactly the filtered
       global order and the cumulative sums run in that order.
+    - *Tied* columns cut where the block's values change: a node reads its
+      values, finds the edges and keeps the cuts whose hessian sums both
+      reach ``min_child_weight``.
+    - *Tie-free* columns cut at every block position but the last, so a
+      node scores the ``cumsum`` rows in place and reads two values, for
+      the winning cut only. As h >= 0, HL never falls along a block row
+      and HR = H - HL never rises, so the valid cuts are one run, found by
+      binary search; the cuts outside it get infinite hessian sums before
+      any division, which makes their gain -G^2/(H+reg)/2 <= 0 and raises
+      no floating-point warning. A NaN gain is what ``argmax`` returns
+      first, so only then are the columns holding one set aside.
     - A two-valued column has one candidate, the midpoint, whose left sums
       are the sequential sums of g and h over the node's low rows in row
       order, exactly what ``cumsum`` yields in the sorted order. A node
@@ -323,13 +366,16 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
       about one training column, and each chunk's sums enter the next as
       its first row.
 
-    Each part's first maximum beats the other's on a larger gain, or on an
-    equal gain at a lower column index, and a NaN gain never wins, so
-    trees, gains and leaf values match the per-node filter. Children of the
-    last searched level are leaves and get no blocks.
+    Every search scores its columns in ascending order with the gain
+    formula's own operations, so its first maximum is the per-node
+    filter's among those columns. Each search's first maximum beats the
+    others' on a larger gain, or on an equal gain at a lower column index,
+    and a NaN gain never wins, so trees, gains and leaf values match the
+    per-node filter. Children of the last searched level are leaves and
+    get no blocks.
     """
     n = XT.shape[1]
-    order, sorted_cols, two_cols, low, mid = presort
+    order, sorted_cols, n_free, two_cols, low, mid = presort
     n_sorted, n_two = len(sorted_cols), len(two_cols)
     base = (sorted_cols * n)[:, None]   # flat offset of each sorted column
     lam = cfg.l2_reg
@@ -340,13 +386,54 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
     sum_rows = max(1, min(_SUM_ROWS or n, n // max(n_two, 1)))
     buffer = np.empty((2, sum_rows + 1, n_two))
 
-    def best_sorted(block: np.ndarray, G: float, H: float, score: float):
+    def best_tie_free(block: np.ndarray, G: float, H: float, score: float):
         best = (0.0, -1, 0.0)   # gain, column, threshold
         m = block.shape[1]
         if m < 2:
             return best
         step = max(1, n // m)
-        for c0 in range(0, n_sorted, step):
+        for c0 in range(0, n_free, step):
+            idx = block[c0:min(c0 + step, n_free)]
+            # cut i parts a block row after position i, i < m - 1
+            HL = np.cumsum(h.take(idx), axis=1)
+            NHR = np.subtract(HL, H)    # -HR, non-decreasing as HL is
+            # h >= 0, so HL only rises along a row and HR only falls: the
+            # valid cuts are the run [lo, hi). Outside it HL = inf and
+            # HR = -inf give the gain -score / 2, which never wins.
+            for hl, nhr in zip(HL, NHR):
+                lo = hl.searchsorted(mcw)
+                hi = nhr.searchsorted(-mcw, "right")
+                hl[:lo] = nhr[:lo] = np.inf
+                hl[hi:] = nhr[hi:] = np.inf
+            HL[:, -1] = NHR[:, -1] = np.inf
+            GL = np.cumsum(g.take(idx), axis=1)
+            # 0.5 * (GL**2/(HL+lam) + GR**2/(HR+lam) - score), in place
+            GR = np.subtract(G, GL)
+            np.multiply(GR, GR, out=GR)
+            np.multiply(GL, GL, out=GL)
+            np.divide(GL, np.add(HL, lam, out=HL), out=GL)
+            np.divide(GR, np.subtract(lam, NHR, out=NHR), out=GR)
+            gains = np.add(GL, GR, out=GL)
+            np.subtract(gains, score, out=gains)
+            np.multiply(gains, 0.5, out=gains)
+            b = int(gains.argmax())
+            if math.isnan(gains.flat[b]):   # a NaN gain never wins
+                gains[np.isnan(gains).any(axis=1)] = -np.inf
+                b = int(gains.argmax())
+            if gains.flat[b] > best[0]:
+                c, i = divmod(b, m)
+                col = int(sorted_cols[c0 + c])
+                thr = 0.5 * (XT[col, idx[c, i]] + XT[col, idx[c, i + 1]])
+                best = (float(gains.flat[b]), col, float(thr))
+        return best
+
+    def best_tied(block: np.ndarray, G: float, H: float, score: float):
+        best = (0.0, -1, 0.0)   # gain, column, threshold
+        m = block.shape[1]
+        if m < 2:
+            return best
+        step = max(1, n // m)
+        for c0 in range(n_free, n_sorted, step):
             idx = block[c0:c0 + step]
             # each column's node values in sorted order, read from flat XT
             xv = XT.take(idx + base[c0:c0 + step])
@@ -443,7 +530,8 @@ def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
             if depth < cfg.max_depth:
                 score = G * G / (H + lam)   # the node's own term
                 # the larger gain wins, an equal one at the lower column
-                gain, col, thr = min(best_sorted(block, G, H, score),
+                gain, col, thr = min(best_tie_free(block, G, H, score),
+                                     best_tied(block, G, H, score),
                                      best_two_valued(rows, G, H, score),
                                      key=lambda b: (-b[0], b[1]))
             if col < 0 or gain <= 0.0:

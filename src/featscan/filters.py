@@ -53,18 +53,6 @@ def feature_outcome_corr(x, outcome) -> float:
     return pearson(x, np.asarray(outcome, dtype=np.float64))
 
 
-def _r_squared(target: np.ndarray, others: np.ndarray) -> float:
-    """Centered R-squared of OLS regression of target on others plus intercept."""
-    n = len(target)
-    design = np.column_stack([np.ones(n), others])
-    beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-    resid = target - design @ beta
-    tss = float(((target - target.mean()) ** 2).sum())
-    if tss == 0.0:
-        raise ConstantInputError("zero variance target")
-    return 1.0 - float(resid @ resid) / tss
-
-
 def vif(dataset: Dataset, feature: str) -> float:
     """Variance inflation factor of one continuous feature against the rest.
 
@@ -74,21 +62,41 @@ def vif(dataset: Dataset, feature: str) -> float:
     continuous = dataset.schema.features_of_kind(FeatureKind.CONTINUOUS)
     if feature not in continuous:
         raise ValueError(f"{feature!r} is not a continuous feature")
-    others = [f for f in continuous if f != feature]
-    return _vif_of(dataset, feature, others)
+    R = _vif_factor(dataset, continuous)
+    return _vif_from_factor(R, continuous.index(feature),
+                            dataset.column(feature))
 
 
-def _vif_of(dataset: Dataset, feature: str, others: list[str]) -> float:
-    if not others:
+def _vif_factor(dataset: Dataset, features: list[str]) -> np.ndarray:
+    """The R factor of ``[1, X]`` over ``features``, which every VIF among
+    them reads: with ``[1, X] = QR``, regressing one column of ``[1, X]`` on
+    the others has the same coefficients and residual norm as regressing
+    the same column of R on the others, a (p+1)-row problem."""
+    if len(features) < 2:
         raise ValueError("VIF needs at least two continuous features")
-    if dataset.n_rows <= len(others) + 1:
+    n = dataset.n_rows
+    if n <= len(features):
         raise InsufficientRowsError(
-            f"{dataset.n_rows} rows is too few for VIF over "
-            f"{len(others) + 1} continuous features"
+            f"{n} rows is too few for VIF over "
+            f"{len(features)} continuous features"
         )
-    target = dataset.column(feature)
-    design = np.column_stack([dataset.column(f) for f in others])
-    r2 = _r_squared(target, design)
+    design = np.column_stack([np.ones(n)] + [dataset.column(f) for f in features])
+    return np.linalg.qr(design, mode="r")
+
+
+def _vif_from_factor(R: np.ndarray, j: int, target: np.ndarray) -> float:
+    """VIF of the ``j``-th feature of :func:`_vif_factor`'s ``R``, whose
+    column is ``target``; ``inf`` once R^2 >= 1 - 1e-12."""
+    tss = float(((target - target.mean()) ** 2).sum())
+    if tss == 0.0:
+        raise ConstantInputError("zero variance target")
+    own = R[:, j + 1]
+    others = np.delete(R, j + 1, axis=1)
+    # the cutoff lstsq applies to the n-row design, so rank is decided alike
+    rcond = np.finfo(np.float64).eps * len(target)
+    beta = np.linalg.lstsq(others, own, rcond=rcond)[0]
+    resid = own - others @ beta
+    r2 = 1.0 - float(resid @ resid) / tss
     if r2 >= 1.0 - 1e-12:
         return math.inf
     return 1.0 / (1.0 - r2)
@@ -317,10 +325,11 @@ def filter_select(dataset: Dataset, thresholds: FilterThresholds) -> FilterDiagn
     survivors = [f for f in continuous if f not in dropped]
     last_vif: dict[str, float] = {}
     while len(survivors) >= 2:
+        R = _vif_factor(dataset, survivors)    # one factor per round
         vifs = {}
-        for f in survivors:
+        for j, f in enumerate(survivors):
             try:
-                vifs[f] = _vif_of(dataset, f, [g for g in survivors if g != f])
+                vifs[f] = _vif_from_factor(R, j, dataset.column(f))
             except ConstantInputError:
                 diag.notes.append(f"VIF undefined for constant feature {f}")
         last_vif.update(vifs)

@@ -176,7 +176,10 @@ def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> Elimi
     columns: the round's fit comes from the previous round's R factor with
     those columns deleted. A feature's significance is the minimum p-value
     across its columns, and the feature with the largest such p-value is
-    dropped. Ties keep the alphabetically first feature. Features
+    dropped. Features whose computed p-values are equal to the bit keep
+    the alphabetically first of them. Features that tie only in exact
+    arithmetic, such as a column and its exact copy, need not compute to
+    equal p-values; rounding then decides which of them goes. Features
     contributing no design columns (constant categoricals) are dropped
     before anything else. A NaN or infinity in the design raises
     ``ValueError`` before the first round.

@@ -6,8 +6,8 @@ and per-prefix scores, per-value counts from a row filter,
 the score maximizer from a refined grid, the CSV reference reader from
 a cell-by-cell loop, the tree grower from a per-node filter of the
 global sort order, the design-matrix encoders from per-level string
-comparisons and OLS p-values from the normal equations solved in 40-digit
-arithmetic, so they can certify the fast implementations.
+comparisons and OLS p-values and VIFs from the normal equations solved in
+40-digit arithmetic, so they can certify the fast implementations.
 """
 
 import collections
@@ -526,33 +526,55 @@ def reference_encode_design(dataset: Dataset, preset: Preset, train_idx=None):
     return XT.T, sources
 
 
+def _mp_least_squares(X: np.ndarray, y):
+    """Intercept plus X against y from the normal equations at the working
+    precision: the inverse Gram matrix, the coefficients and the RSS."""
+    rows = [[mpmath.mpf(1)] + [mpmath.mpf(float(v)) for v in row] for row in X]
+    ys = [mpmath.mpf(float(v)) for v in y]
+    p = X.shape[1] + 1
+    gram = mpmath.matrix(p, p)
+    xty = mpmath.matrix(p, 1)
+    for i in range(p):
+        xty[i] = mpmath.fsum(row[i] * yi for row, yi in zip(rows, ys))
+        for j in range(p):
+            gram[i, j] = mpmath.fsum(row[i] * row[j] for row in rows)
+    inverse = gram ** -1
+    beta = inverse * xty
+    rss = mpmath.fsum(
+        (yi - mpmath.fsum(row[i] * beta[i] for i in range(p))) ** 2
+        for row, yi in zip(rows, ys)
+    )
+    return inverse, beta, rss
+
+
 def reference_ols_p_values(X: np.ndarray, y, dps: int = 40) -> list[float]:
     """Two-sided t p-values of X's columns in a least-squares fit of y on
     X plus an intercept, from the normal equations in ``dps``-digit
     arithmetic. X must have full column rank with the intercept.
     """
     with mpmath.workdps(dps):
-        rows = [[mpmath.mpf(1)] + [mpmath.mpf(float(v)) for v in row] for row in X]
-        ys = [mpmath.mpf(float(v)) for v in y]
-        n, p = len(rows), X.shape[1] + 1
-        gram = mpmath.matrix(p, p)
-        xty = mpmath.matrix(p, 1)
-        for i in range(p):
-            xty[i] = mpmath.fsum(row[i] * yi for row, yi in zip(rows, ys))
-            for j in range(p):
-                gram[i, j] = mpmath.fsum(row[i] * row[j] for row in rows)
-        inverse = gram ** -1
-        beta = inverse * xty
-        rss = mpmath.fsum(
-            (yi - mpmath.fsum(row[i] * beta[i] for i in range(p))) ** 2
-            for row, yi in zip(rows, ys)
-        )
-        dof = n - p
+        inverse, beta, rss = _mp_least_squares(X, y)
+        dof = len(X) - X.shape[1] - 1
         sigma2 = rss / dof
         out = []
-        for j in range(1, p):
+        for j in range(1, X.shape[1] + 1):
             t = beta[j] / mpmath.sqrt(sigma2 * inverse[j, j])
             x = dof / (dof + t ** 2)
             out.append(float(mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf(1) / 2,
                                             0, x, regularized=True)))
         return out
+
+
+def reference_vif(target: np.ndarray, others: np.ndarray, dps: int = 40) -> float:
+    """Variance inflation factor 1 / (1 - R^2) of ``target`` regressed on the
+    columns of ``others`` plus an intercept, from the normal equations in
+    ``dps``-digit arithmetic. Constant columns lie in the intercept's span,
+    so they are left out; the rest must have full column rank with it.
+    """
+    others = others[:, others.min(axis=0) < others.max(axis=0)]
+    with mpmath.workdps(dps):
+        rss = _mp_least_squares(others, target)[2]
+        ys = [mpmath.mpf(float(v)) for v in target]
+        mean = mpmath.fsum(ys) / len(ys)
+        tss = mpmath.fsum((v - mean) ** 2 for v in ys)
+        return float(tss / rss)

@@ -5,7 +5,12 @@
 their order) plus the kept features, on generated tables that trigger
 |rho| drops, VIF drops, Cramer's V drops, constant columns and degenerate
 pairs, each at the default and at tight thresholds. Diagnostics compare
-as ``dumps_canonical`` text, so every float is exact to the bit.
+as ``dumps_canonical`` text, so every float is exact to the bit, except
+the VIF values: each round reads every VIF from one QR factor of the
+round's design, whose rounding differs from a fresh n-row regression per
+feature, so a VIF must match its golden value and a 40-digit
+normal-equations oracle to 1e-9 relative. Their features and order, and
+every drop with its reason string, stay exact.
 Regenerate the file only for a deliberate, documented change of results:
 
     PYTHONPATH=src python tests/test_filter_golden.py > tests/data/filter_golden.json
@@ -21,6 +26,7 @@ import pytest
 from featscan.filters import FilterThresholds, filter_select
 from featscan.reportio import dumps_canonical
 from featscan.tabular import Dataset, FeatureKind, Schema
+from oracles import reference_vif
 
 GOLDEN = Path(__file__).parent / "data" / "filter_golden.json"
 
@@ -144,12 +150,37 @@ def golden():
         return json.load(fh)
 
 
+def _split_vifs(diagnostics):
+    rest = dict(diagnostics)
+    vifs = rest.pop("vif_values")
+    return [v["feature"] for v in vifs], [v["vif"] for v in vifs], rest
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_filter_stage_matches_golden(golden, case):
     got = _record(case)
     want = golden[case]
     assert got["kept"] == want["kept"]
-    assert dumps_canonical(got["diagnostics"]) == dumps_canonical(want["diagnostics"])
+    got_names, got_vifs, got_rest = _split_vifs(got["diagnostics"])
+    want_names, want_vifs, want_rest = _split_vifs(want["diagnostics"])
+    assert dumps_canonical(got_rest) == dumps_canonical(want_rest)
+    assert got_names == want_names
+    assert got_vifs == pytest.approx(want_vifs, rel=1e-9)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_vifs_match_oracle(case):
+    # a feature's last VIF is from the last round it survived: the kept
+    # continuous features plus those the VIF loop dropped from then on
+    table, level = case.split("-")
+    dataset = TABLES[table]()
+    diag = filter_select(dataset, THRESHOLDS[level])
+    vif_drops = [f for f, reason in diag.dropped if reason.startswith("VIF=")]
+    for f, got in diag.vif_values:
+        later = vif_drops[vif_drops.index(f):] if f in vif_drops else []
+        others = [g for g in diag.kept_continuous + later if g != f]
+        X = np.column_stack([dataset.column(g) for g in others])
+        assert got == pytest.approx(reference_vif(dataset.column(f), X), rel=1e-9)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from featscan.errors import ConstantInputError, DegenerateTableError
+from featscan.errors import (
+    ConstantInputError,
+    DegenerateTableError,
+    InsufficientRowsError,
+)
 from featscan.filters import (
     FilterThresholds,
     chi_square,
@@ -116,6 +120,43 @@ class TestVif:
         got = vif(d, "f3")
         assert got == pytest.approx(want, rel=1e-6)
         assert got > 10.0
+
+
+    def test_errors(self):
+        rng = np.random.default_rng(47)
+        x = rng.normal(size=6)
+        d = continuous_dataset({"a": x, "flat": np.full(6, 2.0), "b": x ** 2},
+                               np.r_[1, np.zeros(5)])
+        with pytest.raises(ConstantInputError):
+            vif(d, "flat")
+        assert math.isfinite(vif(d, "a"))   # a constant predictor is harmless
+        few = continuous_dataset({"a": x[:3], "flat": np.full(3, 2.0),
+                                  "b": x[:3] ** 2}, np.r_[1, 0, 0])
+        with pytest.raises(InsufficientRowsError):
+            vif(few, "a")
+        with pytest.raises(ValueError):
+            vif(continuous_dataset({"a": x}, np.r_[1, np.zeros(5)]), "a")
+
+    def test_rank_cutoff_scales_with_rows(self):
+        # ``c`` is ``b`` plus 1e-13 of a direction ``f`` follows, so the
+        # singular-value ratio of [1, b, c] lies between 3 eps and n eps.
+        # An n-row lstsq drops that direction and reads a VIF near 1; the
+        # small factor must cut at n eps too, not at its own 3 eps.
+        rng = np.random.default_rng(43)
+        n = 2000
+        b, e = rng.normal(size=(2, n))
+        e -= (e @ b) / (b @ b) * b
+        f = e + 0.1 * rng.normal(size=n)
+        c = b + 1e-13 * e
+        d = continuous_dataset({"b": b, "c": c, "f": f}, np.r_[1, np.zeros(n - 1)])
+        design = np.column_stack([np.ones(n), b, c])
+        s = np.linalg.svd(design, compute_uv=False)
+        assert 3 * np.finfo(float).eps < s[-1] / s[0] < n * np.finfo(float).eps
+        beta = np.linalg.lstsq(design, f, rcond=None)[0]
+        resid = f - design @ beta
+        want = ((f - f.mean()) ** 2).sum() / (resid @ resid)
+        assert want < 1.1
+        assert vif(d, "f") == pytest.approx(want, rel=1e-9)
 
 
 class TestChiSquare:

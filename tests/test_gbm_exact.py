@@ -233,10 +233,50 @@ def test_presort_finds_two_valued_columns():
     assert presort.mid.tolist() == [0.5, 0.5]
 
 
+def test_presort_groups_tie_free_columns_first():
+    # a column with one repeated value is tied; the sorted block rows hold
+    # the tie-free columns, then the tied ones, each in column order
+    XT = np.array([[5.0, 1.0, 3.0, 1.0],    # tied
+                   [0.5, 0.2, 0.9, 0.1],    # tie-free
+                   [1.0, 0.0, 0.0, 0.0],    # two-valued
+                   [2.0, 2.0, 2.0, 2.0],    # constant: tied
+                   [4.0, 3.0, 2.0, 1.0]])   # tie-free
+    presort = _presort(XT)
+    assert presort.sorted_cols.tolist() == [1, 4, 0, 3]
+    assert presort.n_free == 2
+    assert presort.two_cols.tolist() == [2]
+    assert presort.order.dtype == np.int32
+    assert presort.order.tolist() == [[3, 1, 0, 2], [3, 2, 1, 0],
+                                      [1, 3, 2, 0], [0, 1, 2, 3]]
+
+
+@pytest.mark.parametrize("preset", [Preset.A, Preset.B])
+def test_presort_column_kinds_of_an_encoded_design(preset):
+    # continuous draws are tie-free unless a value repeats; target
+    # statistics repeat per level; indicators and binaries are two-valued
+    dataset = _synth(1_000, 4, (2, 3, 4), 41)
+    X, sources = encode_design(dataset, preset)
+    X[7, sources.index("num02")] = X[8, sources.index("num02")]
+    presort = _presort(np.ascontiguousarray(X.T))
+    kind = {}
+    for i, c in enumerate(presort.sorted_cols):
+        kind.setdefault(sources[c], set()).add(
+            "tie-free" if i < presort.n_free else "tied")
+    for c in presort.two_cols:
+        kind.setdefault(sources[c], set()).add("two-valued")
+    nominal = "tied" if preset is Preset.B else "two-valued"
+    assert kind == {"num01": {"tie-free"}, "num02": {"tied"},
+                    "num03": {"tie-free"}, "num04": {"tie-free"},
+                    "cat01": {"two-valued"}, "cat02": {nominal},
+                    "cat03": {nominal}}
+
+
 def _grow_both(X, g, h, rows, cfg):
     order = np.argsort(X, axis=0, kind="stable")
     want_gain = np.zeros(X.shape[1])
-    want, want_total = reference_grow_tree(X, g, h, rows, order, cfg, want_gain)
+    with np.errstate(divide="ignore", invalid="ignore"):  # it scores every cut
+        want, want_total = reference_grow_tree(X, g, h, rows, order, cfg,
+                                               want_gain)
     XT = np.ascontiguousarray(X.T)
     got_gain = np.zeros(X.shape[1])
     got, got_total = _grow_tree(XT, g, h, rows, _presort(XT), cfg, got_gain)
@@ -332,6 +372,121 @@ def test_grow_tree_two_valued_ties_and_nan(seed):
             for X in (np.column_stack([nan_col, a, b, a, x]),
                       np.column_stack([b, a, a, nan_col, x])):
                 _grow_both(X, g, h, rows, cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(3))
+def test_grow_tree_tie_free_and_tied_equal_gains(seed):
+    # ``ramp`` is tie-free and ``steps`` is the same ramp with its first two
+    # values tied; both sort every node in row order, so each of their
+    # shared cuts has the same sums and gain, and the lower column wins
+    rng = np.random.default_rng(700 + seed)
+    n = 300
+    ramp = np.arange(n, dtype=float)
+    steps = ramp.copy()
+    steps[1] = steps[0]
+    p = rng.uniform(0.3, 0.7, size=n)
+    y = (rng.random(n) < np.where(ramp > 0.6 * n, 0.9, 0.1)).astype(float)
+    g, h = p - y, p * (1.0 - p)
+    rows = np.sort(rng.choice(n, size=240, replace=False)) if seed else np.arange(n)
+    x = np.round(rng.normal(size=n), 1)
+    for depth in (1, 4):
+        cfg = GbmConfig.preset_a(max_depth=depth)
+        for X, first in ((np.column_stack([ramp, steps, x]), 0),
+                         (np.column_stack([steps, ramp, x]), 0),
+                         (np.column_stack([x, steps, ramp]), 1)):
+            tree = _grow_both(X, g, h, rows, cfg)
+            assert tree.feature[0] == first
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("mcw, cuts", [(5.0, 1), (5.25, 0), (4.75, 3)])
+def test_grow_tree_tie_free_run_of_valid_cuts(mcw, cuts):
+    # a hessian of 0.25 per row sums exactly: over 40 rows H = 10, so
+    # HL >= mcw and HR >= mcw leave a run of ``cuts`` cuts; rows with zero
+    # gradient and hessian at both ends make cuts outside the run divide
+    # 0/0 under l2_reg=0 if they were scored
+    rng = np.random.default_rng(9)
+    n = 44
+    X = np.column_stack([np.arange(n, dtype=float), rng.permutation(n) + 0.5,
+                         np.round(rng.normal(size=n), 1)])
+    h = np.full(n, 0.25)
+    g = rng.uniform(-0.5, 0.5, size=n)
+    g[[0, 1, -2, -1]] = h[[0, 1, -2, -1]] = 0.0
+    stump = GbmConfig.preset_a(max_depth=1, min_child_weight=mcw, l2_reg=0.0)
+    deep = GbmConfig.preset_a(max_depth=3, min_child_weight=mcw, l2_reg=0.0)
+    _grow_both(X, g, h, np.arange(n), deep)
+    tree = _grow_both(X[:, :1], g, h, np.arange(n), stump)
+    # the one column splits exactly when its run holds a cut
+    assert tree.is_leaf[0] == (cuts == 0)
+    if cuts == 1:
+        assert tree.threshold[0] == 21.5
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grow_tree_nan_gain_in_a_tie_free_column(seed):
+    # ``ramp`` holds the largest gain, but its rows with zero gradient and
+    # hessian sort first, so under l2_reg=0 its first cuts are 0/0: it must
+    # lose to the columns after it. Those rows sort first in every column,
+    # so no cut leaves a child of them alone; ``steps`` ties them with row
+    # 3, and ``noise`` puts row 3 below them.
+    rng = np.random.default_rng(800 + seed)
+    n = 60
+    ramp = np.arange(n, dtype=float)
+    p = rng.uniform(0.3, 0.7, size=n)
+    y = (rng.random(n) < np.where(ramp > n / 2, 0.95, 0.05)).astype(float)
+    g, h = p - y, p * (1.0 - p)
+    g[:3] = h[:3] = 0.0
+    steps = np.round(ramp / 7.0) + 0.1 * (ramp > n / 2)
+    noise = rng.normal(size=n)
+    noise[:4] = [-10.0, -9.0, -8.0, -20.0]
+    X = np.column_stack([ramp, steps, noise])
+    cfg = GbmConfig.preset_a(max_depth=3, min_child_weight=0.0, l2_reg=0.0)
+    with np.errstate(all="ignore"):
+        tree = _grow_both(X, g, h, np.arange(n), cfg)
+    assert tree.feature[0] != 0
+    # with the gradients and hessians of those rows restored, ramp wins
+    g[:3], h[:3] = p[:3] - y[:3], p[:3] * (1.0 - p[:3])
+    assert _grow_both(X, g, h, np.arange(n), cfg).feature[0] == 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(3))
+def test_grow_tree_two_row_nodes(seed):
+    # no hessian floor: deep nodes of two rows have a single cut
+    rng = np.random.default_rng(900 + seed)
+    n = 16
+    X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n)),
+                         rng.permutation(n).astype(float)])
+    g, h = _targets(rng, n)
+    cfg = GbmConfig.preset_a(max_depth=6, min_child_weight=0.0)
+    for rows in (np.arange(n), np.array([3, 11]), np.array([0, 5, 9])):
+        _grow_both(X, g, h, rows, cfg)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("seed", range(4))
+def test_grow_tree_interleaved_kinds_subsampled(seed):
+    # tie-free, tied and two-valued columns interleaved, on subsampled rows
+    # as preset B trains, from the root down to nodes whose chunks span
+    # several columns
+    rng = np.random.default_rng(1000 + seed)
+    n = 800
+    cols = []
+    for j in range(9):
+        kind = j % 3
+        if kind == 0:
+            cols.append(rng.normal(size=n))
+        elif kind == 1:
+            cols.append(np.round(rng.normal(size=n), 1))
+        else:
+            cols.append(rng.integers(0, 2, size=n).astype(float))
+    X = np.column_stack(cols)
+    g, h = _targets(rng, n)
+    rows = np.sort(rng.choice(n, size=640, replace=False))
+    for depth, mcw in ((2, 1.0), (6, 0.5), (8, 0.0)):
+        cfg = GbmConfig.preset_b(max_depth=depth, min_child_weight=mcw)
+        _grow_both(X, g, h, rows, cfg)
 
 
 @pytest.mark.parametrize("seed", range(4))
