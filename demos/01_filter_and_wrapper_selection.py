@@ -9,17 +9,17 @@ its way down to a requested K.
 
 import numpy as np
 
-from featscan import (
+from featscan.filters import (
     FilterThresholds,
-    backward_eliminate,
-    cramers_v,
     chi_square,
+    cramers_v,
     filter_select,
     mutual_information,
     pearson,
     vif,
 )
 from featscan.tabular import Dataset, FeatureKind, Schema
+from featscan.wrapper import backward_eliminate
 
 rng = np.random.default_rng(7)
 n = 1500

@@ -9,7 +9,7 @@ averaging. The top-K of the merged ranking is the selected feature set.
 
 import numpy as np
 
-from featscan import (
+from featscan.embedded import (
     GbmConfig,
     committee_vote,
     extract_importance,

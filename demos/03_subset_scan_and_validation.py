@@ -9,17 +9,10 @@ randomization test and an odds ratio.
 
 import numpy as np
 
-from featscan import (
-    DiscretizationSpec,
-    ScanConfig,
-    characterize,
-    discretize,
-    empirical_p_value,
-    odds_ratio,
-    scan,
-    score_bernoulli,
-)
+from featscan.inference import characterize, empirical_p_value, odds_ratio
+from featscan.mdss import ScanConfig, scan, score_bernoulli
 from featscan.synth import PlantSpec, SynthSpec, generate
+from featscan.tabular import DiscretizationSpec, discretize
 
 # The score is a Bernoulli likelihood ratio: how surprising is observing
 # sum_y positives among n_s members when the global rate is alpha?

@@ -2,7 +2,9 @@
 
 Every error carries an ``exit_code`` so the command-line layer can map
 failures onto its contract: 1 for configuration problems, 2 for data
-problems, 3 for numeric problems.
+problems, 3 for numeric problems. Each class takes its code from its
+category: :class:`FeatscanError` itself for configuration problems,
+:class:`DataError` and :class:`NumericError` for the other two.
 """
 
 EXIT_CONFIG = 1
@@ -21,116 +23,90 @@ class FeatscanError(Exception):
 class KTooLargeError(FeatscanError):
     """Requested more features than are available."""
 
-    exit_code = EXIT_CONFIG
-
 
 class UnknownFeatureError(FeatscanError):
     """A referenced feature does not exist in the dataset."""
-
-    exit_code = EXIT_CONFIG
 
 
 class InvalidSpecError(FeatscanError):
     """A synthetic-data or pipeline spec fails validation."""
 
-    exit_code = EXIT_CONFIG
-
 
 class MismatchedFeatureSetsError(FeatscanError):
     """Rankings to be merged do not cover the same features."""
-
-    exit_code = EXIT_CONFIG
 
 
 class NoFeaturesError(FeatscanError):
     """An operation was asked to run over an empty feature list."""
 
-    exit_code = EXIT_CONFIG
-
 
 # --- data errors ---------------------------------------------------------
 
-class SchemaMismatchError(FeatscanError):
+class DataError(FeatscanError):
+    """The input data cannot support the requested operation."""
+
+    exit_code = EXIT_DATA
+
+
+class SchemaMismatchError(DataError):
     """CSV columns or observed values do not match the declared schema."""
 
-    exit_code = EXIT_DATA
 
-
-class NonBinaryOutcomeError(FeatscanError):
+class NonBinaryOutcomeError(DataError):
     """An outcome cell is not 0 or 1."""
 
-    exit_code = EXIT_DATA
 
-
-class ParseError(FeatscanError):
+class ParseError(DataError):
     """A cell could not be parsed under its declared feature kind."""
 
-    exit_code = EXIT_DATA
 
-
-class MissingValueError(FeatscanError):
+class MissingValueError(DataError):
     """A missing cell was found under the Error missing-value policy."""
 
-    exit_code = EXIT_DATA
 
-
-class DegenerateColumnError(FeatscanError):
+class DegenerateColumnError(DataError):
     """A column is empty where values are required."""
 
-    exit_code = EXIT_DATA
 
-
-class DegenerateOutcomeError(FeatscanError):
+class DegenerateOutcomeError(DataError):
     """The outcome vector is constant, so no anomaly contrast exists."""
 
-    exit_code = EXIT_DATA
 
-
-class EmptySubsetError(FeatscanError):
+class EmptySubsetError(DataError):
     """A subset descriptor matches no rows."""
 
-    exit_code = EXIT_DATA
 
-
-class FullSubsetError(FeatscanError):
+class FullSubsetError(DataError):
     """A subset descriptor excludes no rows."""
 
-    exit_code = EXIT_DATA
 
-
-class EmptyRecordsError(FeatscanError):
+class EmptyRecordsError(DataError):
     """No value of a feature has any members under the conditioning."""
 
-    exit_code = EXIT_DATA
 
-
-class SingleClassOutcomeError(FeatscanError):
+class SingleClassOutcomeError(DataError):
     """Classifier training needs both outcome classes present."""
-
-    exit_code = EXIT_DATA
 
 
 # --- numeric errors -------------------------------------------------------
 
-class ConstantInputError(FeatscanError):
+class NumericError(FeatscanError):
+    """A statistic or fit is numerically undefined on the given input."""
+
+    exit_code = EXIT_NUMERIC
+
+
+class ConstantInputError(NumericError):
     """A statistic is undefined because an input has zero variance."""
 
-    exit_code = EXIT_NUMERIC
 
-
-class InsufficientRowsError(FeatscanError):
+class InsufficientRowsError(NumericError):
     """Too few rows for the requested regression."""
 
-    exit_code = EXIT_NUMERIC
 
-
-class DegenerateTableError(FeatscanError):
+class DegenerateTableError(NumericError):
     """A contingency table collapsed below 2x2 after pruning."""
 
-    exit_code = EXIT_NUMERIC
 
-
-class AlphaOutOfRangeError(FeatscanError):
+class AlphaOutOfRangeError(NumericError):
     """The global expectation must lie strictly between 0 and 1."""
-
-    exit_code = EXIT_NUMERIC

@@ -8,6 +8,7 @@ ground truth for end-to-end tests.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,35 @@ from .tabular import Dataset, FeatureKind, MissingPolicy, Schema, write_csv
 _LETTERS = string.ascii_lowercase
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _list_of(test, length=None):
+    return lambda v: isinstance(v, list) and all(map(test, v)) and length in (None, len(v))
+
+
+# JSON types of spec-file values: (what the value must be, the test of it)
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+_INTS = ("a list of integers", _list_of(_is_int))
+_TRIPLES = ("a list of integer triples", _list_of(_list_of(_is_int, 3)))
+_PLANT = ("an object or null", lambda v: v is None or isinstance(v, dict))
+_RESTRICTIONS = ("an object of string lists", lambda v: isinstance(v, dict) and all(
+    map(_list_of(lambda s: isinstance(s, str)), v.values())))
+
+
+def _get(doc: dict, key: str, json_type, *default):
+    """``doc[key]``, or the default when absent; never coerced to another type."""
+    if key not in doc and default:
+        return default[0]
+    what, test = json_type
+    if not test(doc[key]):
+        raise InvalidSpecError(
+            f"malformed synth spec: {key!r} must be {what}, got {doc[key]!r}")
+    return doc[key]
+
+
 @dataclass(frozen=True)
 class PlantSpec:
     """Anomalous subgroup: value restrictions plus an odds multiplier."""
@@ -30,8 +60,8 @@ class PlantSpec:
     q_star: float
 
     def __post_init__(self):
-        if self.q_star <= 1.0:
-            raise InvalidSpecError(f"q_star must be > 1, got {self.q_star}")
+        if not 1.0 < self.q_star < math.inf:
+            raise InvalidSpecError(f"q_star must be in (1, inf), got {self.q_star}")
         if not self.restrictions:
             raise InvalidSpecError("plant needs at least one restriction")
 
@@ -106,28 +136,25 @@ class SynthSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SynthSpec":
+        """Read a spec file's object; a value of the wrong JSON type is an error."""
         try:
-            plant = None
-            if doc.get("plant"):
-                plant = PlantSpec(
-                    restrictions={
-                        f: tuple(v) for f, v in doc["plant"]["restrictions"].items()
-                    },
-                    q_star=float(doc["plant"]["q_star"]),
-                )
+            plant = _get(doc, "plant", _PLANT, None)
+            if plant is not None:
+                restrictions = _get(plant, "restrictions", _RESTRICTIONS)
+                plant = PlantSpec({f: tuple(v) for f, v in restrictions.items()},
+                                  float(_get(plant, "q_star", _NUMBER)))
             return cls(
-                n_rows=int(doc["n_rows"]),
-                base_rate=float(doc["base_rate"]),
-                n_continuous=int(doc.get("n_continuous", 0)),
-                pairwise_rho=float(doc.get("pairwise_rho", 0.0)),
+                n_rows=_get(doc, "n_rows", _INT),
+                base_rate=float(_get(doc, "base_rate", _NUMBER)),
+                n_continuous=_get(doc, "n_continuous", _INT, 0),
+                pairwise_rho=float(_get(doc, "pairwise_rho", _NUMBER, 0.0)),
                 collinear_triples=tuple(
-                    tuple(t) for t in doc.get("collinear_triples", [])
-                ),
-                arities=tuple(doc.get("arities", [])),
+                    map(tuple, _get(doc, "collinear_triples", _TRIPLES, []))),
+                arities=tuple(_get(doc, "arities", _INTS, [])),
                 plant=plant,
-                seed=int(doc.get("seed", 0)),
+                seed=_get(doc, "seed", _INT, 0),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, OverflowError) as exc:
             raise InvalidSpecError(f"malformed synth spec: {exc}") from exc
 
 

@@ -95,6 +95,18 @@ class TestSynthCommand:
         assert "malformed synth spec" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", [
+        '{"n_rows": 10, "base_rate": 0.2, "arities": [2],'
+        ' "plant": {"restrictions": {"cat01": ["a"]}, "q_star": Infinity}}',
+        '{"n_rows": 10, "base_rate": 0.2, "arities": [2.5]}',
+    ], ids=["infinite-q-star", "fractional-arity"])
+    def test_invalid_spec_value_exits_one(self, tmp_path, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestSelectCommand:
     def test_committee_returns_k_features(self, synth_dir, tmp_path):

@@ -99,6 +99,11 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             PlantSpec({"cat01": ("a",)}, q_star=1.0)
 
+    @pytest.mark.parametrize("q_star", [math.inf, math.nan])
+    def test_q_star_must_be_finite(self, q_star):
+        with pytest.raises(InvalidSpecError, match="q_star must be in"):
+            PlantSpec({"cat01": ("a",)}, q_star=q_star)
+
     def test_base_rate_domain(self):
         with pytest.raises(InvalidSpecError):
             base_spec(base_rate=0.0)
@@ -121,6 +126,47 @@ class TestSpecValidation:
             "seed": 0,
         }
         assert SynthSpec.from_json_dict(doc) == spec
+
+
+SPEC_DOC = {
+    "n_rows": 100, "base_rate": 0.2, "n_continuous": 3, "pairwise_rho": 0,
+    "collinear_triples": [[0, 1, 2]], "arities": [3, 2],
+    "plant": {"restrictions": {"cat01": ["a"]}, "q_star": 3}, "seed": 1,
+}
+
+
+def test_json_integer_for_a_number_is_read():
+    spec = SynthSpec.from_json_dict(SPEC_DOC)
+    assert (spec.pairwise_rho, spec.plant.q_star) == (0.0, 3.0)
+    assert spec.collinear_triples == ((0, 1, 2),)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("arities", [2.5]),
+    ("arities", [True]),
+    ("n_continuous", 2.7),
+    ("seed", 1.5),
+    ("n_rows", "100"),
+    ("base_rate", None),
+    ("collinear_triples", [[0.5, 1, 2]]),
+    ("collinear_triples", [[0, 1]]),
+    ("plant", []),
+    ("restrictions", {"cat01": "ab"}),
+    ("q_star", "3"),
+])
+def test_json_value_of_wrong_type_rejected(key, value):
+    doc = json.loads(json.dumps(SPEC_DOC))
+    (doc["plant"] if key in doc["plant"] else doc)[key] = value
+    with pytest.raises(InvalidSpecError, match=f"{key!r} must be"):
+        SynthSpec.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("q_star", ["Infinity", "NaN", "1e400", "1" + "0" * 400],
+                         ids=["Infinity", "NaN", "1e400", "10**400"])
+def test_json_q_star_must_be_finite(q_star):
+    doc = json.loads(json.dumps(SPEC_DOC).replace('"q_star": 3', f'"q_star": {q_star}'))
+    with pytest.raises(InvalidSpecError):
+        SynthSpec.from_json_dict(doc)
 
 
 class TestSave:

@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -708,3 +712,14 @@ class TestSchema:
     def test_outcome_among_features_rejected(self):
         with pytest.raises(SchemaMismatchError):
             Schema(("a",), {"a": FeatureKind.BINARY}, "a")
+
+
+def test_import_loads_only_what_tabular_imports():
+    src = str(Path(tabular.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, featscan.tabular; "
+            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'featscan'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["featscan", "featscan.errors", "featscan.tabular"]
