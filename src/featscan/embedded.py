@@ -7,33 +7,33 @@ the pipeline gets two genuinely distinct rankings to merge. Importance is
 total split gain, aggregated from encoded columns back to source
 features.
 
-Splits are exact, as in XGBoost's exact greedy search on pre-sorted
-column blocks: the training matrix is sorted once per column, each tree
-node keeps its rows in that order for every column, and a split divides
-the node's block into its children, so a tree level reads each row once
-per column instead of filtering the whole sort order at every node.
-Each column is one of three kinds, and each kind has one exact search:
+Splits are searched on per-column histograms, as in LightGBM and
+XGBoost's ``hist`` method: each training column is binned once per fit
+into at most ``_MAX_BINS`` (256) bins, and a tree node sums its gradients
+and hessians per bin, so its search scores every cut of a column from
+those sums instead of from sorted rows.
 
-- *tie-free* columns (every continuous feature without a repeated value)
-  cut at every position of a node's block, so the search needs neither
-  the node's values nor a scan for where they change;
-- *tied* columns (target statistics, rounded data) cut only where the
-  sorted values change, found by comparing neighbours;
-- *two-valued* columns (every one-hot indicator, every binary feature)
-  have a single candidate cut and skip the sorted blocks: a node gets
-  their left sums for all of them at once from a 0/1 mask, added row by
-  row in the order a sorted block would add them.
+- A column with at most 256 distinct training values (every indicator,
+  binary, target statistic and rounded column) keeps one bin per value,
+  so its cuts are the midpoints between neighbouring values, as an exact
+  search has them.
+- Any other column gets up to 255 equal-frequency cuts by rank; equal values
+  always share a bin.
+- Every cut's threshold routes a training row left, under ``x <=
+  threshold``, exactly when its bin is at or below the cut, so trees
+  predict from the raw matrix.
 
-Each kind adds its sums in the sorted order and scores the gain with the
-same operations, so trees, gains and held-out metrics are bit-identical
-to a per-node filter of the sort order, which ``tests/oracles.py`` keeps
-as the reference. Quantile histograms would cut the work further, but
-they move the thresholds.
+The larger gain wins, an equal one at the lower column and then the lower
+cut, and a NaN gain never wins. Bin sums add a node's rows one after
+another in ascending order, so trees, gains and held-out metrics are
+bit-identical to a row-by-row grower, which ``tests/oracles.py`` keeps as
+the reference.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
@@ -48,11 +48,7 @@ from .errors import (
 from .tabular import Dataset, FeatureKind
 
 _TARGET_STAT_PRIOR_WEIGHT = 10.0
-# A chunk of the two-valued split sums holds n_train // n_two rows (see
-# _grow_tree). Tests set this cap to force many small chunks; a fixed cap
-# of 4,096 rows ran 10-15% slower where it bound (one or two such columns
-# over 20k-100k rows), so by default there is none.
-_SUM_ROWS: int | None = None
+_MAX_BINS = 256     # bins per column, so a bin code fits in a uint8
 
 
 class Preset(enum.Enum):
@@ -268,294 +264,197 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None):
     return XT.T, sources
 
 
-class _Presort(NamedTuple):
-    """What the split search reads of a training matrix, built once per fit.
+class _Bins(NamedTuple):
+    """The binned training matrix the split search reads, built once per fit.
 
-    Every column is one of three kinds over the training rows, and each
-    kind has its own exact search in :func:`_grow_tree`:
-
-    - *two-valued*: exactly two distinct values. Its stable sorted order in
-      any node is the node's low-value rows in row order, then its high-value
-      rows, so it needs no sorted block.
-    - *tie-free*: more than two values, all distinct. Any node's rows are
-      distinct too, so every position of its sorted block is a cut.
-    - *tied*: more than two values, some repeated. A cut is a position
-      where the sorted values change.
-
-    The sorted columns are the tie-free ones, then the tied ones, each group
-    in ascending column order.
+    Only columns with more than one training value are binned. They are
+    grouped by bin count, the groups in ascending bin count and each
+    group's columns in ascending column order; ``codes`` holds one row per
+    binned column in that order.
     """
 
-    order: np.ndarray   # (n_sorted, n_train) int32 stable argsort per sorted column
-    sorted_cols: np.ndarray     # their column indices: tie-free, then tied
-    n_free: int                 # how many of them are tie-free
-    two_cols: np.ndarray        # two-valued column indices, ascending
-    low: np.ndarray     # (n_train, n_two) bool C order, True where a row is low
-    mid: np.ndarray     # (n_two,) midpoint of each column's two values
+    codes: np.ndarray       # (n_binned, n_train) uint8 bin of every training value
+    columns: np.ndarray     # the column index of each codes row
+    # per group: its first codes row and its (columns, bins - 1) thresholds
+    groups: list[tuple[int, np.ndarray]]
 
 
-def _presort(XT: np.ndarray) -> _Presort:
-    """Sort the columns of ``XT`` into its three kinds and argsort two of them."""
-    lo = XT.min(axis=1)
-    hi = XT.max(axis=1)
-    is_low = XT == lo[:, None]
-    two = (lo < hi) & (is_low | (XT == hi[:, None])).all(axis=1)
-    sorted_cols = np.flatnonzero(~two)
-    argsort = np.argsort(XT[sorted_cols], axis=1, kind="stable")
-    # one column at a time, so no second (n_sorted, n_train) array is made
-    free = np.array([bool((np.diff(XT[c].take(o)) > 0.0).all())
-                     for c, o in zip(sorted_cols, argsort)], dtype=bool)
-    group = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
-    order = np.empty(argsort.shape, dtype=np.int32)
-    for i, j in enumerate(group):
-        order[i] = argsort[j]
-    return _Presort(
-        order=order,
-        sorted_cols=sorted_cols[group],
-        n_free=int(free.sum()),
-        two_cols=np.flatnonzero(two),
-        low=np.ascontiguousarray(is_low[two].T),
-        mid=0.5 * (lo[two] + hi[two]),
-    )
+def _bin_columns(XT: np.ndarray) -> _Bins:
+    """Bin every column of ``XT`` into at most ``_MAX_BINS`` bins.
+
+    A column with at most ``_MAX_BINS`` distinct values gets one bin per
+    value. Any other column of n values gets equal-frequency cuts: the
+    k-th (k = 1 .. _MAX_BINS - 1) falls after the ``ceil(k * n /
+    _MAX_BINS)``-th smallest value, so the bins up to it hold at least that
+    many rows. A cut is a value, so equal values always share a bin;
+    repeated cuts and a cut at the maximum are dropped.
+
+    A cut's threshold is the midpoint between its value and the next
+    distinct value above it, or the value itself where the midpoint rounds
+    up to that next value, so ``x <= threshold`` holds for a training value
+    exactly when its bin is at or below the cut.
+    """
+    n = XT.shape[1]
+    ranks = (np.arange(1, _MAX_BINS) * n + _MAX_BINS - 1) // _MAX_BINS - 1
+    binned = []     # (cuts, column, bin codes, thresholds)
+    for col, x in enumerate(XT):
+        order = np.argsort(x)
+        s = x[order]
+        values = s[np.append(s[1:] != s[:-1], True)]   # distinct, ascending
+        if len(values) < 2:
+            continue    # a constant column has no cut
+        if len(values) <= _MAX_BINS:
+            upper = values[:-1]
+        else:
+            upper = np.unique(s[ranks])
+            upper = upper[upper < values[-1]]
+        above = values[values.searchsorted(upper, "right")]
+        mid = 0.5 * upper + 0.5 * above    # 0.5 * (upper + above), never inf
+        # the sorted values fill the bins in turn
+        ends = s.searchsorted(upper, "right")
+        code = np.empty(n, dtype=np.uint8)
+        code[order] = np.repeat(np.arange(len(upper) + 1, dtype=np.uint8),
+                                np.diff(ends, prepend=0, append=n))
+        binned.append((len(upper), col, code, np.where(mid < above, mid, upper)))
+    binned.sort(key=lambda b: b[:2])
+    codes = np.empty((len(binned), n), dtype=np.uint8)
+    for i, b in enumerate(binned):
+        codes[i] = b[2]
+    groups, first = [], 0
+    for _, group in itertools.groupby(binned, key=lambda b: b[0]):
+        thresholds = np.stack([b[3] for b in group])
+        groups.append((first, thresholds))
+        first += len(thresholds)
+    return _Bins(codes=codes,
+                 columns=np.array([b[1] for b in binned], dtype=np.intp),
+                 groups=groups)
 
 
-def _grow_tree(XT: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
-               presort: _Presort, cfg: GbmConfig,
-               column_gain: np.ndarray) -> tuple[_Tree, float]:
+def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
+               cfg: GbmConfig, column_gain: np.ndarray) -> tuple[_Tree, float]:
     """One depth-limited regression tree on gradient/hessian targets.
 
     Splits maximize the second-order gain
-    0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)); candidates are
-    midpoints between distinct sorted values. Column order then ascending
-    threshold order break gain ties, so growth is deterministic.
+    0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)) over the cuts of
+    ``bins`` (see :func:`_bin_columns`) that leave rows on both sides and
+    whose hessian sums HL and HR both reach ``min_child_weight``. The
+    larger gain wins, an equal one at the lower column and then the lower
+    cut, and a NaN gain never wins, so growth is deterministic. ``rows``
+    are the ascending training rows this tree trains on.
 
-    ``XT`` is the training matrix stored column by column, ``(n_cols,
-    n_train)``, and ``presort`` its per-fit split index from
-    :func:`_presort`. ``rows`` are the ascending row indices this tree
-    trains on, and ``h`` must be >= 0, as the logistic hessian p(1 - p) is.
-    The search is exact and bit-identical to a per-node filter of the
-    global stable argsort (``tests/oracles.py``), one search per column
-    kind:
-
-    - Every column with more than two values keeps, per node, a block of
-      row indices in its sorted order, which one mask of the rows going
-      left splits into the children, so a level touches each row once per
-      column. A node scores ``max(1, n_train // n_node)`` such columns of
-      one kind per set of numpy calls. The block is exactly the filtered
-      global order and the cumulative sums run in that order.
-    - *Tied* columns cut where the block's values change: a node reads its
-      values, finds the edges and keeps the cuts whose hessian sums both
-      reach ``min_child_weight``.
-    - *Tie-free* columns cut at every block position but the last, so a
-      node scores the ``cumsum`` rows in place and reads two values, for
-      the winning cut only. As h >= 0, HL never falls along a block row
-      and HR = H - HL never rises, so the valid cuts are one run, found by
-      binary search; the cuts outside it get infinite hessian sums before
-      any division, which makes their gain -G^2/(H+reg)/2 <= 0 and raises
-      no floating-point warning. A NaN gain is what ``argmax`` returns
-      first, so only then are the columns holding one set aside.
-    - A two-valued column has one candidate, the midpoint, whose left sums
-      are the sequential sums of g and h over the node's low rows in row
-      order, exactly what ``cumsum`` yields in the sorted order. A node
-      multiplies the ``(rows, columns)`` low mask by ``g[rows][:, None]``
-      and by ``h[rows][:, None]`` and takes one ``cumsum`` down the rows,
-      which adds row after row for any number of columns; the high rows
-      add only zeros, and a signed zero cannot change ``GL ** 2``,
-      ``G - GL`` or the hessian floor. Rows go in chunks of at most
-      ``n_train // n_two``, so a chunk's g and h products each stay within
-      about one training column, and each chunk's sums enter the next as
-      its first row.
-
-    Every search scores its columns in ascending order with the gain
-    formula's own operations, so its first maximum is the per-node
-    filter's among those columns. Each search's first maximum beats the
-    others' on a larger gain, or on an equal gain at a lower column index,
-    and a NaN gain never wins, so trees, gains and leaf values match the
-    per-node filter. Children of the last searched level are leaves and
-    get no blocks.
+    A searched node sums g, h and its row count per bin with
+    ``np.bincount`` over its rows in ascending order, so each bin's sums
+    add row after row; a call takes ``max(1, n_train // n_node)`` columns,
+    so its temporaries stay within about one training column. Once a node
+    splits, and its children are to be searched, the child with fewer rows
+    (the left one on a tie) is summed and the other takes the node's sums
+    minus its sibling's. That difference leaves rounding noise in bins the
+    larger child does not hold, but row counts subtract exactly, so they
+    decide which cuts leave a child empty. GL, HL and the left row counts
+    are ``cumsum`` of the bin sums, one group of equal bin count at a time.
+    ``tests/oracles.py`` keeps a row-level grower that this one matches bit
+    for bit. Children of the last searched level are leaves and get no sums.
     """
-    n = XT.shape[1]
-    order, sorted_cols, n_free, two_cols, low, mid = presort
-    n_sorted, n_two = len(sorted_cols), len(two_cols)
-    base = (sorted_cols * n)[:, None]   # flat offset of each sorted column
+    codes, columns, groups = bins
+    n = codes.shape[1]
     lam = cfg.l2_reg
     mcw = cfg.min_child_weight
+    # each codes row's bins, and then its cuts, lie in one flat run
+    n_cuts = np.array([t.shape[1] for _, t in groups for _ in t], dtype=np.intp)
+    start = np.concatenate(([0], np.cumsum(n_cuts + 1)))
+    cut_start = np.concatenate(([0], np.cumsum(n_cuts)))
+    cut_row = np.repeat(np.arange(len(codes)), n_cuts)
+    cut_j = np.arange(cut_start[-1]) - cut_start[cut_row]
+    threshold = np.concatenate([t.ravel() for _, t in groups] or [[]])
+    key = columns[cut_row] * _MAX_BINS + cut_j   # tie order: column, then cut
+    cum = np.empty((3, cut_start[-1]))     # GL, HL and rows left of every cut
     tree = _Tree()
     tree_gain = 0.0
-    goes_left = np.zeros(n, dtype=bool)
-    sum_rows = max(1, min(_SUM_ROWS or n, n // max(n_two, 1)))
-    buffer = np.empty((2, sum_rows + 1, n_two))
 
-    def best_tie_free(block: np.ndarray, G: float, H: float, score: float):
-        best = (0.0, -1, 0.0)   # gain, column, threshold
-        m = block.shape[1]
-        if m < 2:
-            return best
-        step = max(1, n // m)
-        for c0 in range(0, n_free, step):
-            idx = block[c0:min(c0 + step, n_free)]
-            # cut i parts a block row after position i, i < m - 1
-            HL = np.cumsum(h.take(idx), axis=1)
-            NHR = np.subtract(HL, H)    # -HR, non-decreasing as HL is
-            # h >= 0, so HL only rises along a row and HR only falls: the
-            # valid cuts are the run [lo, hi). Outside it HL = inf and
-            # HR = -inf give the gain -score / 2, which never wins.
-            for hl, nhr in zip(HL, NHR):
-                lo = hl.searchsorted(mcw)
-                hi = nhr.searchsorted(-mcw, "right")
-                hl[:lo] = nhr[:lo] = np.inf
-                hl[hi:] = nhr[hi:] = np.inf
-            HL[:, -1] = NHR[:, -1] = np.inf
-            GL = np.cumsum(g.take(idx), axis=1)
-            # 0.5 * (GL**2/(HL+lam) + GR**2/(HR+lam) - score), in place
-            GR = np.subtract(G, GL)
-            np.multiply(GR, GR, out=GR)
-            np.multiply(GL, GL, out=GL)
-            np.divide(GL, np.add(HL, lam, out=HL), out=GL)
-            np.divide(GR, np.subtract(lam, NHR, out=NHR), out=GR)
-            gains = np.add(GL, GR, out=GL)
-            np.subtract(gains, score, out=gains)
-            np.multiply(gains, 0.5, out=gains)
-            b = int(gains.argmax())
-            if math.isnan(gains.flat[b]):   # a NaN gain never wins
-                gains[np.isnan(gains).any(axis=1)] = -np.inf
-                b = int(gains.argmax())
-            if gains.flat[b] > best[0]:
-                c, i = divmod(b, m)
-                col = int(sorted_cols[c0 + c])
-                thr = 0.5 * (XT[col, idx[c, i]] + XT[col, idx[c, i + 1]])
-                best = (float(gains.flat[b]), col, float(thr))
-        return best
-
-    def best_tied(block: np.ndarray, G: float, H: float, score: float):
-        best = (0.0, -1, 0.0)   # gain, column, threshold
-        m = block.shape[1]
-        if m < 2:
-            return best
-        step = max(1, n // m)
-        for c0 in range(n_free, n_sorted, step):
-            idx = block[c0:c0 + step]
-            # each column's node values in sorted order, read from flat XT
-            xv = XT.take(idx + base[c0:c0 + step])
-            # flat positions after which the value changes: the candidates
-            edge = np.zeros(xv.shape, dtype=bool)
-            np.not_equal(xv[:, :-1], xv[:, 1:], out=edge[:, :-1])
-            cut = np.flatnonzero(edge)
-            if not len(cut):
-                continue
-            HL = np.cumsum(h.take(idx), axis=1).take(cut)
-            HR = H - HL
-            valid = (HL >= mcw) & (HR >= mcw)
-            if not valid.all():
-                cut, HL, HR = cut[valid], HL[valid], HR[valid]
-                if not len(cut):
-                    continue
-            GL = np.cumsum(g.take(idx), axis=1).take(cut)
-            GR = G - GL
-            gains = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - score)
-            nan = np.isnan(gains)
-            if nan.any():    # a column with a NaN gain never wins
-                gains[np.isin(cut // m, cut[nan] // m)] = -np.inf
-            b = int(gains.argmax())
-            if gains[b] > best[0]:
-                c, i = divmod(int(cut[b]), m)
-                thr = 0.5 * (xv[c, i] + xv[c, i + 1])
-                best = (float(gains[b]), int(sorted_cols[c0 + c]), float(thr))
-        return best
-
-    def best_two_valued(rows: np.ndarray, G: float, H: float, score: float):
-        best = (0.0, -1, 0.0)
+    def histogram(rows: np.ndarray) -> np.ndarray:
+        """(3, n_bins): the node's g, h and row count per bin of every column."""
+        sums = np.empty((3, start[-1]))
         m = len(rows)
-        if m < 2 or not n_two:
-            return best
-        # each chunk's sums so far enter the next chunk as its first row
-        GL = np.zeros(n_two)
-        HL = np.zeros(n_two)
-        n_low = np.zeros(n_two)
-        for r0 in range(0, m, sum_rows):
-            part = rows[r0:r0 + sum_rows]
-            mask = low.take(part, axis=0)
-            n_low += mask.sum(axis=0)
-            w = buffer[:, :len(part) + 1]
-            w[0, 0] = GL
-            w[1, 0] = HL
-            np.multiply(mask, g.take(part)[:, None], out=w[0, 1:])
-            np.multiply(mask, h.take(part)[:, None], out=w[1, 1:])
-            np.cumsum(w, axis=1, out=w)
-            GL, HL = w[:, -1].copy()
+        step = max(1, min(n // m, len(codes)))
+        # the node's g and h once per column of a call
+        w = np.tile(np.stack((g.take(rows), h.take(rows))), step)
+        for r0 in range(0, len(codes), step):
+            r1 = min(r0 + step, len(codes))
+            part = codes[r0:r1] if m == n else codes[r0:r1].take(rows, axis=1)
+            idx = (part + (start[r0:r1] - start[r0])[:, None]).ravel()
+            size = start[r1] - start[r0]
+            for i in (0, 1):
+                sums[i, start[r0]:start[r1]] = np.bincount(
+                    idx, w[i, :len(idx)], minlength=size)
+            sums[2, start[r0]:start[r1]] = np.bincount(idx, minlength=size)
+        return sums
+
+    def best_split(sums: np.ndarray, G: float, H: float, m: int):
+        """The best cut's gain and flat index, or None if no cut gains."""
+        for first, thresholds in groups:
+            k, w = thresholds.shape
+            b0, c0 = start[first], cut_start[first]
+            block = sums[:, b0:b0 + k * (w + 1)].reshape(3, k, w + 1)
+            cum[:, c0:c0 + k * w] = np.cumsum(block[:, :, :-1], axis=2).reshape(3, -1)
+        GL, HL, NL = cum
         HR = H - HL
-        valid = (n_low > 0) & (n_low < m) & (HL >= mcw) & (HR >= mcw)
-        if not valid.any():
-            return best
-        cols = np.flatnonzero(valid)
-        GL, HL, HR = GL[cols], HL[cols], HR[cols]
+        # both children hold rows and reach the hessian floor
+        valid = (NL > 0.0) & (NL < m) & (HL >= mcw) & (HR >= mcw)
+        cut = np.flatnonzero(valid)
+        if not len(cut):
+            return None
+        if len(cut) < len(valid):
+            GL, HL, HR = GL[cut], HL[cut], HR[cut]
         GR = G - GL
+        score = G * G / (H + lam)   # the node's own term
         gains = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - score)
-        gains[np.isnan(gains)] = -np.inf    # a NaN gain never wins
         b = int(gains.argmax())
-        if gains[b] > 0.0:
-            c = cols[b]
-            best = (float(gains[b]), int(two_cols[c]), float(mid[c]))
-        return best
+        if math.isnan(gains[b]):    # a NaN gain never wins
+            gains[np.isnan(gains)] = -np.inf
+            b = int(gains.argmax())
+        if not gains[b] > 0.0:
+            return None
+        tie = cut[gains == gains[b]]
+        return float(gains[b]), int(tie[key[tie].argmin()])
 
-    def split(block: np.ndarray, n_left: int):
-        """The block's rows flagged in ``goes_left``, then the others."""
-        m = block.shape[1]
-        left = np.empty((n_sorted, n_left), dtype=block.dtype)
-        right = np.empty((n_sorted, m - n_left), dtype=block.dtype)
-        step = max(1, n // m)
-        for c0 in range(0, n_sorted, step):
-            part = block[c0:c0 + step].ravel()
-            to_left = goes_left.take(part)
-            np.compress(to_left, part, out=left[c0:c0 + step].ravel())
-            np.compress(~to_left, part, out=right[c0:c0 + step].ravel())
-        return left, right
-
-    if len(rows) < n:
-        goes_left[rows] = True
-        block = split(order, len(rows))[0]
-        goes_left[rows] = False
-    else:
-        block = order
-    # rows, sorted block, parent, side; popped from the end, so reversed
-    frontier = [(rows, block, None, None)]
-    del block
+    # rows, bin sums (None until searched), parent, side
+    frontier = [(rows, None, None, None)]
     for depth in range(cfg.max_depth + 1):
         next_frontier = []
-        while frontier:
-            rows, block, parent, side = frontier.pop()
+        for rows, sums, parent, side in frontier:
             G = float(g[rows].sum())
             H = float(h[rows].sum())
-            gain, col, thr = (0.0, -1, 0.0)
+            best = None
             if depth < cfg.max_depth:
-                score = G * G / (H + lam)   # the node's own term
-                # the larger gain wins, an equal one at the lower column
-                gain, col, thr = min(best_tie_free(block, G, H, score),
-                                     best_tied(block, G, H, score),
-                                     best_two_valued(rows, G, H, score),
-                                     key=lambda b: (-b[0], b[1]))
-            if col < 0 or gain <= 0.0:
+                if sums is None:
+                    sums = histogram(rows)
+                best = best_split(sums, G, H, len(rows))
+            if best is None:
                 nid = tree.add_leaf(-G / (H + lam))
             else:
-                nid = tree.add_split(col, thr)
+                gain, p = best
+                col = int(columns[cut_row[p]])
+                nid = tree.add_split(col, float(threshold[p]))
                 column_gain[col] += gain
                 tree_gain += gain
-                go_left = XT[col, rows] <= thr
-                left_rows = rows[go_left]
-                left = right = None
-                if depth + 1 < cfg.max_depth:   # leaves read no block
-                    goes_left[left_rows] = True
-                    left, right = split(block, len(left_rows))
-                    goes_left[left_rows] = False
-                next_frontier.append((left_rows, left, nid, "L"))
-                next_frontier.append((rows[~go_left], right, nid, "R"))
-            del block   # a level's blocks go as soon as their children exist
+                go_left = codes[cut_row[p]].take(rows) <= cut_j[p]
+                left, right = rows[go_left], rows[~go_left]
+                left_sums = right_sums = None
+                if depth + 1 < cfg.max_depth:   # leaves read no sums
+                    if len(left) <= len(right):
+                        left_sums = histogram(left)
+                        right_sums = sums - left_sums
+                    else:
+                        right_sums = histogram(right)
+                        left_sums = sums - right_sums
+                next_frontier.append((left, left_sums, nid, "L"))
+                next_frontier.append((right, right_sums, nid, "R"))
             if parent is not None:
                 if side == "L":
                     tree.left[parent] = nid
                 else:
                     tree.right[parent] = nid
-        frontier = next_frontier[::-1]
+        frontier = next_frontier
     return tree, tree_gain
 
 
@@ -593,7 +492,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     column_gain = np.zeros(n_cols)
     total_gain = 0.0
     trees: list[_Tree] = []
-    presort = _presort(XT)
+    bins = _bin_columns(XT)
     for _ in range(cfg.n_trees):
         if cfg.subsample < 1.0:
             m = max(1, int(round(cfg.subsample * n_train)))
@@ -603,7 +502,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
         p = _sigmoid(raw_train)
         grad = p - yt
         hess = p * (1.0 - p)
-        tree, tgain = _grow_tree(XT, grad, hess, rows, presort, cfg, column_gain)
+        tree, tgain = _grow_tree(grad, hess, rows, bins, cfg, column_gain)
         total_gain += tgain
         trees.append(tree)
         raw_train += cfg.learning_rate * tree.predict(XT.T)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,10 @@ _TRIPLES = ("a list of integer triples", _list_of(_list_of(_is_int, 3)))
 _PLANT = ("an object or null", lambda v: v is None or isinstance(v, dict))
 _RESTRICTIONS = ("an object of string lists", lambda v: isinstance(v, dict) and all(
     map(_list_of(lambda s: isinstance(s, str)), v.values())))
+
+
+def _field_names(spec_cls) -> set[str]:
+    return {f.name for f in fields(spec_cls)}
 
 
 def _get(doc: dict, key: str, json_type, *default):
@@ -136,9 +140,16 @@ class SynthSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SynthSpec":
-        """Read a spec file's object; a value of the wrong JSON type is an error."""
+        """Read a spec file's object; an unknown key or a value of the wrong
+        JSON type is an error."""
         try:
             plant = _get(doc, "plant", _PLANT, None)
+            unknown = [repr(k) for k in doc if k not in _field_names(cls)]
+            unknown += [f"plant {k!r}" for k in plant or {}
+                        if k not in _field_names(PlantSpec)]
+            if unknown:
+                raise InvalidSpecError(
+                    f"malformed synth spec: unknown keys {', '.join(unknown)}")
             if plant is not None:
                 restrictions = _get(plant, "restrictions", _RESTRICTIONS)
                 plant = PlantSpec({f: tuple(v) for f, v in restrictions.items()},

@@ -4,12 +4,14 @@ These deliberately avoid the library's search code paths: subset maxima
 come from exhaustive enumeration, the coordinate ascent from row masks
 and per-prefix scores, per-value counts from a row filter,
 the score maximizer from a refined grid, the CSV reference reader from
-a cell-by-cell loop, the tree grower from a per-node filter of the
-global sort order, the design-matrix encoders from per-level string
-comparisons and OLS p-values and VIFs from the normal equations solved in
-40-digit arithmetic, so they can certify the fast implementations.
+a cell-by-cell loop, the tree grower from value-by-value binning and
+row-by-row bin sums over a per-node filter of the global row order, the
+design-matrix encoders from per-level string comparisons and OLS
+p-values and VIFs from the normal equations solved in 40-digit
+arithmetic, so they can certify the fast implementations.
 """
 
+import bisect
 import collections
 import csv
 import dataclasses
@@ -317,80 +319,126 @@ def reference_write_csv(dataset, path):
             writer.writerow(row)
 
 
+def reference_bin_column(x: np.ndarray, max_bins: int = 256):
+    """Bin codes and cut thresholds of one training column, value by value.
+
+    The binning ``embedded._bin_columns`` must agree with: one bin per
+    distinct value when there are at most ``max_bins``, else the k-th cut
+    after the ``ceil(k * n / max_bins)``-th smallest value, repeats and a
+    cut at the maximum dropped. A cut's threshold is the midpoint of its
+    value and the next larger value, or its own value where the midpoint
+    is not below that next value. Returns the bin of each row and the
+    threshold of each cut, in ascending order.
+    """
+    values = sorted(set(x.tolist()))
+    if len(values) <= max_bins:
+        upper = values[:-1]
+    else:
+        s = sorted(x.tolist())
+        upper = sorted({s[-(-k * len(s) // max_bins) - 1]   # ceil(k n / B)
+                        for k in range(1, max_bins)} - {values[-1]})
+    thresholds = []
+    for u in upper:
+        above = values[bisect.bisect_right(values, u)]
+        mid = 0.5 * u + 0.5 * above
+        thresholds.append(mid if mid < above else u)
+    codes = [bisect.bisect_left(upper, v) for v in x.tolist()]
+    return np.array(codes, dtype=np.intp), np.array(thresholds)
+
+
 def reference_grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
-                        rows: np.ndarray, order: np.ndarray, cfg: GbmConfig,
-                        column_gain: np.ndarray) -> tuple[_Tree, float]:
+                        rows: np.ndarray, cfg: GbmConfig,
+                        column_gain: np.ndarray,
+                        max_bins: int = 256) -> tuple[_Tree, float]:
     """One depth-limited regression tree on gradient/hessian targets.
 
-    The exact-split search ``embedded._grow_tree`` must agree with bit for
-    bit: every node filters the full per-column argsort down to its rows
-    and scans each column on its own.
+    The binned split search ``embedded._grow_tree`` must agree with bit
+    for bit. Each column of X is binned by :func:`reference_bin_column`.
+    Every summed node filters the global row order down to its rows and
+    adds each row's g, h and a count of one to its bin of every column,
+    one row at a time; when a node splits and its children are searched,
+    the child with fewer rows (the left one on a tie) is summed and the
+    other takes the parent's sums minus its sibling's.
 
     Splits maximize the second-order gain
-    0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)); candidates are
-    midpoints between distinct sorted values. Column order then ascending
-    threshold order break gain ties, so growth is deterministic.
-
-    ``rows`` are the row indices this tree trains on; ``order`` is the
-    per-column argsort of the full X, computed once by the caller.
+    0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)) over the cuts
+    that leave rows on both sides and whose HL and HR both reach
+    ``min_child_weight``, scanned column by column: a gain wins only if
+    larger than every earlier one, so ties go to the lower column, then
+    the lower cut, and a NaN gain never wins.
+    Rows go left where ``X[:, col] <= threshold``.
     """
     n, n_cols = X.shape
     lam = cfg.l2_reg
+    mcw = cfg.min_child_weight
+    binned = [reference_bin_column(X[:, c], max_bins) for c in range(n_cols)]
+    codes = np.array([b[0] for b in binned], dtype=np.intp).reshape(n_cols, n).T
     tree = _Tree()
     tree_gain = 0.0
     in_node = np.zeros(n, dtype=bool)
+    every_col = np.arange(n_cols)
 
-    def best_split(rows: np.ndarray):
-        G = float(g[rows].sum())
-        H = float(h[rows].sum())
-        parent = G * G / (H + lam)
-        best = (0.0, -1, 0.0)   # gain, column, threshold
+    def histogram(rows: np.ndarray) -> np.ndarray:
+        sums = np.zeros((3, n_cols, max_bins))  # g, h and rows per bin
         in_node[:] = False
         in_node[rows] = True
-        for c in range(n_cols):
-            idx = order[:, c]
-            idx = idx[in_node[idx]]
-            xv = X[idx, c]
-            if xv[0] == xv[-1]:
-                continue
-            gs = np.cumsum(g[idx])
-            hs = np.cumsum(h[idx])
-            cut = np.nonzero(xv[:-1] != xv[1:])[0]
-            GL = gs[cut]
-            HL = hs[cut]
+        for r in np.flatnonzero(in_node):
+            sums[0, every_col, codes[r]] += g[r]
+            sums[1, every_col, codes[r]] += h[r]
+            sums[2, every_col, codes[r]] += 1.0
+        return sums
+
+    def best_split(sums: np.ndarray, G: float, H: float, m: int):
+        score = G * G / (H + lam)
+        best = (0.0, -1, 0.0)   # gain, column, threshold
+        for c, (_, thresholds) in enumerate(binned):
+            n_cuts = len(thresholds)
+            GL = np.cumsum(sums[0, c, :n_cuts])
+            HL = np.cumsum(sums[1, c, :n_cuts])
+            NL = np.cumsum(sums[2, c, :n_cuts])
             GR = G - GL
             HR = H - HL
-            valid = (HL >= cfg.min_child_weight) & (HR >= cfg.min_child_weight)
+            valid = (NL > 0) & (NL < m) & (HL >= mcw) & (HR >= mcw)
             if not valid.any():
                 continue
-            gains = 0.5 * (GL ** 2 / (HL + lam) + GR ** 2 / (HR + lam) - parent)
-            gains[~valid] = -np.inf
+            gains = np.full(n_cuts, -np.inf)
+            gains[valid] = 0.5 * (GL[valid] ** 2 / (HL[valid] + lam)
+                                  + GR[valid] ** 2 / (HR[valid] + lam) - score)
+            gains[np.isnan(gains)] = -np.inf
             b = int(np.argmax(gains))
             if gains[b] > best[0]:
-                thr = 0.5 * (xv[cut[b]] + xv[cut[b] + 1])
-                best = (float(gains[b]), c, float(thr))
+                best = (float(gains[b]), c, float(thresholds[b]))
         return best
 
-    def leaf_value(rows: np.ndarray) -> float:
-        return -float(g[rows].sum()) / (float(h[rows].sum()) + lam)
-
-    frontier = [(rows, 0, None, None)]   # rows, depth, parent, side
+    frontier = [(rows, 0, None, None, None)]   # rows, depth, sums, parent, side
     while frontier:
         next_frontier = []
-        for rows, depth, parent, side in frontier:
-            if depth >= cfg.max_depth:
-                nid = tree.add_leaf(leaf_value(rows))
+        for rows, depth, sums, parent, side in frontier:
+            G = float(g[rows].sum())
+            H = float(h[rows].sum())
+            gain, col, thr = 0.0, -1, 0.0
+            if depth < cfg.max_depth:
+                if sums is None:
+                    sums = histogram(rows)
+                gain, col, thr = best_split(sums, G, H, len(rows))
+            if col < 0:
+                nid = tree.add_leaf(-G / (H + lam))
             else:
-                gain, col, thr = best_split(rows)
-                if col < 0 or gain <= 0.0:
-                    nid = tree.add_leaf(leaf_value(rows))
-                else:
-                    nid = tree.add_split(col, thr)
-                    column_gain[col] += gain
-                    tree_gain += gain
-                    go_left = X[rows, col] <= thr
-                    next_frontier.append((rows[go_left], depth + 1, nid, "L"))
-                    next_frontier.append((rows[~go_left], depth + 1, nid, "R"))
+                nid = tree.add_split(col, thr)
+                column_gain[col] += gain
+                tree_gain += gain
+                go_left = X[rows, col] <= thr
+                left, right = rows[go_left], rows[~go_left]
+                left_sums = right_sums = None
+                if depth + 1 < cfg.max_depth:
+                    if len(left) <= len(right):
+                        left_sums = histogram(left)
+                        right_sums = sums - left_sums
+                    else:
+                        right_sums = histogram(right)
+                        left_sums = sums - right_sums
+                next_frontier.append((left, depth + 1, left_sums, nid, "L"))
+                next_frontier.append((right, depth + 1, right_sums, nid, "R"))
             if parent is not None:
                 if side == "L":
                     tree.left[parent] = nid

@@ -95,6 +95,19 @@ class TestSynthCommand:
         assert "malformed synth spec" in caplog.text
         assert not out.exists()
 
+    def test_unknown_spec_keys_exit_one(self, tmp_path, caplog):
+        # a typo'd key and a stray plant key, which once fell back to
+        # their defaults and wrote a table with only cat01
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "n_rows": 400, "base_rate": 0.2, "n_continous": 3, "arities": [3],
+            "plant": {"restrictions": {"cat01": ["a"]}, "q_star": 4.0,
+                      "qstar": 9}}))
+        out = tmp_path / "out"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 1
+        assert "unknown keys 'n_continous', plant 'qstar'" in caplog.text
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         '{"n_rows": 10, "base_rate": 0.2, "arities": [2],'
         ' "plant": {"restrictions": {"cat01": ["a"]}, "q_star": Infinity}}',

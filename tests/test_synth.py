@@ -169,6 +169,23 @@ def test_json_q_star_must_be_finite(q_star):
         SynthSpec.from_json_dict(doc)
 
 
+@pytest.mark.parametrize("extra, plant_extra, named", [
+    ({"n_continous": 3}, {}, ["'n_continous'"]),
+    ({}, {"qstar": 9}, ["plant 'qstar'"]),
+    ({"n_continous": 3, "Seed": 2}, {"qstar": 9},
+     ["'n_continous'", "'Seed'", "plant 'qstar'"]),
+], ids=["spec", "plant", "both"])
+def test_json_unknown_keys_rejected(extra, plant_extra, named):
+    # a misspelt key would otherwise fall back to its default silently
+    doc = json.loads(json.dumps(SPEC_DOC))
+    doc.update(extra)
+    doc["plant"].update(plant_extra)
+    with pytest.raises(InvalidSpecError, match="unknown keys") as info:
+        SynthSpec.from_json_dict(doc)
+    for name in named:
+        assert name in str(info.value)
+
+
 class TestSave:
     def test_files_round_trip(self, tmp_path):
         plant = PlantSpec({"cat01": ("a",)}, q_star=4.0)
