@@ -108,9 +108,11 @@ def _codes(a) -> np.ndarray:
 
 
 def _table(ai: np.ndarray, bi: np.ndarray) -> np.ndarray:
-    """Contingency table of two code vectors."""
+    """Contingency table of two integer code vectors."""
     r, c = int(ai.max()) + 1, int(bi.max()) + 1
-    return np.bincount(ai * c + bi, minlength=r * c).reshape(r, c)
+    # in intp: the cell index ai * c + bi would wrap in a narrow code type
+    return np.bincount(ai.astype(np.intp, copy=False) * c + bi,
+                       minlength=r * c).reshape(r, c)
 
 
 def _contingency(a, b) -> np.ndarray:

@@ -238,7 +238,10 @@ def _pattern_table(data: DiscreteDataset, features: list[str]):
     n = np.bincount(inverse)
     rep = np.empty(len(n), dtype=np.intp)
     rep[inverse] = np.arange(data.n_rows)   # any row of a pattern stands for it
-    table = (inverse, [data.codes(f)[rep] for f in features], n.astype(np.float64))
+    # per-pattern codes as intp, the index type the ascent's take and
+    # bincount use, so they cast nothing per step
+    codes = [data.codes(f)[rep].astype(np.intp) for f in features]
+    table = (inverse, codes, n.astype(np.float64))
     data.covariate_cache["scan_patterns"] = (tuple(features), table, {})
     return table
 

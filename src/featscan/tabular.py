@@ -3,11 +3,16 @@
 A :class:`Dataset` is the single immutable view of the data that every other
 module reads. Columns are typed as continuous, binary, or nominal; the
 outcome is a 0/1 vector. Binary and nominal columns are coded once into
-int64 codes and sorted levels: :func:`load_csv` codes them block by block
-as it reads the file, and the :class:`Dataset` constructor codes label
-arrays given to it; ``Dataset.column`` materializes labels. Binning the
+codes and sorted levels: :func:`load_csv` codes them block by block as it
+reads the file, and the :class:`Dataset` constructor codes label arrays
+given to it; ``Dataset.column`` materializes labels. Binning the
 continuous columns gives the scanner's :class:`DiscreteDataset`, which
 shares those codes.
+
+Codes are held in the narrowest unsigned integer type that the column's
+level count needs (see :func:`_code_dtype`): uint8 up to 256 levels,
+uint16 up to 65,536 and uint32 beyond. So a coded cell of a typical
+categorical column takes one byte, not eight.
 """
 
 from __future__ import annotations
@@ -111,8 +116,10 @@ class Schema:
 class _CodedTable:
     """Accessors shared by :class:`Dataset` and :class:`DiscreteDataset`.
 
-    Each coded column is held as read-only int64 codes into the array of
-    its labels, its levels, which are sorted for binary and nominal columns.
+    Each coded column is held as read-only codes into the array of its
+    labels, its levels, which are sorted for binary and nominal columns.
+    The codes take the narrowest unsigned type its level count needs:
+    uint8 up to 256 levels, uint16 up to 65,536 and uint32 beyond.
     """
 
     @property
@@ -127,6 +134,12 @@ class _CodedTable:
         raise UnknownFeatureError(f"no feature named {name!r}")
 
     def codes(self, name: str) -> np.ndarray:
+        """The column's read-only codes, unsigned integers of the width above.
+
+        Indexing, comparing and ``np.bincount`` take them as they are. Cast
+        them (to ``np.intp``, say) before arithmetic, which would wrap in
+        the narrow type.
+        """
         return self._coded(self._codes, name)
 
     def levels(self, name: str) -> tuple[str, ...]:
@@ -143,10 +156,12 @@ class Dataset(_CodedTable):
     """Immutable typed table with a binary outcome.
 
     Continuous columns are float64 arrays. Binary and nominal columns are
-    held as the int64 codes and sorted levels every other module reads;
-    :meth:`column` materializes their labels. The outcome is int8. Each
-    categorical column is coded once: by :func:`load_csv` while it reads
-    the file, or by this constructor from an array of labels.
+    held as the codes and sorted levels every other module reads, the
+    codes in the narrowest unsigned type their level count needs (uint8 up
+    to 256 levels, uint16 up to 65,536, uint32 beyond); :meth:`column`
+    materializes their labels. The outcome is int8. Each categorical
+    column is coded once: by :func:`load_csv` while it reads the file, or
+    by this constructor from an array of labels.
     """
 
     def __init__(self, schema: Schema, columns: dict[str, np.ndarray],
@@ -187,7 +202,8 @@ class Dataset(_CodedTable):
         """Own the arrays: check each binary column's arity, make all read-only.
 
         ``coded`` maps each binary and nominal feature, in schema order, to
-        its sorted levels and the int codes into them.
+        its sorted levels and the integer codes into them, which are
+        narrowed to :func:`_code_dtype` of the level count.
         """
         self.schema, self.outcome, self.n_rows = schema, outcome, len(outcome)
         self._continuous, self._codes, self._levels = continuous, {}, {}
@@ -195,7 +211,7 @@ class Dataset(_CodedTable):
             if schema.kind(name) is FeatureKind.BINARY and len(levels) > 2:
                 raise _too_many_levels(name, levels)
             self._levels[name] = levels
-            self._codes[name] = codes.astype(np.int64, copy=False)
+            self._codes[name] = codes.astype(_code_dtype(len(levels)), copy=False)
         for col in (outcome, *continuous.values(), *self._codes.values(),
                     *self._levels.values()):
             col.setflags(write=False)
@@ -212,6 +228,15 @@ class Dataset(_CodedTable):
         if name not in self._continuous and name not in self._codes:
             raise UnknownFeatureError(f"no feature named {name!r}")
         return self.schema.kind(name)
+
+
+def _code_dtype(n_levels: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds codes below ``n_levels``."""
+    if n_levels <= 1 << 8:
+        return np.dtype(np.uint8)
+    if n_levels <= 1 << 16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.uint32)
 
 
 def _too_many_levels(name: str, levels: np.ndarray,
@@ -255,17 +280,19 @@ class _ColumnReader:
     """Builds a CSV file's columns block by block.
 
     Each continuous column grows one float64 buffer, each categorical
-    column one buffer of int32 codes into its distinct raw cells, and the
-    outcome one int8 buffer of its values. A failed
-    check records the first line it fails on and the reading goes on, so
-    :meth:`dataset` can raise in the documented order over the whole file.
+    column one buffer of codes into its distinct raw cells, and the outcome
+    one int8 buffer of its values. A code buffer starts at one byte per
+    cell and is widened to :func:`_code_dtype` of the raw cells seen so far
+    when they outgrow it. A failed check records the first line it fails
+    on and the reading goes on, so :meth:`dataset` can raise in the
+    documented order over the whole file.
     """
 
     def __init__(self, path, schema: Schema, header: list[str]):
         self.path, self.schema, self.header = path, schema, header
         self.continuous = schema.features_of_kind(FeatureKind.CONTINUOUS)
         self.values = {f: array("d") for f in self.continuous}
-        self.codes = {f: array("i") for f in schema.feature_names
+        self.codes = {f: array(_code_dtype(0).char) for f in schema.feature_names
                       if f not in self.values}
         self.index = {f: {} for f in self.codes}   # raw cell -> its code
         # each binary column's stripped labels so far, up to its third
@@ -336,7 +363,11 @@ class _ColumnReader:
                 index[cell] = len(index)
             if f in self.labels and new and f not in self.third_line:
                 self._locate_third_label(f, col, lines)
-            _extend(self.codes[f], map(index.__getitem__, col), len(col))
+            buffer, wide = self.codes[f], _code_dtype(len(index))
+            if buffer.typecode != wide.char:
+                narrow = np.frombuffer(buffer, dtype=buffer.typecode)
+                self.codes[f] = buffer = array(wide.char, narrow.astype(wide).tobytes())
+            _extend(buffer, map(index.__getitem__, col), len(col))
 
         col = cells[self.schema.outcome_name]
         new = set(col).difference(self.outcome_of)
@@ -385,14 +416,16 @@ class _ColumnReader:
                       for f in self.continuous}
         coded = {}
         for f, index in self.index.items():
-            # raw cells that strip alike share a level; popping the int32
-            # codes frees each before the next column's int64 codes are made
+            # raw cells that strip alike share a level; popping the raw
+            # codes frees each before the next column's level codes are made
             labels = np.asarray([cell.strip() for cell in index], dtype=str)
             levels, code_of = np.unique(labels, return_inverse=True)
             if f in self.third_line:
                 line = self.third_line[f]
                 raise _too_many_levels(f, levels, f"{self.path}:{line}: ")
-            coded[f] = levels, code_of[np.frombuffer(self.codes.pop(f), dtype=np.int32)]
+            raw = self.codes.pop(f)
+            code_of = code_of.astype(_code_dtype(len(levels)))
+            coded[f] = levels, code_of[np.frombuffer(raw, dtype=raw.typecode)]
         outcome = np.frombuffer(self.outcome, dtype=np.int8)
         return Dataset._from_columns(self.schema, outcome, continuous, coded)
 
@@ -520,9 +553,14 @@ def _cut_points(values: np.ndarray, method: BinMethod, n_bins: int) -> np.ndarra
 
 
 def assign_bins(values: np.ndarray, cut_points: np.ndarray) -> np.ndarray:
-    """Map values to bin codes; a value equal to a cut goes to the lower bin."""
-    return np.searchsorted(cut_points, np.asarray(values, dtype=np.float64),
-                           side="left").astype(np.int64)
+    """Map values to bin codes; a value equal to a cut goes to the lower bin.
+
+    The codes take :func:`_code_dtype` of the bin count, one more than the
+    number of cuts.
+    """
+    bins = np.searchsorted(cut_points, np.asarray(values, dtype=np.float64),
+                           side="left")
+    return bins.astype(_code_dtype(len(cut_points) + 1))
 
 
 class DiscreteDataset(_CodedTable):
@@ -530,7 +568,9 @@ class DiscreteDataset(_CodedTable):
 
     Binned continuous features keep their cut points so labels are
     reproducible; binary and nominal features share the source dataset's
-    codes and levels.
+    codes and levels. As in :class:`Dataset`, every column's codes take the
+    narrowest unsigned type its level (or bin) count needs: uint8 up to
+    256, uint16 up to 65,536 and uint32 beyond.
     """
 
     def __init__(self, source_schema: Schema, outcome: np.ndarray,

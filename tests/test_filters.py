@@ -375,6 +375,23 @@ class TestFilterSelect:
         assert len(diag.notes) == 4
         assert [f for f, _ in diag.dropped] == ["g2"]
 
+    def test_wide_nominal_pair_statistics_equal_public_functions(self):
+        # two 20-level features make a 400-cell table, whose cell index
+        # a * 20 + b passes 255: one-byte codes must not wrap in it
+        rng = np.random.default_rng(91)
+        a = rng.integers(0, 20, size=2000)
+        b = np.where(rng.random(2000) < 0.5, a, rng.integers(0, 20, size=2000))
+        cat = {"a": np.char.add("a", a.astype(str)),
+               "b": np.char.add("b", b.astype(str))}
+        y = rng.integers(0, 2, size=2000)
+        d = mixed_dataset({}, cat, y)
+        assert d.codes("a").dtype == np.uint8 and d.arity("a") == d.arity("b") == 20
+        diag = filter_select(d, FilterThresholds())
+        chi2, _, p = chi_square(cat["a"], cat["b"])
+        assert diag.chi2_pairs == [("a", "b", chi2, p)]
+        assert diag.cramers_pairs == [("a", "b", cramers_v(cat["a"], cat["b"]))]
+        assert diag.mi_values == [(f, mutual_information(cat[f], y)) for f in cat]
+
     def test_partition_invariant(self):
         rng = np.random.default_rng(89)
         d = mixed_dataset(

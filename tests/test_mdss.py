@@ -523,6 +523,20 @@ class TestAscentOracle:
         # feature
         assert paths["redraw"] > 0 and paths["relax"] > 0 and one_level > 0
 
+    def test_scan_over_300_bins_matches_the_row_level_ascent(self):
+        # 300 bins take two-byte codes, the pattern table's codes intp
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=1500)
+        g = rng.choice(["a", "b", "c"], size=1500)
+        y = (rng.random(1500) < np.where((x > 1) & (g == "a"), 0.6, 0.2)).astype(int)
+        schema = Schema(("g", "x"), {"g": FeatureKind.NOMINAL,
+                                     "x": FeatureKind.CONTINUOUS}, "y")
+        d = discretize(Dataset(schema, {"g": g, "x": x}, y),
+                       DiscretizationSpec(n_bins=300))
+        assert d.arity("x") == 300 and d.codes("x").dtype == np.uint16
+        cfg = ScanConfig(n_restarts=3, seed=5)
+        assert scan(d, ["g", "x"], cfg) == reference_scan(d, ["g", "x"], cfg)
+
 
 def test_split_coin_draws_equal_one_draw():
     # scan draws a restart's coins in one call and tops up by the

@@ -496,7 +496,7 @@ class TestDiscretize:
                     np.array([0, 1, 0, 1, 0, 1, 0, 1]))
         dd = discretize(d, DiscretizationSpec())
         assert dd.levels("g") == tuple(sorted(set(labels)))
-        assert dd.codes("g").dtype == np.int64
+        assert dd.codes("g").dtype == np.uint8
         np.testing.assert_array_equal(
             dd.codes("g"), [dd.levels("g").index(v) for v in labels]
         )
@@ -690,6 +690,70 @@ class TestCategoricalCoding:
         assert not col.flags.writeable
         with pytest.raises(ValueError):
             col[0] = "z"
+
+
+def many_labels_csv(tmp_path, labels, seed=0, n_rows=700):
+    """A CSV in ``make_schema``'s layout whose dept cells take every label.
+
+    The rows are shuffled, so a 256-record block meets only some labels
+    and later blocks bring new ones.
+    """
+    rng = np.random.default_rng(seed)
+    depts = list(labels) + rng.choice(labels, size=n_rows - len(labels)).tolist()
+    rng.shuffle(depts)
+    lines = [HEADER] + [
+        f"{rng.normal():.6f},{'MF'[i % 2]},{dept},{i % 3 % 2}"
+        for i, dept in enumerate(depts)
+    ]
+    return write_lines(tmp_path, lines)
+
+
+class TestCodeWidth:
+    """Codes take the narrowest unsigned type their level count needs."""
+
+    @pytest.mark.parametrize("block", [1, tabular.BLOCK_ROWS])
+    @pytest.mark.parametrize("n_labels, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_load_csv(self, tmp_path, monkeypatch, block, n_labels, dtype):
+        monkeypatch.setattr(tabular, "BLOCK_ROWS", block)
+        path = many_labels_csv(tmp_path, [f"d{i:03d}" for i in range(n_labels)])
+        got = load_csv(path, make_schema())
+        want = reference_load_csv(path, make_schema())
+        assert_same_dataset(got, want)
+        assert got.arity("dept") == n_labels
+        assert got.codes("dept").dtype == want.codes("dept").dtype == dtype
+        np.testing.assert_array_equal(got.codes("dept"), want.codes("dept"))
+        assert got.codes("sex").dtype == np.uint8
+
+    def test_padded_cells_widen_the_buffer_not_the_codes(self, tmp_path):
+        # 400 raw cells strip to 200 labels: the reader's buffer outgrows
+        # one byte, the finished codes do not
+        labels = [f"d{i:03d}" for i in range(200)]
+        path = many_labels_csv(tmp_path, labels + [f" {v}" for v in labels])
+        got = load_csv(path, make_schema())
+        assert_same_dataset(got, reference_load_csv(path, make_schema()))
+        assert got.arity("dept") == 200
+        assert got.codes("dept").dtype == np.uint8
+
+    @pytest.mark.parametrize("n_labels, dtype", [
+        (1, np.uint8), (256, np.uint8), (257, np.uint16), (65_536, np.uint16),
+        (65_537, np.uint32),
+    ])
+    def test_constructor(self, n_labels, dtype):
+        labels = np.array([f"v{i:05d}" for i in range(n_labels)])[::-1]
+        schema = Schema(("g",), {"g": FeatureKind.NOMINAL}, "y")
+        d = Dataset(schema, {"g": labels}, np.arange(n_labels) % 2)
+        assert d.codes("g").dtype == dtype
+        np.testing.assert_array_equal(d.codes("g"), np.arange(n_labels)[::-1])
+        np.testing.assert_array_equal(d.column("g"), labels)
+
+    @pytest.mark.parametrize("n_bins, dtype", [(256, np.uint8), (257, np.uint16)])
+    def test_discretize(self, n_bins, dtype):
+        values = np.random.default_rng(4).normal(size=1000)
+        dd = discretize(continuous_dataset(values), DiscretizationSpec(n_bins=n_bins))
+        cuts = dd.cut_points["x"]
+        assert len(cuts) + 1 == dd.arity("x") == n_bins
+        assert dd.codes("x").dtype == dtype
+        np.testing.assert_array_equal(dd.codes("x"), np.searchsorted(cuts, values))
 
 
 class TestSchema:
