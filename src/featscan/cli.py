@@ -104,8 +104,6 @@ class PipelineConfig:
     n_restarts: int = field(default=20, metadata={
         "flag": "restarts",
         "help": "random restarts per scan; the first starts unrestricted"})
-    max_iterations: int = field(default=50, metadata={
-        "help": "coordinate-ascent cycles per restart, at most"})
     bootstrap_r: int = field(default=100, metadata={
         "help": f"bootstrap replicates, at least {inference.MIN_REPLICATES}"})
     score_tolerance: float = field(default=0.01, metadata={
@@ -144,7 +142,7 @@ class PipelineConfig:
         # each stage's config checks its own ranges, so build them all before
         # any data is read. The GBM gets the seed as given: deriving its seeds
         # would load numpy.random before the CSV, +5 MiB on the load's peak.
-        mdss.ScanConfig(self.n_restarts, self.max_iterations, self.seed)
+        mdss.ScanConfig(self.n_restarts, self.seed)
         embedded.GbmConfig.preset_a(seed=self.seed, n_trees=self.gbm_trees,
                                     max_depth=self.gbm_depth, learning_rate=self.gbm_lr)
         self.thresholds()
@@ -168,7 +166,6 @@ class PipelineConfig:
         # seed keyed on the feature set, so identical sets scan identically
         key = zlib.crc32("\x1f".join(sorted(features)).encode("utf-8"))
         return mdss.ScanConfig(n_restarts=self.n_restarts,
-                               max_iterations=self.max_iterations,
                                seed=_derive_seed(self.seed, 3, key))
 
 

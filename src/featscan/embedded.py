@@ -49,24 +49,30 @@ from .tabular import Dataset, FeatureKind
 
 _TARGET_STAT_PRIOR_WEIGHT = 10.0
 _MAX_BINS = 256     # bins per column, so a bin code fits in a uint8
+_HOLDOUT_FRACTION = 0.2     # rows held out of training to score the fit
 
 
 class Preset(enum.Enum):
-    A = "A"     # one-hot nominals, no row subsampling
-    B = "B"     # smoothed target-statistic nominals, 0.8 row subsampling
+    """A GBM preset; it fixes the nominal encoding and the row subsampling."""
+
+    A = "A"     # one-hot nominals, every training row in each tree
+    B = "B"     # smoothed target-statistic nominals, 80% of the rows per tree
+
+
+_SUBSAMPLE = {Preset.A: 1.0, Preset.B: 0.8}   # drawn without replacement
 
 
 @dataclass(frozen=True)
 class GbmConfig:
+    """One fit's settings; the preset fixes encoding and row subsampling."""
+
     preset: Preset
     n_trees: int = 200
     max_depth: int = 4
     learning_rate: float = 0.1
     min_child_weight: float = 1.0
     l2_reg: float = 1.0
-    subsample: float = 1.0
     seed: int = 0
-    holdout_fraction: float = 0.2
 
     def __post_init__(self):
         if self.n_trees < 0:
@@ -79,20 +85,16 @@ class GbmConfig:
             raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
         if not self.l2_reg >= 0.0:
             raise ValueError(f"l2_reg must be >= 0, got {self.l2_reg}")
-        if not 0.0 < self.subsample <= 1.0:
-            raise ValueError(f"subsample must be in (0,1], got {self.subsample}")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ValueError(f"holdout_fraction must be in (0,1), got {self.holdout_fraction}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @classmethod
     def preset_a(cls, seed: int = 0, **overrides) -> "GbmConfig":
-        return cls(preset=Preset.A, subsample=1.0, seed=seed, **overrides)
+        return cls(preset=Preset.A, seed=seed, **overrides)
 
     @classmethod
     def preset_b(cls, seed: int = 0, **overrides) -> "GbmConfig":
-        return cls(preset=Preset.B, subsample=0.8, seed=seed, **overrides)
+        return cls(preset=Preset.B, seed=seed, **overrides)
 
 
 class RankingSource(enum.Enum):
@@ -258,7 +260,7 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None):
                 / (count + _TARGET_STAT_PRIOR_WEIGHT),
                 prior,
             )
-            cols.append(stat[codes])
+            cols.append(stat.take(codes))
             sources.append(name)
     XT = np.stack(cols) if cols else np.empty((0, dataset.n_rows))
     return XT.T, sources
@@ -471,7 +473,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     perm = rng.permutation(dataset.n_rows)
-    n_hold = max(1, int(round(cfg.holdout_fraction * dataset.n_rows)))
+    n_hold = max(1, int(round(_HOLDOUT_FRACTION * dataset.n_rows)))
     hold_idx = np.sort(perm[:n_hold])
     train_idx = np.sort(perm[n_hold:])
     if len(np.unique(dataset.outcome[train_idx])) < 2:
@@ -493,9 +495,10 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     total_gain = 0.0
     trees: list[_Tree] = []
     bins = _bin_columns(XT)
+    subsample = _SUBSAMPLE[cfg.preset]
     for _ in range(cfg.n_trees):
-        if cfg.subsample < 1.0:
-            m = max(1, int(round(cfg.subsample * n_train)))
+        if subsample < 1.0:
+            m = max(1, int(round(subsample * n_train)))
             rows = np.sort(rng.choice(n_train, size=m, replace=False))
         else:
             rows = np.arange(n_train)
@@ -521,7 +524,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     pc = np.clip(p_hold, 1e-15, 1.0 - 1e-15)
     ll = -float((y_hold * np.log(pc) + (1 - y_hold) * np.log(1 - pc)).mean())
     metrics = FitMetrics(f1=f1, accuracy=acc, log_loss=ll,
-                         holdout_fraction=cfg.holdout_fraction,
+                         holdout_fraction=_HOLDOUT_FRACTION,
                          n_holdout=n_hold, seed=cfg.seed)
     return model, metrics
 

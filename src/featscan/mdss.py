@@ -81,7 +81,8 @@ class SubsetDescriptor:
                     f"values {sorted(unknown)} not in domain of {f!r}"
                 )
             allowed = np.isin(np.asarray(levels), sorted(values))
-            mask &= allowed[data.codes(f)]
+            # take, not indexing: numpy casts a narrow index array first
+            mask &= allowed.take(data.codes(f))
         return mask
 
     def encode(self) -> str:
@@ -102,17 +103,14 @@ class SubsetDescriptor:
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Search budget and reproducibility knobs for one scan."""
+    """Restarts and seed of one scan; each restart ascends to a local optimum."""
 
     n_restarts: int = 20
-    max_iterations: int = 50
     seed: int = 0
 
     def __post_init__(self):
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -254,14 +252,15 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
     every feature's value set (the first restart starts fully
     unrestricted, later ones uniformly at random), then cycles through
     the features in seeded random order, replacing each feature's set
-    with its best conditional prefix until a full cycle improves the
-    score by no more than 1e-12 or the iteration cap is hit. The best
-    restart wins; ties prefer fewer restrictions, then the
-    lexicographically smallest restriction encoding. Deterministic for a
-    fixed seed. Rows are grouped into the pattern table of the sorted
-    features, taken from the dataset's shared cache when an earlier scan
-    of the same covariates and feature set built it; results equal a
-    row-level scan.
+    with its best conditional prefix until a full cycle raises the score
+    by no more than 1e-12. That always ends: no step lowers the score (no
+    value set outscores the best prefix, Neill 2012), and there are
+    finitely many joint subsets. The best restart wins; ties
+    prefer fewer restrictions, then the lexicographically smallest
+    restriction encoding. Deterministic for a fixed seed. Rows are
+    grouped into the pattern table of the sorted features, taken from the
+    dataset's shared cache when an earlier scan of the same covariates and
+    feature set built it; results equal a row-level scan.
 
     The table's memo maps (``cfg``, the packed outcome bits) to the
     finished result, an exact key: a repeat scan of the same set, config
@@ -318,7 +317,7 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
         # selection changes so far, and their count at each feature's last
         # step: a feature that has seen every change is skipped (see above)
         changes, seen = 0, [-1] * len(features)
-        for _ in range(cfg.max_iterations):
+        while True:
             cycle_start = score
             for j in rng.permutation(len(features)).tolist():
                 if seen[j] == changes:

@@ -220,7 +220,7 @@ class Dataset(_CodedTable):
         """A continuous column, or a categorical column's labels (a new array)."""
         if name in self._continuous:
             return self._continuous[name]
-        labels = self._coded(self._levels, name)[self._codes[name]]
+        labels = self._coded(self._levels, name).take(self._codes[name])
         labels.setflags(write=False)
         return labels
 

@@ -168,7 +168,7 @@ def reference_scan(data, features, cfg, paths=None):
         mask = rows_of(selected)
         score = score_bernoulli(int(data.outcome[mask].sum()), int(mask.sum()),
                                 alpha)[0]
-        for _ in range(cfg.max_iterations):
+        while True:
             cycle_start = score
             for j in rng.permutation(len(features)).tolist():
                 others = rows_of(selected, skip=j)

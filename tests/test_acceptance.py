@@ -145,10 +145,12 @@ class TestPlantedAnomalyRecovery:
 
 class TestNullCalibration:
     def test_p_values_uniform_under_null(self):
-        crit = float(scipy.stats.kstwo.ppf(0.95, 50))
-        passes = 0
+        # 500 null scans, each with 39 replicates. A calibrated p-value is
+        # then uniform on the support {1/40, ..., 40/40}, and each check
+        # below fails a calibrated scan with probability under 1e-3.
+        r = 39
+        pvals = []
         for meta in range(10):
-            pvals = []
             for i in range(50):
                 spec = SynthSpec(n_rows=1000, base_rate=0.3, n_continuous=0,
                                  arities=(3, 3, 3, 3, 3),
@@ -158,13 +160,27 @@ class TestNullCalibration:
                 feats = list(data.feature_names)
                 cfg = ScanConfig(n_restarts=3, seed=meta * 1000 + i)
                 observed = scan(dd, feats, cfg)
-                sig = empirical_p_value(dd, feats, cfg, observed, r=39)
+                sig = empirical_p_value(dd, feats, cfg, observed, r=r)
                 pvals.append(sig.p_value)
-            stat = scipy.stats.kstest(pvals, "uniform").statistic
-            passes += stat < crit
-        assert passes >= 9, f"KS uniformity passed in {passes}/10 meta-reps"
-        report(f"null p-value calibration ({passes}/10 meta-reps under "
-               f"KS crit {crit:.3f})")
+        n, pvals = len(pvals), np.array(pvals)
+        ranks = np.rint(pvals * (r + 1)).astype(int)
+        # a value off the support has probability 0
+        assert np.array_equal(ranks / (r + 1), pvals)
+        assert ranks.min() >= 1 and ranks.max() <= r + 1
+        # p <= 0.05 holds for ranks 1 and 2, so the count is Bin(n, 2/40);
+        # above this bound with probability sf(41) = 8.6e-4
+        hits = int((pvals <= 0.05).sum())
+        bound = int(scipy.stats.binom.isf(1e-3, n, 2 / (r + 1)))
+        assert hits <= bound, f"{hits}/{n} p-values at or below 0.05"
+        # Kolmogorov distance to the discrete uniform. The DKW inequality
+        # with Massart's constant holds for any distribution, discrete
+        # ones too: P(D > eps) <= 2 exp(-2 n eps^2), which is 5e-4 here
+        eps = math.sqrt(math.log(2 / 5e-4) / (2 * n))
+        ecdf = np.cumsum(np.bincount(ranks, minlength=r + 2)[1:]) / n
+        dist = float(np.abs(ecdf - np.arange(1, r + 2) / (r + 1)).max())
+        assert dist <= eps, f"Kolmogorov distance {dist:.4f} > {eps:.4f}"
+        report(f"null p-value calibration ({hits}/{n} at or below 0.05, bound "
+               f"{bound}; Kolmogorov distance {dist:.3f} <= {eps:.3f})")
 
 
 class TestFilterStatisticsHandValues:

@@ -401,6 +401,18 @@ class TestConfigFile:
         assert "nope" in caplog.text
         assert list((tmp_path / "out").glob("*")) == []
 
+    def test_removed_max_iterations_key_exits_one(self, synth_dir, tmp_path, caplog):
+        cfg_path = self.write_config(synth_dir, tmp_path, max_iterations=50)
+        assert main(["select", "--config", str(cfg_path)]) == 1
+        assert "'max_iterations'" in caplog.text
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_max_iterations_flag_exits_one(self, synth_dir, tmp_path):
+        rc = main(["scan", "--features", "all", "--max-iterations", "50",
+                   *common_flags(synth_dir, tmp_path / "out")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+
     def test_well_typed_values_accepted(self, synth_dir, tmp_path):
         # an integer is a valid JSON number for a float field
         cfg_path = self.write_config(synth_dir, tmp_path, vif_max=12,
@@ -558,15 +570,15 @@ class TestErrorExitCodes:
 
 
 @pytest.mark.parametrize("build, value", [
-    (lambda v: ScanConfig(max_iterations=v), -3),
+    (lambda v: ScanConfig(n_restarts=v), -3),
     (lambda v: GbmConfig.preset_a(min_child_weight=v), -0.25),
     (lambda v: GbmConfig.preset_a(l2_reg=v), -1.5),
     (lambda v: GbmConfig.preset_a(min_child_weight=v), float("nan")),
     (lambda v: GbmConfig.preset_a(l2_reg=v), float("nan")),
-    (lambda v: GbmConfig.preset_a(holdout_fraction=v), 1.75),
+    (lambda v: GbmConfig.preset_a(learning_rate=v), 1.75),
     (lambda v: SynthSpec(n_rows=10, base_rate=v, arities=(2,)), 1.125),
-], ids=["max_iterations", "min_child_weight", "l2_reg", "min_child_weight_nan",
-        "l2_reg_nan", "holdout_fraction", "base_rate"])
+], ids=["n_restarts", "min_child_weight", "l2_reg", "min_child_weight_nan",
+        "l2_reg_nan", "learning_rate", "base_rate"])
 def test_config_error_names_rejected_value(build, value):
     with pytest.raises((ValueError, InvalidSpecError),
                        match=re.escape(f"got {value}")):
@@ -580,11 +592,12 @@ BAD_VALUES = [
     ("--rho-max", "rho_max", 2),
     ("--rho-max", "rho_max", 1),
     ("--vif-max", "vif_max", float("nan")),
+    ("--chi2-alpha", "chi2_alpha", 1),
+    ("--cramers-max", "cramers_v_max", 0),
     ("--gbm-lr", "gbm_lr", 0),
     ("--gbm-depth", "gbm_depth", 0),
     ("--gbm-trees", "gbm_trees", -1),
     ("--restarts", "n_restarts", 0),
-    ("--max-iterations", "max_iterations", 0),
     ("--bootstrap-r", "bootstrap_r", 5),
     ("--seed", "seed", -1),
     ("--method", "method", "bogus"),
@@ -639,8 +652,8 @@ def test_score_tolerance_outside_unit_interval_exits_one(synth_dir, tmp_path,
 DATA_COMMAND_FLAGS = {
     "--data", "--schema", "--out", "--config", "--seed", "--bins",
     "--bin-method", "--rho-max", "--vif-max", "--chi2-alpha", "--cramers-max",
-    "--gbm-trees", "--gbm-depth", "--gbm-lr", "--restarts", "--max-iterations",
-    "--bootstrap-r", "--score-tolerance",
+    "--gbm-trees", "--gbm-depth", "--gbm-lr", "--restarts", "--bootstrap-r",
+    "--score-tolerance",
 }
 SURFACE = {
     "select": DATA_COMMAND_FLAGS | {"--method", "--k"},
@@ -658,7 +671,7 @@ def test_each_command_accepts_exactly_its_flags():
     for command, flags in SURFACE.items():
         got = {s for a in commands[command]._actions for s in a.option_strings}
         assert got - {"-h", "--help"} == flags, command
-    assert len(set().union(*SURFACE.values())) == 23
+    assert len(set().union(*SURFACE.values())) == 22
 
 
 def test_every_command_flag_has_help():
@@ -695,7 +708,6 @@ OPTIONS = [
     ("--gbm-depth", "gbm_depth", "gbm_depth", "2", 2, 3, 3, 4),
     ("--gbm-lr", "gbm_lr", "gbm_lr", "0.5", 0.5, 0.25, 0.25, 0.1),
     ("--restarts", "n_restarts", "n_restarts", "4", 4, 6, 6, 20),
-    ("--max-iterations", "max_iterations", "max_iterations", "8", 8, 9, 9, 50),
     ("--bootstrap-r", "bootstrap_r", "bootstrap_r", "29", 29, 39, 39, 100),
     ("--score-tolerance", "score_tolerance", "score_tolerance", "0.02", 0.02,
      0.05, 0.05, 0.01),

@@ -6,6 +6,7 @@ import pytest
 from featscan.embedded import (
     FeatureRanking,
     GbmConfig,
+    Preset,
     RankingSource,
     committee_vote,
     extract_importance,
@@ -101,6 +102,12 @@ class TestGbmTrain:
             assert t1.feature == t2.feature
             assert t1.threshold == t2.threshold
             assert t1.value == t2.value
+
+    def test_preset_fixes_subsampling(self):
+        # a config names its preset and nothing the preset fixes, so the
+        # constructor and the named preset give the same fit
+        assert GbmConfig(Preset.B) == GbmConfig.preset_b()
+        assert GbmConfig(Preset.A) == GbmConfig.preset_a()
 
     def test_importance_conservation(self):
         d = separable_dataset(seed=13, n=800, n_noise=4)

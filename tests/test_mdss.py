@@ -469,7 +469,7 @@ class TestScanMemo:
         scan(d, self.FEATS, self.CFG)
         for cfg in (ScanConfig(n_restarts=4, seed=7),
                     ScanConfig(n_restarts=5, seed=6),
-                    ScanConfig(n_restarts=4, max_iterations=1, seed=6)):
+                    ScanConfig(n_restarts=5, seed=7)):
             got = scan(d, self.FEATS, cfg)
             assert got == scan(planted_dataset(seed=4, n=400), self.FEATS, cfg)
         assert len(self.memo(d)) == 4
@@ -502,7 +502,6 @@ def random_scan_case(case):
     y = (rng.random(n) < rng.uniform(0.1, 0.6)).astype(int)
     y[:2] = [0, 1]
     cfg = ScanConfig(n_restarts=int(rng.integers(1, 7)),
-                     max_iterations=int(rng.choice([1, 2, 50])),
                      seed=int(rng.integers(0, 2**32)))
     return categorical_dataset(cols, y), list(cols)[::-1], cfg
 
