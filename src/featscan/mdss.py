@@ -12,10 +12,12 @@ is given, so a result depends only on (data, feature set, config), never
 on list order. It runs on a pattern table: the distinct joint codes of
 the scanned features with a row count and an outcome sum each. The table
 is built once per dataset and feature set and shared by every bootstrap
-replicate of that dataset. It carries a memo of that set's finished
-scans, keyed by (config, outcome bits), so a repeat scan returns its
-stored result; the memo is dropped with the table when another feature
-set is scanned.
+replicate of that dataset. Beside each row's pattern id, it holds a memo
+of that set's finished scans, keyed by (config, outcome bits), so a
+repeat scan returns its stored result, and the blocking masks of value
+sets already used, so a later restart or replicate reads a mask instead
+of building it again. Memo and masks are dropped with the table when
+another feature set is scanned.
 
 The ascent skips steps that cannot change anything. A feature's step
 reads only the other features' value sets, so while no value set has
@@ -40,7 +42,11 @@ from .errors import (
     NoFeaturesError,
     UnknownFeatureError,
 )
-from .tabular import Dataset, DiscreteDataset
+from .tabular import Dataset, DiscreteDataset, _code_dtype
+
+# a feature with at most this many values keeps its blocking masks on the
+# pattern table (see ``scan``)
+_MAX_STORED_ARITY = 8
 
 
 @dataclass(frozen=True)
@@ -213,34 +219,55 @@ def best_value_subset(n_v, s_v, alpha_g: float) -> tuple[list[int], float]:
 def _pattern_table(data: DiscreteDataset, features: list[str]):
     """Distinct joint codes of the scanned features, with a row count each.
 
-    Returns (inverse, codes, n): each row's pattern, each feature's code
-    per pattern and the rows per pattern. It depends on the covariates
-    only, so it is kept in the cache that all ``with_outcome`` copies of
-    ``data`` share: one table with its memo of scan results (see
-    ``scan``), both replaced when the feature list changes.
+    Returns (inverse, codes, n): each row's pattern id, each feature's
+    code per pattern and the rows per pattern. Ids number the patterns in
+    the order of their mixed-radix key (first feature most significant).
+    When that key's range, the product of the arities, is at most the row
+    count, the ids come from marking the keys present and numbering them,
+    with no sort; a wider key is sorted (``np.unique``) and each row's key
+    searched. Both give the same table. The table depends on the
+    covariates only, so it is kept in the cache that all ``with_outcome``
+    copies of ``data`` share, as (feature tuple, table, memo, masks): the
+    memo of scan results and the blocking masks start empty and are filled
+    by ``scan``, and all of them are replaced when the feature set changes.
     """
     cached = data.covariate_cache.get("scan_patterns")
     if cached is not None and cached[0] == tuple(features):
         return cached[1]
+    arity = [data.arity(f) for f in features]
     # mixed-radix key, re-compressed to pattern ids before it could overflow
     key, radix = np.zeros(data.n_rows, dtype=np.int64), 1
-    for f in features:
-        if radix * data.arity(f) > np.iinfo(np.int64).max:
+    for f, a in zip(features, arity):
+        if radix * a > np.iinfo(np.int64).max:
             key = np.searchsorted(np.unique(key), key)
             radix = int(key.max()) + 1
-        key *= data.arity(f)
+        key *= a
         key += data.codes(f)
-        radix *= data.arity(f)
-    # unique values, then a search, need less memory than return_inverse
-    inverse = np.searchsorted(np.unique(key), key)
-    n = np.bincount(inverse)
-    rep = np.empty(len(n), dtype=np.intp)
-    rep[inverse] = np.arange(data.n_rows)   # any row of a pattern stands for it
-    # per-pattern codes as intp, the index type the ascent's take and
-    # bincount use, so they cast nothing per step
-    codes = [data.codes(f)[rep].astype(np.intp) for f in features]
+        radix *= a
+    if math.prod(arity) <= data.n_rows:
+        # no re-compression ran, so each present key decodes to its codes
+        counts = np.bincount(key, minlength=radix)
+        present = counts.nonzero()[0]
+        inverse = (np.cumsum(counts > 0) - 1).take(key)
+        del key   # before the next full-length array is made
+        n = counts.take(present)
+        codes = []
+        for a in reversed(arity):
+            present, code = np.divmod(present, a)
+            codes.append(code)
+        codes.reverse()
+    else:
+        # unique values, then a search, need less memory than return_inverse
+        inverse = np.searchsorted(np.unique(key), key)
+        del key
+        n = np.bincount(inverse)
+        rep = np.empty(len(n), dtype=np.intp)
+        rep[inverse] = np.arange(data.n_rows)   # any row of a pattern stands for it
+        # per-pattern codes as intp, the index type the ascent's take and
+        # bincount use, so they cast nothing per step
+        codes = [data.codes(f)[rep].astype(np.intp) for f in features]
     table = (inverse, codes, n.astype(np.float64))
-    data.covariate_cache["scan_patterns"] = (tuple(features), table, {})
+    data.covariate_cache["scan_patterns"] = (tuple(features), table, {}, {})
     return table
 
 
@@ -265,8 +292,17 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
     The table's memo maps (``cfg``, the packed outcome bits) to the
     finished result, an exact key: a repeat scan of the same set, config
     and outcome on any ``with_outcome`` copy returns the stored result
-    without searching. The memo lives and dies with the table, so it
-    holds at most the scans of one feature set.
+    without searching. Its masks map (feature index, value set) to the
+    read-only mask of the patterns that value set blocks, one count per
+    pattern in the type of ``num_blocked``: ``_code_dtype`` of the feature
+    count plus one, one byte up to 255 features. Only a feature with at
+    most ``_MAX_STORED_ARITY`` (8) values stores its masks, so it stores
+    at most 2**8 - 2 = 254 of them; a wider feature, whose random starts
+    are nearly all distinct, builds each mask when used. The masks thus
+    take at most 254 counts per pattern per stored feature (with one-byte
+    counts, 254 bytes per row per feature in the worst case, when every
+    row is its own pattern). Memo and masks live and die with the table,
+    so they hold at most the scans of one feature set.
 
     A random start draws one coin per value in a single ``integers(0, 2)``
     call (see ``_random_start``). That reproduces one call per feature
@@ -286,14 +322,28 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
         raise DegenerateOutcomeError(f"outcome mean {alpha_g} leaves nothing to contrast")
 
     inverse, codes, n_p = _pattern_table(data, features)
-    memo = data.covariate_cache["scan_patterns"][2]
+    memo, masks = data.covariate_cache["scan_patterns"][2:]
     memo_key = (cfg, np.packbits(data.outcome).tobytes())
     if memo_key in memo:
         return memo[memo_key]
     s_p = np.bincount(inverse, weights=data.outcome, minlength=len(n_p))
     arity = [len(lv) for lv in levels]
     full = [tuple(range(a)) for a in arity]
-    unblocked = np.zeros(len(n_p), dtype=bool)
+    # counts of blocking features per pattern, and the masks added to them,
+    # in one type wide enough for every feature, so no add or compare casts
+    count_dtype = _code_dtype(len(features) + 1)
+    unblocked = np.zeros(len(n_p), dtype=count_dtype)
+
+    def block(j: int, values: tuple) -> np.ndarray:
+        """Mask of the patterns whose code for feature ``j`` is not in ``values``."""
+        mask = masks.get((j, values))
+        if mask is None:
+            mask = np.array([i not in values for i in range(arity[j])],
+                            dtype=count_dtype).take(codes[j])
+            if arity[j] <= _MAX_STORED_ARITY:
+                mask.setflags(write=False)
+                masks[(j, values)] = mask
+        return mask
 
     def joint_stats() -> tuple[int, int]:
         mask = num_blocked == 0
@@ -307,10 +357,10 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
         # arrays are replaced, never written, so unrestricted ones share one
         selected = _random_start(rng, arity) if restart > 0 else list(full)
         blocked = [unblocked] * len(features)
-        num_blocked = np.zeros(len(n_p), dtype=np.int16)
+        num_blocked = unblocked.copy()
         for j, values in enumerate(selected):
             if values != full[j]:
-                blocked[j] = _block(values, codes[j], arity[j])
+                blocked[j] = block(j, values)
                 num_blocked += blocked[j]
         score = score_bernoulli(*joint_stats(), alpha_g)[0]
 
@@ -333,11 +383,16 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
                     chosen, score = best_value_subset(n_v.tolist(), s_v.tolist(), alpha_g)
                     values = tuple(sorted(chosen))
                 if values != selected[j]:
-                    new_blocked = (unblocked if values == full[j]
-                                   else _block(values, codes[j], arity[j]))
-                    num_blocked += new_blocked
-                    num_blocked -= blocked[j]
-                    blocked[j], selected[j] = new_blocked, values
+                    # the all-zero mask of a full value set is neither added
+                    # nor subtracted
+                    if selected[j] != full[j]:
+                        num_blocked -= blocked[j]
+                    if values == full[j]:
+                        blocked[j] = unblocked
+                    else:
+                        blocked[j] = block(j, values)
+                        num_blocked += blocked[j]
+                    selected[j] = values
                     changes += 1
                 seen[j] = changes
             if score <= cycle_start + 1e-12:
@@ -385,7 +440,3 @@ def _random_start(rng, arity: list[int]) -> list[tuple]:
         selected.append(tuple([i for i, c in enumerate(drawn) if c]))
     return selected
 
-
-def _block(values: tuple, codes: np.ndarray, arity: int) -> np.ndarray:
-    """Boolean mask of the patterns whose code is not in ``values``."""
-    return np.array([i not in values for i in range(arity)]).take(codes)

@@ -371,36 +371,95 @@ class TestScan:
         assert "4" in result.subset.restrictions["x"]
 
 
-class TestPatternTable:
-    def test_groups_rows_when_key_would_overflow(self):
+def table_case(name):
+    """Categorical columns of one pattern-table case, and their outcome."""
+    rng = np.random.default_rng(17)
+    if name == "overflow":
         # 70 binary features: the mixed-radix key needs re-compression
-        rng = np.random.default_rng(17)
         distinct = rng.choice(list("xy"), size=(40, 70))
         rows = distinct[rng.integers(0, 40, size=300)]
         cols = {f"b{i:02d}": rows[:, i] for i in range(70)}
-        d = categorical_dataset(cols, rng.integers(0, 2, size=300))
+    elif name == "tall":
+        cols = {f"t{a}": rng.choice([f"v{v}" for v in range(a)], size=3000)
+                for a in (2, 3, 4, 5)}
+    elif name == "wide":
+        cols = {f"w{i:02d}": rng.choice([f"v{v}" for v in range(4)], size=500)
+                for i in range(10)}
+    else:   # a 300-level feature, with two-byte codes
+        cols = {"x": rng.choice([f"v{v:03d}" for v in range(300)], size=2000),
+                "g": rng.choice(list("abc"), size=2000)}
+    n = len(next(iter(cols.values())))
+    return cols, rng.integers(0, 2, size=n)
+
+
+class TestPatternTable:
+    @pytest.mark.parametrize("name, lookup", [
+        ("overflow", False), ("tall", True), ("wide", False), ("levels300", True)])
+    def test_equals_the_sort_based_table(self, name, lookup):
+        cols, y = table_case(name)
+        d = categorical_dataset(cols, y)
         feats = list(cols)
+        # the case reaches the id path it names: lookup where the key range
+        # is at most the row count
+        assert (math.prod(d.arity(f) for f in feats) <= d.n_rows) == lookup
+        assert name != "levels300" or d.codes("x").dtype == np.uint16
         inverse, codes, counts = _pattern_table(d, feats)
-        for f, c in zip(feats, codes):
-            np.testing.assert_array_equal(c[inverse], d.codes(f))
+        # rows sorted lexicographically by code, first feature first, are
+        # in mixed-radix key order
         stacked = np.column_stack([d.codes(f) for f in feats])
-        assert len(counts) == len(np.unique(stacked, axis=0))
-        np.testing.assert_array_equal(counts, np.bincount(inverse))
+        unique, want_inverse, want_counts = np.unique(
+            stacked, axis=0, return_inverse=True, return_counts=True)
+        assert inverse.dtype == np.intp
+        np.testing.assert_array_equal(inverse, want_inverse.ravel())
+        assert all(c.dtype == np.intp for c in codes)
+        np.testing.assert_array_equal(np.column_stack(codes), unique)
+        assert counts.dtype == np.float64
+        np.testing.assert_array_equal(counts, want_counts)
+
+    @staticmethod
+    def masks(d):
+        return d.covariate_cache["scan_patterns"][3]
 
     def test_one_table_per_dataset_shared_by_outcome_copies(self):
         d = planted_dataset(seed=2, n=200)
         cfg = ScanConfig(n_restarts=2, seed=1)
         scan(d, ["f1", "f2"], cfg)
-        table = d.covariate_cache["scan_patterns"]
+        table, masks = d.covariate_cache["scan_patterns"], self.masks(d)
+        stored = dict(masks)
+        assert stored
         rep = d.with_outcome(1 - np.asarray(d.outcome))
         assert rep.covariate_cache is d.covariate_cache
         scan(rep, ["f1", "f2"], cfg)
         assert d.covariate_cache["scan_patterns"] is table
+        # the copy's scan kept every stored mask as it was
+        assert self.masks(d) is masks
+        assert all(masks[key] is mask for key, mask in stored.items())
         scan(rep, ["f2", "f1"], cfg)
         assert d.covariate_cache["scan_patterns"] is table
         scan(rep, ["f1", "f3"], cfg)
         assert d.covariate_cache["scan_patterns"] is not table
+        assert not any(self.masks(d).get(key) is mask for key, mask in stored.items())
         assert list(d.covariate_cache) == ["scan_patterns"]
+
+    def test_stored_masks_are_read_only(self):
+        d = planted_dataset(seed=2, n=200)
+        scan(d, ["f1", "f2", "f3"], ScanConfig(n_restarts=3, seed=1))
+        assert self.masks(d)
+        for mask in self.masks(d).values():
+            with pytest.raises(ValueError, match="read-only"):
+                mask[0] = 1
+
+    def test_feature_past_the_storage_rule_stores_no_masks(self):
+        # 9 values leave 510 proper value sets: computed at each use
+        rng = np.random.default_rng(8)
+        cols = {"g": rng.choice(list("abc"), size=400),
+                "h": rng.choice([f"v{v}" for v in range(9)], size=400)}
+        d = categorical_dataset(cols, rng.integers(0, 2, size=400))
+        cfg = ScanConfig(n_restarts=6, seed=3)
+        got = scan(d, ["g", "h"], cfg)
+        assert got == reference_scan(d, ["g", "h"], cfg)
+        assert self.masks(d)
+        assert {j for j, _ in self.masks(d)} == {0}   # "g" only
 
 
 def wide_dataset():
@@ -535,6 +594,30 @@ class TestAscentOracle:
         assert d.arity("x") == 300 and d.codes("x").dtype == np.uint16
         cfg = ScanConfig(n_restarts=3, seed=5)
         assert scan(d, ["g", "x"], cfg) == reference_scan(d, ["g", "x"], cfg)
+
+    def test_scan_over_260_features_matches_the_row_level_ascent(self):
+        # 262 features take two-byte block counts. 256 copies of one binary
+        # column are all restricted together, so rows outside the chosen
+        # value are blocked 256 or more times: a one-byte count wraps there
+        rng = np.random.default_rng(260)
+        z = rng.choice(list("xy"), size=400)
+        cols = {f"b{i:03d}": z for i in range(256)}
+        cols |= {f"b{i:03d}": rng.choice(list("xy"), size=400) for i in range(256, 260)}
+        cols |= {"n1": rng.choice(list("abc"), size=400),
+                 "n2": rng.choice(list("pqrs"), size=400)}
+        y = (rng.random(400) < np.where(z == "x", 0.35, 0.15)).astype(int)
+        d = categorical_dataset(cols, y)
+        feats, cfg = list(cols), ScanConfig(n_restarts=2, seed=11)
+        observed = scan(d, feats, cfg)
+        assert observed.subset.n_restricted > 256
+        assert observed == reference_scan(d, feats, cfg)
+        masks = d.covariate_cache["scan_patterns"][3].values()
+        assert {m.dtype for m in masks} == {np.dtype(np.uint16)}
+        sig = empirical_p_value(d, feats, cfg, observed, 19)
+        # the row-level ascent takes seconds per replicate here, so the first
+        # replicate, which reuses the observed scan's masks, stands for all
+        want = reference_replicate_scores(d, feats, cfg, 1)
+        assert sig.replicate_scores[:1] == tuple(want)
 
 
 def test_split_coin_draws_equal_one_draw():
