@@ -11,6 +11,7 @@ import numpy as np
 
 from featscan.embedded import (
     GbmConfig,
+    Preset,
     committee_vote,
     extract_importance,
     gbm_train,
@@ -32,11 +33,12 @@ spec = SynthSpec(
 data, ground_truth = generate(spec)
 print("ground truth:", ground_truth.to_json_dict())
 
+# Each fit is one GbmConfig: a preset, then the tree settings and seed.
 # Preset A one-hot encodes nominal features and uses every row per tree.
 # Preset B target-encodes nominals and subsamples rows, so its ranking
 # carries genuinely different noise.
-model_a, metrics_a = gbm_train(data, GbmConfig.preset_a(seed=0, n_trees=80))
-model_b, metrics_b = gbm_train(data, GbmConfig.preset_b(seed=0, n_trees=80))
+model_a, metrics_a = gbm_train(data, GbmConfig(Preset.A, seed=0, n_trees=80))
+model_b, metrics_b = gbm_train(data, GbmConfig(Preset.B, seed=0, n_trees=80))
 print(f"held-out F1: preset A {metrics_a.f1:.3f}, preset B {metrics_b.f1:.3f}")
 
 ranking_a = minmax_normalize(extract_importance(model_a))

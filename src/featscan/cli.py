@@ -43,6 +43,8 @@ from .wrapper import backward_eliminate, ols_fit
 log = logging.getLogger("featscan")
 
 METHODS = ("filter_wrapper", "embedded_a", "embedded_b", "committee")
+# the GBM preset each embedded method ranks by
+_PRESET_OF = {"embedded_a": embedded.Preset.A, "embedded_b": embedded.Preset.B}
 ALL_FEATURES_LABEL = "all_features"
 DEFAULT_K_SWEEP = (5, 10, 15, 20, 25, 30)
 SWEEP_CSV_HEADER = [
@@ -143,8 +145,8 @@ class PipelineConfig:
         # any data is read. The GBM gets the seed as given: deriving its seeds
         # would load numpy.random before the CSV, +5 MiB on the load's peak.
         mdss.ScanConfig(self.n_restarts, self.seed)
-        embedded.GbmConfig.preset_a(seed=self.seed, n_trees=self.gbm_trees,
-                                    max_depth=self.gbm_depth, learning_rate=self.gbm_lr)
+        embedded.GbmConfig(embedded.Preset.A, self.gbm_trees, self.gbm_depth,
+                           self.gbm_lr, self.seed)
         self.thresholds()
         self.discretization()
 
@@ -155,12 +157,10 @@ class PipelineConfig:
     def discretization(self) -> DiscretizationSpec:
         return DiscretizationSpec(BinMethod(self.bin_method), self.bins)
 
-    def gbm(self, preset_name: str) -> embedded.GbmConfig:
-        ctor = (embedded.GbmConfig.preset_a if preset_name == "a"
-                else embedded.GbmConfig.preset_b)
-        return ctor(seed=_derive_seed(self.seed, 4, 0 if preset_name == "a" else 1),
-                    n_trees=self.gbm_trees, max_depth=self.gbm_depth,
-                    learning_rate=self.gbm_lr)
+    def gbm(self, preset: embedded.Preset) -> embedded.GbmConfig:
+        key = list(embedded.Preset).index(preset)   # seed keys A 0, B 1
+        return embedded.GbmConfig(preset, self.gbm_trees, self.gbm_depth,
+                                  self.gbm_lr, _derive_seed(self.seed, 4, key))
 
     def scan_config(self, features: list[str]) -> mdss.ScanConfig:
         # seed keyed on the feature set, so identical sets scan identically
@@ -205,16 +205,14 @@ class SelectionRunner:
             self._trace = backward_eliminate(self.dataset, candidates, min(self.k_values))
         return self._filter_diag, self._trace
 
-    def embedded_artifacts(self, preset_name: str):
-        if preset_name not in self._embedded:
-            model, metrics = embedded.gbm_train(
-                self.dataset, self.cfg.gbm(preset_name)
-            )
+    def embedded_artifacts(self, preset: embedded.Preset):
+        if preset not in self._embedded:
+            model, metrics = embedded.gbm_train(self.dataset, self.cfg.gbm(preset))
             ranking = embedded.extract_importance(model)
-            self._embedded[preset_name] = (
+            self._embedded[preset] = (
                 model, metrics, ranking, embedded.minmax_normalize(ranking)
             )
-        return self._embedded[preset_name]
+        return self._embedded[preset]
 
     def _order_survivors(self, survivors: list[str]) -> list[str]:
         X, names, sources = one_hot(self.dataset, survivors)
@@ -237,9 +235,8 @@ class SelectionRunner:
                 "filter_diagnostics": diag.to_json_dict(),
                 "elimination_trace": trace.to_json_dict(),
             }
-        if method in ("embedded_a", "embedded_b"):
-            preset = method[-1]
-            _, metrics, ranking, norm = self.embedded_artifacts(preset)
+        if method in _PRESET_OF:
+            _, metrics, ranking, norm = self.embedded_artifacts(_PRESET_OF[method])
             return {
                 "method": method,
                 "k": k,
@@ -249,8 +246,8 @@ class SelectionRunner:
                 "ranking_normalized": norm.to_json_dict(),
             }
         if method == "committee":
-            _, metrics_a, _, norm_a = self.embedded_artifacts("a")
-            _, metrics_b, _, norm_b = self.embedded_artifacts("b")
+            _, metrics_a, _, norm_a = self.embedded_artifacts(embedded.Preset.A)
+            _, metrics_b, _, norm_b = self.embedded_artifacts(embedded.Preset.B)
             vote = embedded.committee_vote([norm_a, norm_b])
             return {
                 "method": method,

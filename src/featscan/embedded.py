@@ -3,9 +3,11 @@
 A self-contained gradient boosting engine (logistic loss, second-order
 leaf weights, depth-limited level-wise trees) is trained under two
 presets that differ in nominal-feature encoding and row subsampling, so
-the pipeline gets two genuinely distinct rankings to merge. Importance is
-total split gain, aggregated from encoded columns back to source
-features.
+the pipeline gets two genuinely distinct rankings to merge. A fit's
+settings are one ``GbmConfig(preset, n_trees, max_depth, learning_rate,
+seed)``; the hessian floor ``_MIN_CHILD_WEIGHT`` and the L2 penalty
+``_L2_REG`` are fixed at 1 for every fit. Importance is total split gain,
+aggregated from encoded columns back to source features.
 
 Splits are searched on per-column histograms, as in LightGBM and
 XGBoost's ``hist`` method: each training column is binned once per fit
@@ -50,6 +52,8 @@ from .tabular import Dataset, FeatureKind
 _TARGET_STAT_PRIOR_WEIGHT = 10.0
 _MAX_BINS = 256     # bins per column, so a bin code fits in a uint8
 _HOLDOUT_FRACTION = 0.2     # rows held out of training to score the fit
+_MIN_CHILD_WEIGHT = 1.0     # hessian sum each child of a split must reach
+_L2_REG = 1.0               # added to every hessian sum in gains and leaves
 
 
 class Preset(enum.Enum):
@@ -64,14 +68,16 @@ _SUBSAMPLE = {Preset.A: 1.0, Preset.B: 0.8}   # drawn without replacement
 
 @dataclass(frozen=True)
 class GbmConfig:
-    """One fit's settings; the preset fixes encoding and row subsampling."""
+    """One fit's settings, built only as ``GbmConfig(preset, ...)``.
+
+    The preset fixes encoding and row subsampling; every fit uses the
+    module's hessian floor ``_MIN_CHILD_WEIGHT`` and L2 penalty ``_L2_REG``.
+    """
 
     preset: Preset
     n_trees: int = 200
     max_depth: int = 4
     learning_rate: float = 0.1
-    min_child_weight: float = 1.0
-    l2_reg: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -81,20 +87,8 @@ class GbmConfig:
             raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError(f"learning_rate must be in (0,1], got {self.learning_rate}")
-        if not self.min_child_weight >= 0.0:   # so NaN fails too
-            raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
-        if not self.l2_reg >= 0.0:
-            raise ValueError(f"l2_reg must be >= 0, got {self.l2_reg}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-
-    @classmethod
-    def preset_a(cls, seed: int = 0, **overrides) -> "GbmConfig":
-        return cls(preset=Preset.A, seed=seed, **overrides)
-
-    @classmethod
-    def preset_b(cls, seed: int = 0, **overrides) -> "GbmConfig":
-        return cls(preset=Preset.B, seed=seed, **overrides)
 
 
 class RankingSource(enum.Enum):
@@ -339,7 +333,8 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
     Splits maximize the second-order gain
     0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)) over the cuts of
     ``bins`` (see :func:`_bin_columns`) that leave rows on both sides and
-    whose hessian sums HL and HR both reach ``min_child_weight``. The
+    whose hessian sums HL and HR both reach ``_MIN_CHILD_WEIGHT``, with
+    reg = ``_L2_REG``; both are read at each call. The
     larger gain wins, an equal one at the lower column and then the lower
     cut, and a NaN gain never wins, so growth is deterministic. ``rows``
     are the ascending training rows this tree trains on.
@@ -359,8 +354,7 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
     """
     codes, columns, groups = bins
     n = codes.shape[1]
-    lam = cfg.l2_reg
-    mcw = cfg.min_child_weight
+    lam, mcw = _L2_REG, _MIN_CHILD_WEIGHT
     # each codes row's bins, and then its cuts, lie in one flat run
     n_cuts = np.array([t.shape[1] for _, t in groups for _ in t], dtype=np.intp)
     start = np.concatenate(([0], np.cumsum(n_cuts + 1)))

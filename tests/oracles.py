@@ -20,6 +20,7 @@ import itertools
 import mpmath
 import numpy as np
 
+from featscan import embedded
 from featscan.embedded import _TARGET_STAT_PRIOR_WEIGHT, GbmConfig, Preset, _Tree
 from featscan.errors import (
     DegenerateColumnError,
@@ -363,14 +364,16 @@ def reference_grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
     Splits maximize the second-order gain
     0.5 * (GL^2/(HL+reg) + GR^2/(HR+reg) - G^2/(H+reg)) over the cuts
     that leave rows on both sides and whose HL and HR both reach
-    ``min_child_weight``, scanned column by column: a gain wins only if
-    larger than every earlier one, so ties go to the lower column, then
-    the lower cut, and a NaN gain never wins.
-    Rows go left where ``X[:, col] <= threshold``.
+    ``embedded._MIN_CHILD_WEIGHT``, with reg = ``embedded._L2_REG``,
+    scanned column by column: a gain wins only if larger than every
+    earlier one, so ties go to the lower column, then the lower cut, and a
+    NaN gain never wins. Rows go left where ``X[:, col] <= threshold``.
+    Both constants are read from the module at each call, so a test that
+    patches them grows this tree and the binned one alike.
     """
     n, n_cols = X.shape
-    lam = cfg.l2_reg
-    mcw = cfg.min_child_weight
+    lam = embedded._L2_REG
+    mcw = embedded._MIN_CHILD_WEIGHT
     binned = [reference_bin_column(X[:, c], max_bins) for c in range(n_cols)]
     codes = np.array([b[0] for b in binned], dtype=np.intp).reshape(n_cols, n).T
     tree = _Tree()

@@ -14,7 +14,7 @@ import pytest
 import scipy.stats
 
 from featscan.cli import main
-from featscan.embedded import GbmConfig, extract_importance, gbm_train, top_k
+from featscan.embedded import GbmConfig, Preset, extract_importance, gbm_train, top_k
 from featscan.filters import FilterThresholds, chi_square, cramers_v, filter_select, pearson, vif
 from featscan.inference import empirical_p_value
 from featscan.mdss import ScanConfig, best_value_subset, scan, score_bernoulli
@@ -253,7 +253,7 @@ class TestSelectionBehavior:
                    {f: FeatureKind.CONTINUOUS for f in cols}, "y"),
             cols, y,
         )
-        model, metrics = gbm_train(d, GbmConfig.preset_a(seed=0))
+        model, metrics = gbm_train(d, GbmConfig(Preset.A, seed=0))
         assert metrics.f1 >= 0.95
         assert top_k(extract_importance(model), 1) == ["signal"]
         report("selection behavior (filters, wrapper, tree importance)")

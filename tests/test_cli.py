@@ -2,14 +2,26 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from featscan.cli import DEFAULT_K_SWEEP, _build_config, build_parser, main
-from featscan.embedded import GbmConfig
+import featscan
+from featscan.cli import (
+    DEFAULT_K_SWEEP,
+    PipelineConfig,
+    _build_config,
+    _derive_seed,
+    build_parser,
+    main,
+)
+from featscan.embedded import GbmConfig, Preset
 from featscan.errors import InvalidSpecError
 from featscan.mdss import ScanConfig, scan
 from featscan.synth import SynthSpec
@@ -141,6 +153,13 @@ class TestSelectCommand:
             assert (tmp_path / f"select_{method}.json").exists()
         summary = json.loads((tmp_path / "select_summary.json").read_text())
         assert 0 <= summary["overlap_embedded_a_b"] <= 3
+        # each embedded method ranks by its own preset, under that preset's seed
+        committee = json.loads((tmp_path / "select_committee.json").read_text())
+        for preset, key in (("a", 0), ("b", 1)):
+            doc = json.loads((tmp_path / f"select_embedded_{preset}.json").read_text())
+            assert doc["ranking"]["source"] == f"preset_{preset}"
+            assert doc["fit_metrics"]["seed"] == _derive_seed(3, 4, key)
+            assert committee[f"fit_metrics_{preset}"] == doc["fit_metrics"]
 
     def test_k_too_large_exits_one(self, synth_dir, tmp_path):
         rc = main(["select", "--method", "embedded_a", "--k", "99",
@@ -571,18 +590,50 @@ class TestErrorExitCodes:
 
 @pytest.mark.parametrize("build, value", [
     (lambda v: ScanConfig(n_restarts=v), -3),
-    (lambda v: GbmConfig.preset_a(min_child_weight=v), -0.25),
-    (lambda v: GbmConfig.preset_a(l2_reg=v), -1.5),
-    (lambda v: GbmConfig.preset_a(min_child_weight=v), float("nan")),
-    (lambda v: GbmConfig.preset_a(l2_reg=v), float("nan")),
-    (lambda v: GbmConfig.preset_a(learning_rate=v), 1.75),
+    (lambda v: GbmConfig(Preset.A, n_trees=v), -2),
+    (lambda v: GbmConfig(Preset.A, max_depth=v), 0),
+    (lambda v: GbmConfig(Preset.A, learning_rate=v), 1.75),
+    (lambda v: GbmConfig(Preset.A, learning_rate=v), float("nan")),
+    (lambda v: GbmConfig(Preset.A, seed=v), -7),
     (lambda v: SynthSpec(n_rows=10, base_rate=v, arities=(2,)), 1.125),
-], ids=["n_restarts", "min_child_weight", "l2_reg", "min_child_weight_nan",
-        "l2_reg_nan", "learning_rate", "base_rate"])
+], ids=["n_restarts", "n_trees", "max_depth", "learning_rate", "learning_rate_nan",
+        "seed", "base_rate"])
 def test_config_error_names_rejected_value(build, value):
     with pytest.raises((ValueError, InvalidSpecError),
                        match=re.escape(f"got {value}")):
         build(value)
+
+
+def test_gbm_config_of_each_preset():
+    cfg = PipelineConfig("d.csv", "s.json", "out", gbm_trees=7, gbm_depth=2,
+                         gbm_lr=0.5, seed=11)
+    assert cfg.gbm(Preset.A) == GbmConfig(Preset.A, 7, 2, 0.5, _derive_seed(11, 4, 0))
+    assert cfg.gbm(Preset.B) == GbmConfig(Preset.B, 7, 2, 0.5, _derive_seed(11, 4, 1))
+
+
+def test_config_checks_leave_numpy_random_unloaded():
+    # Every option, the GBM's included, is checked when the config is built,
+    # before the CSV is read; loading numpy.random then would raise the
+    # load's peak memory by about 5.6 MiB. Deriving a GBM seed does load it.
+    src = str(Path(featscan.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = textwrap.dedent("""
+        import sys
+        from featscan.cli import PipelineConfig
+        from featscan.embedded import Preset
+        try:
+            PipelineConfig("d.csv", "s.json", "out", gbm_lr=0.0)
+        except ValueError as exc:
+            print(str(exc).split()[0])
+        cfg = PipelineConfig("d.csv", "s.json", "out", seed=5)
+        print("numpy.random" in sys.modules)
+        cfg.gbm(Preset.A)
+        print("numpy.random" in sys.modules)
+    """)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["--gbm-lr", "False", "True"]
 
 
 # flag, config key, value: each is out of range for its option

@@ -1,8 +1,11 @@
 """Gradient-boosted rankings, normalization, committee vote, top-K."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from featscan import embedded
 from featscan.embedded import (
     FeatureRanking,
     GbmConfig,
@@ -41,7 +44,7 @@ def separable_dataset(seed, n=2000, n_noise=9):
 class TestGbmTrain:
     def test_separable_high_f1(self):
         d = separable_dataset(seed=0)
-        model, metrics = gbm_train(d, GbmConfig.preset_a(seed=0, n_trees=100))
+        model, metrics = gbm_train(d, GbmConfig(Preset.A, seed=0, n_trees=100))
         assert metrics.f1 >= 0.95
         ranking = extract_importance(model)
         assert top_k(ranking, 1) == ["signal"]
@@ -58,7 +61,7 @@ class TestGbmTrain:
             y = rng.integers(0, 2, size=600)
             d = numeric_dataset(cols, y)
             _, metrics = gbm_train(
-                d, GbmConfig.preset_a(seed=seed, n_trees=40, max_depth=3)
+                d, GbmConfig(Preset.A, seed=seed, n_trees=40, max_depth=3)
             )
             f1.append(metrics.f1)
         # the mean of 20 has sd 0.078 / sqrt(20) = 0.017: both bounds are
@@ -75,13 +78,13 @@ class TestGbmTrain:
         cols = {f: d.column(f) for f in d.feature_names}
         cols["flat"] = np.full(500, 7.0)
         d2 = numeric_dataset(cols, d.outcome)
-        model, _ = gbm_train(d2, GbmConfig.preset_a(seed=1, n_trees=30))
+        model, _ = gbm_train(d2, GbmConfig(Preset.A, seed=1, n_trees=30))
         ranking = extract_importance(model)
         assert ranking.score_of("flat") == 0.0
 
     def test_zero_trees_zero_ranking(self):
         d = separable_dataset(seed=5, n=300, n_noise=2)
-        model, _ = gbm_train(d, GbmConfig.preset_a(seed=0, n_trees=0))
+        model, _ = gbm_train(d, GbmConfig(Preset.A, seed=0, n_trees=0))
         ranking = extract_importance(model)
         assert all(s == 0.0 for s in ranking.scores)
 
@@ -89,11 +92,11 @@ class TestGbmTrain:
         rng = np.random.default_rng(7)
         d = numeric_dataset({"a": rng.normal(size=50)}, np.zeros(50, int))
         with pytest.raises(SingleClassOutcomeError):
-            gbm_train(d, GbmConfig.preset_a())
+            gbm_train(d, GbmConfig(Preset.A))
 
     def test_bit_reproducible(self):
         d = separable_dataset(seed=11, n=600, n_noise=3)
-        cfg = GbmConfig.preset_b(seed=42, n_trees=25)
+        cfg = GbmConfig(Preset.B, seed=42, n_trees=25)
         m1, met1 = gbm_train(d, cfg)
         m2, met2 = gbm_train(d, cfg)
         assert met1 == met2
@@ -104,21 +107,25 @@ class TestGbmTrain:
             assert t1.value == t2.value
 
     def test_preset_fixes_subsampling(self):
-        # a config names its preset and nothing the preset fixes, so the
-        # constructor and the named preset give the same fit
-        assert GbmConfig(Preset.B) == GbmConfig.preset_b()
-        assert GbmConfig(Preset.A) == GbmConfig.preset_a()
+        # a config names its preset and nothing the preset fixes: the row
+        # subsampling is looked up from the preset, and no field or second
+        # constructor can set it
+        fields = [f.name for f in dataclasses.fields(GbmConfig)]
+        assert fields == ["preset", "n_trees", "max_depth", "learning_rate", "seed"]
+        assert not hasattr(GbmConfig, "preset_a")
+        assert not hasattr(GbmConfig, "preset_b")
+        assert embedded._SUBSAMPLE == {Preset.A: 1.0, Preset.B: 0.8}
 
     def test_importance_conservation(self):
         d = separable_dataset(seed=13, n=800, n_noise=4)
-        model, _ = gbm_train(d, GbmConfig.preset_a(seed=2, n_trees=50))
+        model, _ = gbm_train(d, GbmConfig(Preset.A, seed=2, n_trees=50))
         assert sum(extract_importance(model).scores) == pytest.approx(
             model.total_gain, rel=1e-9
         )
 
     def test_duplicated_signal_importance_sum(self):
         d = separable_dataset(seed=17, n=1200, n_noise=3)
-        cfg = GbmConfig.preset_a(seed=3, n_trees=60)
+        cfg = GbmConfig(Preset.A, seed=3, n_trees=60)
         single = extract_importance(gbm_train(d, cfg)[0]).score_of("signal")
         cols = {f: d.column(f) for f in d.feature_names}
         cols["signal2"] = cols["signal"].copy()
@@ -142,8 +149,8 @@ class TestGbmTrain:
              "x": rng.normal(size=1000)},
             y,
         )
-        for cfg in (GbmConfig.preset_a(seed=5, n_trees=40),
-                    GbmConfig.preset_b(seed=5, n_trees=40)):
+        for cfg in (GbmConfig(Preset.A, seed=5, n_trees=40),
+                    GbmConfig(Preset.B, seed=5, n_trees=40)):
             model, metrics = gbm_train(d, cfg)
             ranking = extract_importance(model)
             assert ranking.feature_names == ("grp", "x")
@@ -161,8 +168,8 @@ class TestGbmTrain:
             y = (rng.random(1000) < 1 / (1 + np.exp(-logits))).astype(int)
             d = numeric_dataset(cols, y)
             ok = True
-            for cfg in (GbmConfig.preset_a(seed=seed, n_trees=60),
-                        GbmConfig.preset_b(seed=seed, n_trees=60)):
+            for cfg in (GbmConfig(Preset.A, seed=seed, n_trees=60),
+                        GbmConfig(Preset.B, seed=seed, n_trees=60)):
                 ranking = extract_importance(gbm_train(d, cfg)[0])
                 ok &= {"s0", "s1", "s2"} <= set(top_k(ranking, 5))
             hits += ok

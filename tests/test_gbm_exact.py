@@ -96,21 +96,29 @@ def _two_valued(n_rows, seed):
 SHAPES = {
     # binary, low-arity and continuous columns on one table, both presets
     "synth_a": (lambda: _synth(2_000, 6, (2, 3, 4, 5, 2, 3), 21),
-                GbmConfig.preset_a(seed=5, n_trees=8)),
+                GbmConfig(Preset.A, seed=5, n_trees=8)),
     "synth_b": (lambda: _synth(2_000, 6, (2, 3, 4, 5, 2, 3), 21),
-                GbmConfig.preset_b(seed=5, n_trees=8)),
+                GbmConfig(Preset.B, seed=5, n_trees=8)),
     # a tall, categorical-only table: nearly every value is tied
     "tall_ties_a": (lambda: _synth(6_000, 0, (2, 3, 4, 2, 3, 4), 22),
-                    GbmConfig.preset_a(seed=6, n_trees=5, max_depth=5)),
+                    GbmConfig(Preset.A, seed=6, n_trees=5, max_depth=5)),
     "tall_ties_b": (lambda: _synth(6_000, 0, (2, 3, 4, 2, 3, 4), 22),
-                    GbmConfig.preset_b(seed=6, n_trees=5, max_depth=5)),
+                    GbmConfig(Preset.B, seed=6, n_trees=5, max_depth=5)),
     # deep trees with no hessian floor reach nodes of a single row
     "deep_mcw0": (lambda: _rounded(600, 23),
-                  GbmConfig.preset_b(seed=7, n_trees=5, max_depth=6,
-                                     min_child_weight=0.0)),
+                  GbmConfig(Preset.B, seed=7, n_trees=5, max_depth=6)),
     "stumps": (lambda: _synth(1_500, 8, (3, 5), 24),
-               GbmConfig.preset_a(seed=8, n_trees=12, max_depth=1)),
+               GbmConfig(Preset.A, seed=8, n_trees=12, max_depth=1)),
 }
+# shapes and train cases grown with no hessian floor (_MIN_CHILD_WEIGHT 0)
+NO_HESSIAN_FLOOR = {"deep_mcw0", "rounded_mcw0_a", "tiny_mcw0_b",
+                    "two_valued_subsample"}
+
+
+def _set_growth(monkeypatch, mcw, lam=1.0):
+    """Grow trees with hessian floor ``mcw`` and L2 penalty ``lam``."""
+    monkeypatch.setattr(embedded, "_MIN_CHILD_WEIGHT", mcw)
+    monkeypatch.setattr(embedded, "_L2_REG", lam)
 
 
 def _tree_dict(tree):
@@ -126,7 +134,10 @@ def _tree_dict(tree):
 
 def _record(name):
     factory, cfg = SHAPES[name]
-    model, metrics = gbm_train(factory(), cfg)
+    with pytest.MonkeyPatch.context() as m:
+        if name in NO_HESSIAN_FLOOR:
+            _set_growth(m, 0.0)
+        model, metrics = gbm_train(factory(), cfg)
     return {
         "column_gain": model.column_gain.tolist(),
         "total_gain": model.total_gain,
@@ -173,34 +184,31 @@ def _train_reference(dataset, cfg, monkeypatch):
 
 TRAIN_CASES = {
     "continuous_distinct_a": (lambda: _synth(1_200, 10, (), 31),
-                              GbmConfig.preset_a(seed=1, n_trees=6)),
+                              GbmConfig(Preset.A, seed=1, n_trees=6)),
     "continuous_distinct_b": (lambda: _synth(1_200, 10, (), 31),
-                              GbmConfig.preset_b(seed=1, n_trees=6)),
+                              GbmConfig(Preset.B, seed=1, n_trees=6)),
     "mixed_depth6_b": (lambda: _synth(1_500, 4, (2, 3, 4, 5), 32),
-                       GbmConfig.preset_b(seed=2, n_trees=4, max_depth=6)),
+                       GbmConfig(Preset.B, seed=2, n_trees=4, max_depth=6)),
     "tall_ties_a": (lambda: _synth(8_000, 0, (2, 3, 2, 4, 2), 33),
-                    GbmConfig.preset_a(seed=3, n_trees=4)),
+                    GbmConfig(Preset.A, seed=3, n_trees=4)),
     "stumps_b": (lambda: _synth(900, 3, (2, 2, 3), 34),
-                 GbmConfig.preset_b(seed=4, n_trees=10, max_depth=1)),
+                 GbmConfig(Preset.B, seed=4, n_trees=10, max_depth=1)),
     "rounded_mcw0_a": (lambda: _rounded(400, 35),
-                       GbmConfig.preset_a(seed=5, n_trees=4, max_depth=6,
-                                          min_child_weight=0.0)),
+                       GbmConfig(Preset.A, seed=5, n_trees=4, max_depth=6)),
     "tiny_mcw0_b": (lambda: _rounded(30, 36),
-                    GbmConfig.preset_b(seed=6, n_trees=6, max_depth=6,
-                                       min_child_weight=0.0)),
+                    GbmConfig(Preset.B, seed=6, n_trees=6, max_depth=6)),
     # two-valued columns: wide one-hot nominals plus binaries
     "wide_one_hot_a": (lambda: _synth(2_000, 2, (6, 5, 7, 2, 8, 3, 2, 6), 37),
-                       GbmConfig.preset_a(seed=7, n_trees=4)),
+                       GbmConfig(Preset.A, seed=7, n_trees=4)),
     "wide_one_hot_b": (lambda: _synth(2_000, 2, (6, 5, 7, 2, 8, 3, 2, 6), 37),
-                       GbmConfig.preset_b(seed=7, n_trees=4)),
+                       GbmConfig(Preset.B, seed=7, n_trees=4)),
     # a single two-valued column beside continuous ones
     "one_two_valued_a": (lambda: _synth(1_200, 5, (2,), 38),
-                         GbmConfig.preset_a(seed=8, n_trees=5, max_depth=5)),
+                         GbmConfig(Preset.A, seed=8, n_trees=5, max_depth=5)),
     "one_two_valued_b": (lambda: _synth(1_200, 5, (2,), 38),
-                         GbmConfig.preset_b(seed=8, n_trees=5, max_depth=5)),
+                         GbmConfig(Preset.B, seed=8, n_trees=5, max_depth=5)),
     "two_valued_subsample": (lambda: _two_valued(400, 39),
-                             GbmConfig(Preset.B, n_trees=10, max_depth=5, seed=9,
-                                       min_child_weight=0.0)),
+                             GbmConfig(Preset.B, n_trees=10, max_depth=5, seed=9)),
 }
 # cases that train preset B on a smaller share of rows than its 0.8, so that
 # trees often miss the rare rows
@@ -212,6 +220,8 @@ def test_gbm_train_matches_reference_grower(name, monkeypatch):
     factory, cfg = TRAIN_CASES[name]
     if name in SUBSAMPLE:
         monkeypatch.setitem(embedded._SUBSAMPLE, cfg.preset, SUBSAMPLE[name])
+    if name in NO_HESSIAN_FLOOR:
+        _set_growth(monkeypatch, 0.0)
     dataset = factory()
     got_model, got_metrics = gbm_train(dataset, cfg)
     want_model, want_metrics = _train_reference(dataset, cfg, monkeypatch)
@@ -243,7 +253,7 @@ def _targets(rng, n):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_grow_tree_ties_and_duplicates(seed):
+def test_grow_tree_ties_and_duplicates(seed, monkeypatch):
     # low-arity columns, a constant column and an exact duplicate column,
     # whose equal gains must fall to the first of the two
     rng = np.random.default_rng(100 + seed)
@@ -256,25 +266,27 @@ def test_grow_tree_ties_and_duplicates(seed):
     g, h = _targets(rng, n)
     rows = np.sort(rng.choice(n, size=400, replace=False)) if seed % 2 else np.arange(n)
     for depth, mcw in ((1, 1.0), (4, 1.0), (6, 0.0)):
-        cfg = GbmConfig.preset_a(max_depth=depth, min_child_weight=mcw)
-        _grow_both(X, g, h, rows, cfg)
+        _set_growth(monkeypatch, mcw)
+        _grow_both(X, g, h, rows, GbmConfig(Preset.A, max_depth=depth))
 
 
-def test_grow_tree_one_row_nodes():
+def test_grow_tree_one_row_nodes(monkeypatch):
     # with no hessian floor a deep tree isolates single rows
     rng = np.random.default_rng(7)
     X = rng.normal(size=(12, 3))
     g, h = _targets(rng, 12)
-    cfg = GbmConfig.preset_a(max_depth=6, min_child_weight=0.0, l2_reg=0.0)
+    _set_growth(monkeypatch, 0.0, 0.0)
+    cfg = GbmConfig(Preset.A, max_depth=6)
     tree = _grow_both(X, g, h, np.arange(12), cfg)
     assert sum(tree.is_leaf) > 4
 
 
-def test_grow_tree_single_row_and_constant_matrix():
+def test_grow_tree_single_row_and_constant_matrix(monkeypatch):
     rng = np.random.default_rng(8)
     X = rng.normal(size=(9, 2))
     g, h = _targets(rng, 9)
-    cfg = GbmConfig.preset_a(min_child_weight=0.0)
+    _set_growth(monkeypatch, 0.0)
+    cfg = GbmConfig(Preset.A)
     assert _grow_both(X, g, h, np.array([4]), cfg).is_leaf == [True]
     flat = np.ones((9, 3))
     assert _grow_both(flat, g, h, np.arange(9), cfg).is_leaf == [True]
@@ -282,24 +294,25 @@ def test_grow_tree_single_row_and_constant_matrix():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_grow_tree_nan_gain_never_wins(seed):
-    # rows with zero gradient and hessian under l2_reg=0 make 0/0 gains,
+def test_grow_tree_nan_gain_never_wins(seed, monkeypatch):
+    # rows with zero gradient and hessian under _L2_REG = 0 make 0/0 gains,
     # and a cut scoring one must lose to every other cut
     rng = np.random.default_rng(300 + seed)
     X = np.column_stack([np.arange(40.0), rng.permutation(40), rng.normal(size=40)])
     g, h = _targets(rng, 40)
     g[:4] = h[:4] = 0.0
-    cfg = GbmConfig.preset_a(max_depth=3, min_child_weight=0.0, l2_reg=0.0)
+    _set_growth(monkeypatch, 0.0, 0.0)
+    cfg = GbmConfig(Preset.A, max_depth=3)
     with np.errstate(all="ignore"):
         _grow_both(X, g, h, np.arange(40), cfg)
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_grow_tree_two_valued_ties_and_nan(seed):
+def test_grow_tree_two_valued_ties_and_nan(seed, monkeypatch):
     # ``b`` is three-valued, and its first cut parts the rows as the
     # two-valued ``a`` does, which the targets favour; whichever comes first
     # wins the tie. ``nan_col`` is two-valued, and its low rows hold only
-    # zero gradients and hessians, so under l2_reg=0 its gain is 0/0 and
+    # zero gradients and hessians, so under _L2_REG = 0 its gain is 0/0 and
     # must not hide the two-valued columns after it.
     rng = np.random.default_rng(600 + seed)
     n = 300
@@ -317,8 +330,8 @@ def test_grow_tree_two_valued_ties_and_nan(seed):
     x = rng.normal(size=n)
     with np.errstate(all="ignore"):
         for depth, mcw, lam in ((1, 1.0, 1.0), (4, 0.0, 0.0), (6, 0.0, 1.0)):
-            cfg = GbmConfig.preset_a(max_depth=depth, min_child_weight=mcw,
-                                     l2_reg=lam)
+            _set_growth(monkeypatch, mcw, lam)
+            cfg = GbmConfig(Preset.A, max_depth=depth)
             for X in (np.column_stack([nan_col, a, b, a, x]),
                       np.column_stack([b, a, a, nan_col, x])):
                 _grow_both(X, g, h, rows, cfg)
@@ -341,7 +354,7 @@ def test_grow_tree_distinct_and_tied_equal_gains(seed):
     rows = np.sort(rng.choice(n, size=240, replace=False)) if seed else np.arange(n)
     x = np.round(rng.normal(size=n), 1)
     for depth in (1, 4):
-        cfg = GbmConfig.preset_a(max_depth=depth)
+        cfg = GbmConfig(Preset.A, max_depth=depth)
         for X, first in ((np.column_stack([ramp, steps, x]), 0),
                          (np.column_stack([steps, ramp, x]), 0),
                          (np.column_stack([x, steps, ramp]), 1)):
@@ -351,11 +364,11 @@ def test_grow_tree_distinct_and_tied_equal_gains(seed):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mcw, cuts", [(5.0, 1), (5.25, 0), (4.75, 3)])
-def test_grow_tree_run_of_valid_cuts(mcw, cuts):
+def test_grow_tree_run_of_valid_cuts(mcw, cuts, monkeypatch):
     # a hessian of 0.25 per row sums exactly: over 40 rows H = 10, so
     # HL >= mcw and HR >= mcw leave a run of ``cuts`` cuts; rows with zero
     # gradient and hessian at both ends make cuts outside the run divide
-    # 0/0 under l2_reg=0 if they were scored
+    # 0/0 under _L2_REG = 0 if they were scored
     rng = np.random.default_rng(9)
     n = 44
     X = np.column_stack([np.arange(n, dtype=float), rng.permutation(n) + 0.5,
@@ -363,8 +376,9 @@ def test_grow_tree_run_of_valid_cuts(mcw, cuts):
     h = np.full(n, 0.25)
     g = rng.uniform(-0.5, 0.5, size=n)
     g[[0, 1, -2, -1]] = h[[0, 1, -2, -1]] = 0.0
-    stump = GbmConfig.preset_a(max_depth=1, min_child_weight=mcw, l2_reg=0.0)
-    deep = GbmConfig.preset_a(max_depth=3, min_child_weight=mcw, l2_reg=0.0)
+    _set_growth(monkeypatch, mcw, 0.0)
+    stump = GbmConfig(Preset.A, max_depth=1)
+    deep = GbmConfig(Preset.A, max_depth=3)
     _grow_both(X, g, h, np.arange(n), deep)
     tree = _grow_both(X[:, :1], g, h, np.arange(n), stump)
     # the one column splits exactly when its run holds a cut
@@ -374,9 +388,9 @@ def test_grow_tree_run_of_valid_cuts(mcw, cuts):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_grow_tree_nan_gain_loses_only_its_cut(seed):
+def test_grow_tree_nan_gain_loses_only_its_cut(seed, monkeypatch):
     # ``ramp``'s rows with zero gradient and hessian sort first, so under
-    # l2_reg=0 its cuts at 0.5, 1.5 and 2.5, which leave only those rows on
+    # _L2_REG = 0 its cuts at 0.5, 1.5 and 2.5, which leave only those rows on
     # the left, score 0/0. A NaN gain never wins, but the column's other
     # cuts still compete: alone, ramp splits further up.
     rng = np.random.default_rng(800 + seed)
@@ -390,7 +404,8 @@ def test_grow_tree_nan_gain_loses_only_its_cut(seed):
     noise = rng.normal(size=n)
     noise[:4] = [-10.0, -9.0, -8.0, -20.0]
     X = np.column_stack([ramp, steps, noise])
-    cfg = GbmConfig.preset_a(max_depth=3, min_child_weight=0.0, l2_reg=0.0)
+    _set_growth(monkeypatch, 0.0, 0.0)
+    cfg = GbmConfig(Preset.A, max_depth=3)
     with np.errstate(all="ignore"):
         tree = _grow_both(X, g, h, np.arange(n), cfg)
         alone = _grow_both(X[:, :1], g, h, np.arange(n), cfg)
@@ -400,14 +415,15 @@ def test_grow_tree_nan_gain_loses_only_its_cut(seed):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", range(3))
-def test_grow_tree_two_row_nodes(seed):
+def test_grow_tree_two_row_nodes(seed, monkeypatch):
     # no hessian floor: deep nodes of two rows have a single cut
     rng = np.random.default_rng(900 + seed)
     n = 16
     X = np.column_stack([rng.normal(size=n), np.round(rng.normal(size=n)),
                          rng.permutation(n).astype(float)])
     g, h = _targets(rng, n)
-    cfg = GbmConfig.preset_a(max_depth=6, min_child_weight=0.0)
+    _set_growth(monkeypatch, 0.0)
+    cfg = GbmConfig(Preset.A, max_depth=6)
     for rows in (np.arange(n), np.array([3, 11]), np.array([0, 5, 9])):
         _grow_both(X, g, h, rows, cfg)
 
@@ -437,8 +453,8 @@ def test_grow_tree_interleaved_kinds_subsampled(seed, max_bins, monkeypatch):
     g, h = _targets(rng, n)
     rows = np.sort(rng.choice(n, size=640, replace=False))
     for depth, mcw in ((2, 1.0), (6, 0.5), (8, 0.0)):
-        cfg = GbmConfig.preset_b(max_depth=depth, min_child_weight=mcw)
-        _grow_both(X, g, h, rows, cfg)
+        _set_growth(monkeypatch, mcw)
+        _grow_both(X, g, h, rows, GbmConfig(Preset.B, max_depth=depth))
 
 
 def _binned(XT):
@@ -558,9 +574,8 @@ def test_planted_features_lead_the_rankings():
         dataset = synth.generate(synth.SynthSpec(plant=plant, seed=seed,
                                                  **_SELECT_L_SMALL))[0]
         rankings = {}
-        for name, ctor in (("embedded_a", GbmConfig.preset_a),
-                           ("embedded_b", GbmConfig.preset_b)):
-            model, _ = gbm_train(dataset, ctor(seed=seed, n_trees=10))
+        for name, preset in (("embedded_a", Preset.A), ("embedded_b", Preset.B)):
+            model, _ = gbm_train(dataset, GbmConfig(preset, seed=seed, n_trees=10))
             rankings[name] = extract_importance(model)
         rankings["committee"] = committee_vote(
             [minmax_normalize(r) for r in rankings.values()])
@@ -570,11 +585,12 @@ def test_planted_features_lead_the_rankings():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_predict_matches_reference(seed):
+def test_predict_matches_reference(seed, monkeypatch):
     rng = np.random.default_rng(200 + seed)
     X = np.round(rng.normal(size=(700, 5)), 1)
     g, h = _targets(rng, 700)
-    cfg = GbmConfig.preset_a(max_depth=1 + seed, min_child_weight=0.5)
+    _set_growth(monkeypatch, 0.5)
+    cfg = GbmConfig(Preset.A, max_depth=1 + seed)
     tree = _grow_both(X, g, h, np.arange(700), cfg)
     Xnew = np.round(rng.normal(size=(300, 5)), 1)
     # rows that sit exactly on every threshold go left

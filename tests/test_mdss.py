@@ -12,6 +12,8 @@ from featscan.errors import (
     DegenerateOutcomeError,
     EmptyRecordsError,
     NoFeaturesError,
+    NonBinaryOutcomeError,
+    SchemaMismatchError,
     UnknownFeatureError,
 )
 from featscan.mdss import (
@@ -522,6 +524,23 @@ class TestScanMemo:
         assert got == fresh
         assert got != first
         assert scan(d, self.FEATS, self.CFG) is first
+
+    def test_non_binary_outcome_is_rejected(self):
+        # the memo key packs every nonzero outcome as 1, so 2 * y would get
+        # y's stored result, and an int8 cast reads 0.5 as 0; neither may
+        # reach a scan, on a scanned dataset or a fresh one
+        d = planted_dataset(seed=4, n=400)
+        scan(d, self.FEATS, self.CFG)
+        y = np.asarray(d.outcome)
+        for data in (d, planted_dataset(seed=4, n=400)):
+            for bad in (2 * y, 0.5 * y, y - 1):
+                with pytest.raises(NonBinaryOutcomeError):
+                    scan(data.with_outcome(bad), self.FEATS, self.CFG)
+            with pytest.raises(SchemaMismatchError):
+                data.with_outcome(y[:, None])
+            assert scan(data.with_outcome(y.astype(float)), self.FEATS,
+                        self.CFG) == scan(d, self.FEATS, self.CFG)
+        assert len(self.memo(d)) == 1
 
     def test_changed_config_misses(self):
         d = planted_dataset(seed=4, n=400)
