@@ -9,27 +9,35 @@ seed)``; the hessian floor ``_MIN_CHILD_WEIGHT`` and the L2 penalty
 ``_L2_REG`` are fixed at 1 for every fit. Importance is total split gain,
 aggregated from encoded columns back to source features.
 
-Splits are searched on per-column histograms, as in LightGBM and
-XGBoost's ``hist`` method: each training column is binned once per fit
-into at most ``_MAX_BINS`` (256) bins, and a tree node sums its gradients
-and hessians per bin, so its search scores every cut of a column from
-those sums instead of from sorted rows.
+Splits are searched on histograms, as in LightGBM and XGBoost's ``hist``
+method: the training matrix is binned once per fit into rows of at most
+``_MAX_BINS`` (256) bins, and a tree node sums its gradients and hessians
+per bin, so its search scores every cut from those sums instead of from
+sorted rows.
 
-- A column with at most 256 distinct training values (every indicator,
-  binary, target statistic and rounded column) keeps one bin per value,
-  so its cuts are the midpoints between neighbouring values, as an exact
-  search has them.
-- Any other column gets up to 255 equal-frequency cuts by rank; equal values
-  always share a bin.
+- Under preset A, a nominal feature of 3 to 256 levels is binned as one
+  row of its level codes, not as its per-level indicator columns. Its
+  one-vs-rest cuts are stored as splits of the level's indicator column at
+  0.5, so the model, its importances and its predictions keep the one-hot
+  columns. A nominal of more levels keeps its indicator columns, since its
+  codes do not fit a bin code.
+- Any other column with at most 256 distinct training values (every
+  indicator, binary, target statistic and rounded column) keeps one bin
+  per value, so its cuts are the midpoints between neighbouring values,
+  as an exact search has them.
+- A column with more values gets up to 255 equal-frequency cuts by rank;
+  equal values always share a bin.
 - Every cut's threshold routes a training row left, under ``x <=
-  threshold``, exactly when its bin is at or below the cut, so trees
-  predict from the raw matrix.
+  threshold``, exactly when its bin is at or below the cut (for a level's
+  cut, when its level is another), so trees predict from the raw matrix.
 
 The larger gain wins, an equal one at the lower column and then the lower
 cut, and a NaN gain never wins. Bin sums add a node's rows one after
-another in ascending order, so trees, gains and held-out metrics are
-bit-identical to a row-by-row grower, which ``tests/oracles.py`` keeps as
-the reference.
+another in ascending order. A column cut's left sums add its bins in
+turn; a level cut's left sums are the node's totals minus the level's
+sums. So trees, gains and held-out metrics are bit-identical to a
+row-by-row grower that follows the same two rules, which
+``tests/oracles.py`` keeps as the reference.
 """
 
 from __future__ import annotations
@@ -91,19 +99,17 @@ class GbmConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-class RankingSource(enum.Enum):
-    PRESET_A = "preset_a"
-    PRESET_B = "preset_b"
-    COMMITTEE = "committee"
-
-
 @dataclass(frozen=True)
 class FeatureRanking:
-    """Per-feature importance scores with provenance."""
+    """Per-feature importance scores with provenance.
+
+    ``preset`` is the GBM preset the scores come from, or None for the
+    committee vote.
+    """
 
     feature_names: tuple[str, ...]
     scores: tuple[float, ...]
-    source: RankingSource
+    preset: Preset | None
     normalized: bool = False
     degenerate: bool = False
 
@@ -121,7 +127,8 @@ class FeatureRanking:
 
     def to_json_dict(self) -> dict:
         return {
-            "source": self.source.value,
+            "source": ("committee" if self.preset is None
+                       else f"preset_{self.preset.name.lower()}"),
             "normalized": self.normalized,
             "degenerate": self.degenerate,
             "scores": {f: s for f, s in zip(self.feature_names, self.scores)},
@@ -263,46 +270,68 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None):
 class _Bins(NamedTuple):
     """The binned training matrix the split search reads, built once per fit.
 
-    Only columns with more than one training value are binned. They are
-    grouped by bin count, the groups in ascending bin count and each
-    group's columns in ascending column order; ``codes`` holds one row per
-    binned column in that order.
+    ``codes`` holds one row per binned column or one-hot block. A column
+    row holds bins of the column's values, and only columns with more than
+    one training value are binned. A block row holds a nominal feature's
+    level codes in place of its per-level indicator columns, and has one
+    cut per level. Rows are grouped by kind and cut count, the groups in
+    ascending cut count, a column group before a block group of the same
+    count, and each group's rows in ascending column order.
     """
 
     codes: np.ndarray       # (n_binned, n_train) uint8 bin of every training value
-    columns: np.ndarray     # the column index of each codes row
-    # per group: its first codes row and its (columns, bins - 1) thresholds
-    groups: list[tuple[int, np.ndarray]]
+    columns: np.ndarray     # each codes row's column; a block's first column
+    # per group: its first codes row, its (rows, cuts) thresholds, and
+    # whether its rows are one-hot blocks
+    groups: list[tuple[int, np.ndarray, bool]]
 
 
-def _bin_columns(XT: np.ndarray) -> _Bins:
+def _distinct(s: np.ndarray) -> np.ndarray:
+    """The distinct values of the ascending array ``s``, in order."""
+    return s[np.append(s[1:] != s[:-1], True)]
+
+
+def _bin_columns(XT: np.ndarray, blocks=()) -> _Bins:
     """Bin every column of ``XT`` into at most ``_MAX_BINS`` bins.
 
-    A column with at most ``_MAX_BINS`` distinct values gets one bin per
-    value. Any other column of n values gets equal-frequency cuts: the
-    k-th (k = 1 .. _MAX_BINS - 1) falls after the ``ceil(k * n /
+    ``blocks`` lists the (first column, level count) of each one-hot block
+    of ``XT`` to bin as one row of level codes: level j's rows, those whose
+    j-th indicator is 1, get bin j. Its cut j puts level j right and every
+    other level left, the split of the j-th indicator at 0.5.
+
+    Any other column with at most ``_MAX_BINS`` distinct values gets one
+    bin per value. A column of n values with more gets equal-frequency
+    cuts: the k-th (k = 1 .. _MAX_BINS - 1) falls after the ``ceil(k * n /
     _MAX_BINS)``-th smallest value, so the bins up to it hold at least that
     many rows. A cut is a value, so equal values always share a bin;
     repeated cuts and a cut at the maximum are dropped.
 
-    A cut's threshold is the midpoint between its value and the next
+    A column cut's threshold is the midpoint between its value and the next
     distinct value above it, or the value itself where the midpoint rounds
     up to that next value, so ``x <= threshold`` holds for a training value
     exactly when its bin is at or below the cut.
     """
     n = XT.shape[1]
     ranks = (np.arange(1, _MAX_BINS) * n + _MAX_BINS - 1) // _MAX_BINS - 1
-    binned = []     # (cuts, column, bin codes, thresholds)
-    for col, x in enumerate(XT):
+    binned = []     # (cuts, is block, column, bin codes, thresholds)
+    in_block = np.zeros(len(XT), dtype=bool)
+    for first, levels in blocks:
+        in_block[first:first + levels] = True
+        # each row's level is the index of its one indicator that is 1
+        code = (np.arange(levels, dtype=np.float64) @ XT[first:first + levels]
+                ).astype(np.uint8)
+        binned.append((levels, True, first, code, np.full(levels, 0.5)))
+    for col in np.flatnonzero(~in_block):
+        x = XT[col]
         order = np.argsort(x)
         s = x[order]
-        values = s[np.append(s[1:] != s[:-1], True)]   # distinct, ascending
+        values = _distinct(s)
         if len(values) < 2:
             continue    # a constant column has no cut
         if len(values) <= _MAX_BINS:
             upper = values[:-1]
         else:
-            upper = np.unique(s[ranks])
+            upper = _distinct(s[ranks])
             upper = upper[upper < values[-1]]
         above = values[values.searchsorted(upper, "right")]
         mid = 0.5 * upper + 0.5 * above    # 0.5 * (upper + above), never inf
@@ -311,23 +340,25 @@ def _bin_columns(XT: np.ndarray) -> _Bins:
         code = np.empty(n, dtype=np.uint8)
         code[order] = np.repeat(np.arange(len(upper) + 1, dtype=np.uint8),
                                 np.diff(ends, prepend=0, append=n))
-        binned.append((len(upper), col, code, np.where(mid < above, mid, upper)))
-    binned.sort(key=lambda b: b[:2])
+        binned.append((len(upper), False, int(col), code,
+                       np.where(mid < above, mid, upper)))
+    binned.sort(key=lambda b: b[:3])
     codes = np.empty((len(binned), n), dtype=np.uint8)
     for i, b in enumerate(binned):
-        codes[i] = b[2]
+        codes[i] = b[3]
     groups, first = [], 0
-    for _, group in itertools.groupby(binned, key=lambda b: b[0]):
-        thresholds = np.stack([b[3] for b in group])
-        groups.append((first, thresholds))
+    for (_, is_block), group in itertools.groupby(binned, key=lambda b: b[:2]):
+        thresholds = np.stack([b[4] for b in group])
+        groups.append((first, thresholds, is_block))
         first += len(thresholds)
     return _Bins(codes=codes,
-                 columns=np.array([b[1] for b in binned], dtype=np.intp),
+                 columns=np.array([b[2] for b in binned], dtype=np.intp),
                  groups=groups)
 
 
 def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
-               cfg: GbmConfig, column_gain: np.ndarray) -> tuple[_Tree, float]:
+               cfg: GbmConfig, column_gain: np.ndarray
+               ) -> tuple[_Tree, float, np.ndarray]:
     """One depth-limited regression tree on gradient/hessian targets.
 
     Splits maximize the second-order gain
@@ -347,25 +378,38 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
     (the left one on a tie) is summed and the other takes the node's sums
     minus its sibling's. That difference leaves rounding noise in bins the
     larger child does not hold, but row counts subtract exactly, so they
-    decide which cuts leave a child empty. GL, HL and the left row counts
-    are ``cumsum`` of the bin sums, one group of equal bin count at a time.
+    decide which cuts leave a child empty. For a column cut, GL, HL and the
+    left row count are ``cumsum`` of the bin sums, one group of equal bin
+    count at a time; for a level cut they are the node's G, H and row
+    count minus the level's sums.
     ``tests/oracles.py`` keeps a row-level grower that this one matches bit
     for bit. Children of the last searched level are leaves and get no sums.
+
+    Returns the tree, its total gain, and an array over the training rows
+    that holds the leaf value of each of ``rows``, the value
+    ``tree.predict`` gives that row; its other entries are left unset.
     """
     codes, columns, groups = bins
     n = codes.shape[1]
     lam, mcw = _L2_REG, _MIN_CHILD_WEIGHT
-    # each codes row's bins, and then its cuts, lie in one flat run
-    n_cuts = np.array([t.shape[1] for _, t in groups for _ in t], dtype=np.intp)
-    start = np.concatenate(([0], np.cumsum(n_cuts + 1)))
+    # each codes row's bins, and then its cuts, lie in one flat run; a
+    # column row has one bin more than cuts, a block row one per level
+    n_cuts = np.array([t.shape[1] for _, t, _ in groups for _ in t], dtype=np.intp)
+    is_block = np.array([b for _, t, b in groups for _ in t], dtype=bool)
+    start = np.concatenate(([0], np.cumsum(n_cuts + ~is_block)))
     cut_start = np.concatenate(([0], np.cumsum(n_cuts)))
     cut_row = np.repeat(np.arange(len(codes)), n_cuts)
     cut_j = np.arange(cut_start[-1]) - cut_start[cut_row]
-    threshold = np.concatenate([t.ravel() for _, t in groups] or [[]])
+    block_cut = is_block[cut_row]
+    threshold = np.concatenate([t.ravel() for _, t, _ in groups] or [[]])
     key = columns[cut_row] * _MAX_BINS + cut_j   # tie order: column, then cut
+    # a block's cut j splits its j-th column, and no other row's column lies
+    # among a block's, so ``key`` orders its cuts by column too
+    cut_col = columns[cut_row] + np.where(block_cut, cut_j, 0)
     cum = np.empty((3, cut_start[-1]))     # GL, HL and rows left of every cut
     tree = _Tree()
     tree_gain = 0.0
+    leaf_value = np.empty(len(g))
 
     def histogram(rows: np.ndarray) -> np.ndarray:
         """(3, n_bins): the node's g, h and row count per bin of every column."""
@@ -387,11 +431,16 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
 
     def best_split(sums: np.ndarray, G: float, H: float, m: int):
         """The best cut's gain and flat index, or None if no cut gains."""
-        for first, thresholds in groups:
+        node = np.array([G, H, m], dtype=np.float64).reshape(3, 1, 1)
+        for first, thresholds, block_group in groups:
             k, w = thresholds.shape
             b0, c0 = start[first], cut_start[first]
-            block = sums[:, b0:b0 + k * (w + 1)].reshape(3, k, w + 1)
-            cum[:, c0:c0 + k * w] = np.cumsum(block[:, :, :-1], axis=2).reshape(3, -1)
+            if block_group:     # the node's totals minus the level's go left
+                level = sums[:, b0:b0 + k * w].reshape(3, k, w)
+                cum[:, c0:c0 + k * w] = (node - level).reshape(3, -1)
+            else:
+                binned = sums[:, b0:b0 + k * (w + 1)].reshape(3, k, w + 1)
+                cum[:, c0:c0 + k * w] = np.cumsum(binned[:, :, :-1], axis=2).reshape(3, -1)
         GL, HL, NL = cum
         HR = H - HL
         # both children hold rows and reach the hessian floor
@@ -427,13 +476,15 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
                 best = best_split(sums, G, H, len(rows))
             if best is None:
                 nid = tree.add_leaf(-G / (H + lam))
+                leaf_value[rows] = tree.value[nid]
             else:
                 gain, p = best
-                col = int(columns[cut_row[p]])
+                col = int(cut_col[p])
                 nid = tree.add_split(col, float(threshold[p]))
                 column_gain[col] += gain
                 tree_gain += gain
-                go_left = codes[cut_row[p]].take(rows) <= cut_j[p]
+                code = codes[cut_row[p]].take(rows)
+                go_left = code != cut_j[p] if block_cut[p] else code <= cut_j[p]
                 left, right = rows[go_left], rows[~go_left]
                 left_sums = right_sums = None
                 if depth + 1 < cfg.max_depth:   # leaves read no sums
@@ -451,7 +502,15 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
                 else:
                     tree.right[parent] = nid
         frontier = next_frontier
-    return tree, tree_gain
+    return tree, tree_gain, leaf_value
+
+
+def _one_class(y: np.ndarray) -> bool:
+    """Whether the 0/1 vector ``y`` lacks a 0 or a 1.
+
+    A min and a max, where ``np.unique`` would import ``numpy.ma``.
+    """
+    return y.min(initial=1) == 1 or y.max(initial=0) == 0
 
 
 def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
@@ -462,7 +521,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     ``cfg.seed``.
     """
     y_all = dataset.outcome.astype(np.float64)
-    if len(np.unique(dataset.outcome)) < 2:
+    if _one_class(dataset.outcome):
         raise SingleClassOutcomeError("outcome has a single class")
 
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
@@ -470,7 +529,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     n_hold = max(1, int(round(_HOLDOUT_FRACTION * dataset.n_rows)))
     hold_idx = np.sort(perm[:n_hold])
     train_idx = np.sort(perm[n_hold:])
-    if len(np.unique(dataset.outcome[train_idx])) < 2:
+    if _one_class(dataset.outcome.take(train_idx)):
         raise SingleClassOutcomeError("training split has a single class")
 
     X, sources = encode_design(dataset, cfg.preset, train_idx=train_idx)
@@ -488,7 +547,13 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     column_gain = np.zeros(n_cols)
     total_gain = 0.0
     trees: list[_Tree] = []
-    bins = _bin_columns(XT)
+    # preset A bins a nominal feature of 3 to _MAX_BINS levels as one row
+    # of its level codes, in place of its indicator columns
+    blocks = [] if cfg.preset is not Preset.A else [
+        (sources.index(f), dataset.arity(f)) for f in dataset.feature_names
+        if dataset.kind(f) is FeatureKind.NOMINAL
+        and 3 <= dataset.arity(f) <= _MAX_BINS]
+    bins = _bin_columns(XT, blocks)
     subsample = _SUBSAMPLE[cfg.preset]
     for _ in range(cfg.n_trees):
         if subsample < 1.0:
@@ -499,10 +564,15 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
         p = _sigmoid(raw_train)
         grad = p - yt
         hess = p * (1.0 - p)
-        tree, tgain = _grow_tree(grad, hess, rows, bins, cfg, column_gain)
+        tree, tgain, step = _grow_tree(grad, hess, rows, bins, cfg, column_gain)
         total_gain += tgain
         trees.append(tree)
-        raw_train += cfg.learning_rate * tree.predict(XT.T)
+        if len(rows) < n_train:     # route the rows left out of this tree
+            out = np.ones(n_train, dtype=bool)
+            out[rows] = False
+            out = np.flatnonzero(out)
+            step[out] = tree.predict(XT.take(out, axis=1).T)
+        raw_train += cfg.learning_rate * step
 
     model = GbmModel(cfg, dataset.feature_names, sources, base, trees,
                      column_gain, total_gain)
@@ -528,12 +598,10 @@ def extract_importance(model: GbmModel) -> FeatureRanking:
     gain = {f: 0.0 for f in model.feature_names}
     for c, src in enumerate(model.column_sources):
         gain[src] += float(model.column_gain[c])
-    source = (RankingSource.PRESET_A if model.cfg.preset is Preset.A
-              else RankingSource.PRESET_B)
     return FeatureRanking(
         feature_names=model.feature_names,
         scores=tuple(gain[f] for f in model.feature_names),
-        source=source,
+        preset=model.cfg.preset,
         normalized=False,
     )
 
@@ -567,7 +635,7 @@ def committee_vote(rankings: list[FeatureRanking]) -> FeatureRanking:
         for i in range(len(names))
     )
     return FeatureRanking(feature_names=names, scores=merged,
-                          source=RankingSource.COMMITTEE, normalized=True)
+                          preset=None, normalized=True)
 
 
 def top_k(ranking: FeatureRanking, k: int) -> list[str]:

@@ -270,10 +270,19 @@ def _missing_cells(cells: tuple[str, ...]) -> set[str]:
 
 
 def _finite_floats(cells: tuple[str, ...]) -> np.ndarray | None:
-    """The cells as floats, or None if one does not parse or is not finite."""
+    """The cells as floats, or None if one does not parse or is not finite.
+
+    A cell may be padded with whitespace. ``float`` skips most of it, but
+    not U+001C..U+001F, which ``str.strip`` removes, so only a column that
+    does not parse as it is takes the slower, stripped pass.
+    """
     try:
-        values = np.fromiter(map(float, map(str.strip, cells)),
-                             dtype=np.float64, count=len(cells))
+        try:
+            values = np.fromiter(map(float, cells), dtype=np.float64,
+                                 count=len(cells))
+        except ValueError:
+            values = np.fromiter(map(float, map(str.strip, cells)),
+                                 dtype=np.float64, count=len(cells))
     except ValueError:
         return None
     return values if np.isfinite(values).all() else None

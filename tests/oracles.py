@@ -350,7 +350,7 @@ def reference_bin_column(x: np.ndarray, max_bins: int = 256):
 def reference_grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
                         rows: np.ndarray, cfg: GbmConfig,
                         column_gain: np.ndarray,
-                        max_bins: int = 256) -> tuple[_Tree, float]:
+                        max_bins: int = 256, blocks=()) -> tuple[_Tree, float]:
     """One depth-limited regression tree on gradient/hessian targets.
 
     The binned split search ``embedded._grow_tree`` must agree with bit
@@ -370,6 +370,12 @@ def reference_grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
     NaN gain never wins. Rows go left where ``X[:, col] <= threshold``.
     Both constants are read from the module at each call, so a test that
     patches them grows this tree and the binned one alike.
+
+    ``blocks`` lists the (first column, level count) of each one-hot block
+    of X, as ``embedded._bin_columns`` takes them. A column in a block
+    keeps its single cut at 0.5, but scores it from the node's totals G, H
+    and row count minus its sums over the rows whose indicator is 1: the
+    level's rows go right and the rest left.
     """
     n, n_cols = X.shape
     lam = embedded._L2_REG
@@ -380,6 +386,7 @@ def reference_grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
     tree_gain = 0.0
     in_node = np.zeros(n, dtype=bool)
     every_col = np.arange(n_cols)
+    in_block = {c for first, levels in blocks for c in range(first, first + levels)}
 
     def histogram(rows: np.ndarray) -> np.ndarray:
         sums = np.zeros((3, n_cols, max_bins))  # g, h and rows per bin
@@ -396,9 +403,14 @@ def reference_grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
         best = (0.0, -1, 0.0)   # gain, column, threshold
         for c, (_, thresholds) in enumerate(binned):
             n_cuts = len(thresholds)
-            GL = np.cumsum(sums[0, c, :n_cuts])
-            HL = np.cumsum(sums[1, c, :n_cuts])
-            NL = np.cumsum(sums[2, c, :n_cuts])
+            if c in in_block:
+                GL = G - sums[0, c, 1:2]
+                HL = H - sums[1, c, 1:2]
+                NL = m - sums[2, c, 1:2]
+            else:
+                GL = np.cumsum(sums[0, c, :n_cuts])
+                HL = np.cumsum(sums[1, c, :n_cuts])
+                NL = np.cumsum(sums[2, c, :n_cuts])
             GR = G - GL
             HR = H - HL
             valid = (NL > 0) & (NL < m) & (HL >= mcw) & (HR >= mcw)

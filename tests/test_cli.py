@@ -636,6 +636,25 @@ def test_config_checks_leave_numpy_random_unloaded():
     assert out.split() == ["--gbm-lr", "False", "True"]
 
 
+def test_select_leaves_numpy_ma_unloaded(synth_dir, tmp_path):
+    # np.unique without return_inverse imports numpy.ma, 13-26 ms of a
+    # select command; every method selects without it
+    src = str(Path(featscan.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = textwrap.dedent("""
+        import sys
+        from featscan.cli import main
+        rc = main(sys.argv[1:])
+        print(rc, "numpy.ma" in sys.modules)
+    """)
+    argv = ["select", "--method", "all", "--k", "2",
+            *common_flags(synth_dir, tmp_path / "out")]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
+
+
 # flag, config key, value: each is out of range for its option
 BAD_VALUES = [
     ("--bins", "bins", 1),

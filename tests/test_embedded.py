@@ -10,7 +10,6 @@ from featscan.embedded import (
     FeatureRanking,
     GbmConfig,
     Preset,
-    RankingSource,
     committee_vote,
     extract_importance,
     gbm_train,
@@ -88,11 +87,28 @@ class TestGbmTrain:
         ranking = extract_importance(model)
         assert all(s == 0.0 for s in ranking.scores)
 
-    def test_single_class_error(self):
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_error(self, label):
         rng = np.random.default_rng(7)
-        d = numeric_dataset({"a": rng.normal(size=50)}, np.zeros(50, int))
-        with pytest.raises(SingleClassOutcomeError):
+        d = numeric_dataset({"a": rng.normal(size=50)}, np.full(50, label))
+        with pytest.raises(SingleClassOutcomeError, match="^outcome"):
             gbm_train(d, GbmConfig(Preset.A))
+
+    def test_single_class_training_split_error(self):
+        # a lone positive row: the fits whose hold-out takes it train on
+        # negatives only
+        rng = np.random.default_rng(8)
+        y = np.zeros(50, int)
+        y[17] = 1
+        d = numeric_dataset({"a": rng.normal(size=50)}, y)
+        raised = 0
+        for seed in range(20):
+            try:
+                gbm_train(d, GbmConfig(Preset.A, seed=seed, n_trees=1))
+            except SingleClassOutcomeError as exc:
+                assert str(exc) == "training split has a single class"
+                raised += 1
+        assert 0 < raised < 20
 
     def test_bit_reproducible(self):
         d = separable_dataset(seed=11, n=600, n_noise=3)
@@ -179,7 +195,7 @@ class TestGbmTrain:
 def ranking(scores, names=None, **kw):
     names = names or tuple(f"f{i + 1}" for i in range(len(scores)))
     return FeatureRanking(tuple(names), tuple(float(s) for s in scores),
-                          RankingSource.PRESET_A, **kw)
+                          Preset.A, **kw)
 
 
 class TestMinMaxNormalize:
@@ -252,6 +268,21 @@ class TestTopK:
         squashed = ranking(np.tanh(scores))
         for k in (1, 3, 8):
             assert top_k(base, k) == top_k(squashed, k)
+
+
+def test_ranking_carries_its_preset():
+    # the report names a ranking's source from its preset, or "committee"
+    d = separable_dataset(seed=29, n=400, n_noise=2)
+    normalized = []
+    for preset, source in ((Preset.A, "preset_a"), (Preset.B, "preset_b")):
+        r = extract_importance(gbm_train(d, GbmConfig(preset, seed=1, n_trees=3))[0])
+        assert r.preset is preset
+        assert r.to_json_dict()["source"] == source
+        normalized.append(minmax_normalize(r))
+        assert normalized[-1].preset is preset
+    vote = committee_vote(normalized)
+    assert vote.preset is None
+    assert vote.to_json_dict()["source"] == "committee"
 
 
 class TestFeatureRankingValidation:

@@ -17,6 +17,7 @@ change of results:
     PYTHONPATH=src python tests/test_gbm_exact.py > tests/data/gbm_golden.json
 """
 
+import hashlib
 import json
 import math
 import sys
@@ -92,6 +93,23 @@ def _two_valued(n_rows, seed):
     return Dataset(schema, cols, y)
 
 
+def _nominal(n_rows, arities, seed):
+    # a nominal feature per level count, each level on n_rows // arity or one
+    # more rows, beside a continuous and a binary column
+    rng = np.random.default_rng(seed)
+    cols = {"x": rng.normal(size=n_rows),
+            "flag": rng.choice(np.array(["no", "yes"]), size=n_rows)}
+    kinds = {"x": FeatureKind.CONTINUOUS, "flag": FeatureKind.BINARY}
+    logit = cols["x"] - 1.0
+    for arity in arities:
+        level = rng.permutation(np.arange(n_rows) % arity)
+        cols[f"nom{arity}"] = np.char.zfill(level.astype(str), 3)
+        kinds[f"nom{arity}"] = FeatureKind.NOMINAL
+        logit = logit + 0.8 * (level % 3 == 0)
+    y = (rng.random(n_rows) < 1 / (1 + np.exp(-logit))).astype(int)
+    return Dataset(Schema(tuple(cols), kinds, "y"), cols, y)
+
+
 # name -> (dataset factory, config)
 SHAPES = {
     # binary, low-arity and continuous columns on one table, both presets
@@ -132,8 +150,8 @@ def _tree_dict(tree):
     }
 
 
-def _record(name):
-    factory, cfg = SHAPES[name]
+def _record(name, cases=SHAPES):
+    factory, cfg = cases[name]
     with pytest.MonkeyPatch.context() as m:
         if name in NO_HESSIAN_FLOOR:
             _set_growth(m, 0.0)
@@ -157,6 +175,24 @@ def test_ensemble_matches_golden(golden, name):
     assert json.loads(json.dumps(_record(name))) == golden[name]
 
 
+# sha256 of each fit's record, keys sorted, captured before preset A binned
+# nominal features as level codes: a fit with no nominal feature must not move
+NO_NOMINAL_DIGESTS = {
+    "continuous_distinct_a":
+        "1a3cf9aad9f2c868dcee51b477d1cd74fc9a3e03eeb18ca172cbbbf12dd32746",
+    "one_two_valued_a":
+        "7b6da1608fdd2c80659bb6ab226b5180515dfe1061b4fbf95ec333949b02aea9",
+    "rounded_mcw0_a":
+        "39419d20d6170ce5276cabc4640120d6a3e7a0777ac77457523e8df645c64a25",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_NOMINAL_DIGESTS))
+def test_fit_without_nominal_features_is_unchanged(name):
+    record = json.dumps(_record(name, TRAIN_CASES), sort_keys=True)
+    assert hashlib.sha256(record.encode()).hexdigest() == NO_NOMINAL_DIGESTS[name]
+
+
 def _floats(values):
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -172,11 +208,14 @@ def assert_same_tree(got, want):
 
 def _train_reference(dataset, cfg, monkeypatch):
     # the oracle gets the raw training matrix and bins it, once per tree
-    def grow(g, h, rows, XT, cfg, column_gain):
-        return reference_grow_tree(XT.T, g, h, rows, cfg, column_gain)
+    def grow(g, h, rows, binned, cfg, column_gain):
+        XT, blocks = binned
+        tree, gain = reference_grow_tree(XT.T, g, h, rows, cfg, column_gain,
+                                         blocks=blocks)
+        return tree, gain, reference_predict(tree, XT.T)
 
     with monkeypatch.context() as m:
-        m.setattr(embedded, "_bin_columns", lambda XT: XT)
+        m.setattr(embedded, "_bin_columns", lambda XT, blocks: (XT, blocks))
         m.setattr(embedded, "_grow_tree", grow)
         m.setattr(_Tree, "predict", reference_predict)
         return gbm_train(dataset, cfg)
@@ -209,6 +248,10 @@ TRAIN_CASES = {
                          GbmConfig(Preset.B, seed=8, n_trees=5, max_depth=5)),
     "two_valued_subsample": (lambda: _two_valued(400, 39),
                              GbmConfig(Preset.B, n_trees=10, max_depth=5, seed=9)),
+    # preset A bins the 3-, 8- and 256-level features as level codes, and
+    # the 300-level one as indicator columns
+    "nominal_levels_a": (lambda: _nominal(1_200, (3, 8, 256, 300), 41),
+                         GbmConfig(Preset.A, seed=10, n_trees=3)),
 }
 # cases that train preset B on a smaller share of rows than its 0.8, so that
 # trees often miss the rare rows
@@ -233,16 +276,18 @@ def test_gbm_train_matches_reference_grower(name, monkeypatch):
     assert got_metrics == want_metrics
 
 
-def _grow_both(X, g, h, rows, cfg):
+def _grow_both(X, g, h, rows, cfg, blocks=()):
     want_gain = np.zeros(X.shape[1])
     want, want_total = reference_grow_tree(X, g, h, rows, cfg, want_gain,
-                                           embedded._MAX_BINS)
+                                           embedded._MAX_BINS, blocks)
     got_gain = np.zeros(X.shape[1])
-    bins = _bin_columns(np.ascontiguousarray(X.T))
-    got, got_total = _grow_tree(g, h, rows, bins, cfg, got_gain)
+    bins = _bin_columns(np.ascontiguousarray(X.T), blocks)
+    got, got_total, leaf_value = _grow_tree(g, h, rows, bins, cfg, got_gain)
     assert_same_tree(got, want)
     assert got_gain.tobytes() == want_gain.tobytes()
     assert got_total == want_total
+    # each grown row holds the value its descent reaches
+    assert leaf_value[rows].tobytes() == got.predict(X[rows]).tobytes()
     return got
 
 
@@ -457,17 +502,106 @@ def test_grow_tree_interleaved_kinds_subsampled(seed, max_bins, monkeypatch):
         _grow_both(X, g, h, rows, GbmConfig(Preset.B, max_depth=depth))
 
 
+def _one_hot(level, arity):
+    return (level[:, None] == np.arange(arity)).astype(float)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_grow_tree_one_hot_blocks(seed):
+    # two blocks, the second a copy of the first, whose equal gains must fall
+    # to the first; the first's last level never occurs, and a three-level
+    # block holds nodes with two of its levels, whose two one-vs-rest cuts
+    # part the rows alike; rows with zero gradient and hessian make 0/0
+    # gains under _L2_REG = 0
+    rng = np.random.default_rng(1100 + seed)
+    n = 400
+    level = rng.integers(0, 4, size=n)
+    three = np.where(level == 0, rng.integers(0, 2, size=n), 2)
+    X = np.column_stack([rng.normal(size=n), _one_hot(level, 5),
+                         _one_hot(three, 3), _one_hot(level, 5),
+                         rng.integers(0, 2, size=n)])
+    blocks = [(1, 5), (6, 3), (9, 5)]
+    p = rng.uniform(0.3, 0.7, size=n)
+    y = (rng.random(n) < np.where(level == 2, 0.8, 0.2)).astype(float)
+    g, h = p - y, p * (1.0 - p)
+    g[:8] = h[:8] = 0.0
+    rows = np.sort(rng.choice(n, size=320, replace=False)) if seed % 2 else np.arange(n)
+    with pytest.MonkeyPatch.context() as m, np.errstate(all="ignore"):
+        for depth, mcw, lam in ((1, 1.0, 1.0), (4, 1.0, 1.0), (6, 0.0, 0.0)):
+            _set_growth(m, mcw, lam)
+            tree = _grow_both(X, g, h, rows, GbmConfig(Preset.A, max_depth=depth),
+                              blocks)
+            assert not set(tree.feature) & set(range(9, 14))
+
+
+def test_preset_a_bins_each_nominal_as_one_row_of_level_codes(monkeypatch):
+    dataset = _nominal(2_000, (2, 3, 8, 256, 300), 40)
+    binned = []
+
+    def spy(XT, blocks):
+        binned.append((XT, blocks, _bin_columns(XT, blocks)))
+        return binned[-1][2]
+
+    monkeypatch.setattr(embedded, "_bin_columns", spy)
+    for preset in (Preset.A, Preset.B):
+        gbm_train(dataset, GbmConfig(preset, n_trees=1))
+    (XT, blocks, bins), (_, blocks_b, _) = binned
+    assert blocks_b == []
+    _, sources = encode_design(dataset, Preset.A)
+    first = {f: sources.index(f) for f in dataset.feature_names}
+    assert blocks == [(first[f"nom{a}"], a) for a in (3, 8, 256)]
+    block_rows = [r for r0, t, is_block in bins.groups if is_block
+                  for r in range(r0, r0 + len(t))]
+    assert bins.columns[block_rows].tolist() == [first[f"nom{a}"] for a in (3, 8, 256)]
+    for r0, t, is_block in bins.groups:
+        for r in range(r0, r0 + len(t)):
+            col = bins.columns[r]
+            if is_block:
+                # level j's rows, those whose j-th indicator is 1, get bin j,
+                # and each level's cut splits its indicator at 0.5
+                hit = XT[col + bins.codes[r].astype(np.intp), np.arange(XT.shape[1])]
+                assert (hit == 1.0).all()
+                assert (t[r - r0] == 0.5).all()
+            else:
+                assert col < first["nom3"] or col >= first["nom300"]
+    # the 2- and 300-level features keep one row per indicator column
+    for name, arity in (("nom2", 2), ("nom300", 300)):
+        columns = range(first[name], first[name] + arity)
+        assert sorted(set(bins.columns) & set(columns)) == list(columns)
+    assert len(bins.codes) == 2 + 2 + 3 + 300
+
+
+@pytest.mark.parametrize("preset", [Preset.A, Preset.B])
+def test_training_leaf_values_are_the_predictions_of_grown_rows(preset, monkeypatch):
+    dataset = _nominal(1_500, (3, 5, 300), 42)
+    grown, binned = [], []
+
+    def grow(g, h, rows, bins, cfg, column_gain):
+        tree, gain, leaf_value = _grow_tree(g, h, rows, bins, cfg, column_gain)
+        grown.append((rows, tree, leaf_value[rows]))
+        return tree, gain, leaf_value
+
+    monkeypatch.setattr(embedded, "_grow_tree", grow)
+    monkeypatch.setattr(embedded, "_bin_columns",
+                        lambda XT, blocks: binned.append(XT) or _bin_columns(XT, blocks))
+    gbm_train(dataset, GbmConfig(preset, seed=3, n_trees=5))
+    X = binned[0].T
+    for rows, tree, leaf_value in grown:
+        assert len(rows) == (X.shape[0] if preset is Preset.A else 960)
+        assert leaf_value.tobytes() == tree.predict(X[rows]).tobytes()
+
+
 def _binned(XT):
     """Each binned column's codes and thresholds, by column index."""
     bins = _bin_columns(np.ascontiguousarray(XT))
     assert bins.codes.dtype == np.uint8
     out = {}
-    for first, thresholds in bins.groups:
+    for first, thresholds, _ in bins.groups:
         for i, t in enumerate(thresholds, start=first):
             out[int(bins.columns[i])] = (bins.codes[i], t)
     # groups run in ascending bin count, each in ascending column order
     widths = [(t.shape[1], int(bins.columns[first + i]))
-              for first, t in bins.groups for i in range(len(t))]
+              for first, t, _ in bins.groups for i in range(len(t))]
     assert widths == sorted(widths)
     return out
 

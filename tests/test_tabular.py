@@ -395,6 +395,17 @@ class TestLoadCsvMatchesReference:
         schema = make_schema(MissingPolicy.DROP_ROW)
         assert_same_dataset(load_csv(path, schema), reference_load_csv(path, schema))
 
+    @pytest.mark.parametrize("pad", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_separator_padded_column_without_missing_cells(self, tmp_path, pad):
+        # the four code points str.strip() removes and float() rejects; with
+        # no missing cell the column is parsed once, and must be stripped
+        path = write_lines(tmp_path, [
+            HEADER, f"{pad}1.5,M,icu,0", f"{pad}2.5{pad},F,er,1", "3.5,F,er,1",
+        ])
+        got = load_csv(path, make_schema())
+        np.testing.assert_array_equal(got.column("age"), [1.5, 2.5, 3.5])
+        assert_same_dataset(got, reference_load_csv(path, make_schema()))
+
     @pytest.mark.parametrize("seed", range(3))
     def test_error_policy_names_same_missing_line(self, tmp_path, seed):
         path = rich_csv(tmp_path, seed, missing_rate=0.01)
