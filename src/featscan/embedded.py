@@ -55,7 +55,7 @@ from .errors import (
     MismatchedFeatureSetsError,
     SingleClassOutcomeError,
 )
-from .tabular import Dataset, FeatureKind
+from .tabular import Dataset, FeatureKind, _distinct
 
 _TARGET_STAT_PRIOR_WEIGHT = 10.0
 _MAX_BINS = 256     # bins per column, so a bin code fits in a uint8
@@ -225,30 +225,45 @@ class GbmModel:
         return raw
 
 
-def encode_design(dataset: Dataset, preset: Preset, train_idx=None):
+def encode_design(dataset: Dataset, preset: Preset, train_idx=None,
+                  row_order=None):
     """Build the numeric matrix the trees split on.
 
     Continuous columns pass through; binary columns become one indicator.
     Nominal columns become per-level indicators under preset A, or a
     single smoothed outcome-mean column under preset B (statistics from
-    the training rows only). The ``(n_rows, n_cols)`` matrix is stored
-    column by column, the layout the tree grower reads.
+    the training rows ``train_idx``, or every row when it is None).
+    Row i of the matrix is dataset row ``row_order[i]``, or row i when
+    ``row_order`` is None. The ``(n_rows, n_cols)`` matrix is stored
+    column by column, the layout the tree grower reads: it is the
+    transpose of one ``(n_cols, n_rows)`` array, filled in place one
+    column at a time, so the design is held once, beside one column of
+    codes.
     """
-    cols = []
-    sources = []
-    for name in dataset.feature_names:
+    # columns per feature: a preset-A nominal gets one per level
+    widths = [dataset.arity(f) if preset is Preset.A
+              and dataset.kind(f) is FeatureKind.NOMINAL else 1
+              for f in dataset.feature_names]
+    sources = [f for f, w in zip(dataset.feature_names, widths) for _ in range(w)]
+    XT = np.empty((len(sources),
+                   dataset.n_rows if row_order is None else len(row_order)))
+    end = 0
+    for name, width in zip(dataset.feature_names, widths):
+        out, end = XT[end:end + width], end + width
         kind = dataset.kind(name)
         if kind is FeatureKind.CONTINUOUS:
-            cols.append(dataset.column(name))
-            sources.append(name)
-        elif kind is FeatureKind.BINARY or preset is Preset.A:
-            # a binary column gets the indicator of its larger label only
-            levels = range(dataset.arity(name))
-            for i in levels[-1:] if kind is FeatureKind.BINARY else levels:
-                cols.append((dataset.codes(name) == i).astype(np.float64))
-                sources.append(name)
+            values = dataset.column(name)
+            out[0] = values if row_order is None else values.take(row_order)
+            continue
+        codes = dataset.codes(name)
+        ordered = codes if row_order is None else codes.take(row_order)
+        if kind is FeatureKind.BINARY:
+            # the indicator of its larger label only
+            np.equal(ordered, dataset.arity(name) - 1, out=out[0])
+        elif preset is Preset.A:
+            for i in range(width):
+                np.equal(ordered, i, out=out[i])
         else:
-            codes = dataset.codes(name)
             idx = train_idx if train_idx is not None else np.arange(dataset.n_rows)
             y = dataset.outcome[idx].astype(np.float64)
             prior = float(y.mean())
@@ -261,9 +276,7 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None):
                 / (count + _TARGET_STAT_PRIOR_WEIGHT),
                 prior,
             )
-            cols.append(stat.take(codes))
-            sources.append(name)
-    XT = np.stack(cols) if cols else np.empty((0, dataset.n_rows))
+            stat.take(ordered, out=out[0])
     return XT.T, sources
 
 
@@ -284,11 +297,6 @@ class _Bins(NamedTuple):
     # per group: its first codes row, its (rows, cuts) thresholds, and
     # whether its rows are one-hot blocks
     groups: list[tuple[int, np.ndarray, bool]]
-
-
-def _distinct(s: np.ndarray) -> np.ndarray:
-    """The distinct values of the ascending array ``s``, in order."""
-    return s[np.append(s[1:] != s[:-1], True)]
 
 
 def _bin_columns(XT: np.ndarray, blocks=()) -> _Bins:
@@ -518,7 +526,10 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
 
     Deterministic for a fixed (dataset, cfg): the RNG drives only the
     holdout split and per-tree row subsampling, both derived from
-    ``cfg.seed``.
+    ``cfg.seed``. The design is encoded once, training rows first and
+    held-out rows after them, and the trees and the held-out scoring read
+    views of it, so the fit holds one n-row copy of the design beside its
+    binned training codes.
     """
     y_all = dataset.outcome.astype(np.float64)
     if _one_class(dataset.outcome):
@@ -532,13 +543,13 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     if _one_class(dataset.outcome.take(train_idx)):
         raise SingleClassOutcomeError("training split has a single class")
 
-    X, sources = encode_design(dataset, cfg.preset, train_idx=train_idx)
-    n_cols = X.shape[1]
-    XT = X.T.take(train_idx, axis=1)   # (n_cols, n_train) in C order
-    X_hold = X[hold_idx]
-    del X   # the trees read only XT
-    yt = y_all[train_idx]
     n_train = len(train_idx)
+    X, sources = encode_design(dataset, cfg.preset, train_idx=train_idx,
+                               row_order=np.concatenate((train_idx, hold_idx)))
+    n_cols = X.shape[1]
+    # views of the one design: training rows first, then held-out rows
+    XT, X_hold = X.T[:, :n_train], X[n_train:]
+    yt = y_all[train_idx]
 
     p_base = min(1.0 - 1e-6, max(1e-6, float(yt.mean())))
     base = math.log(p_base / (1.0 - p_base))
@@ -571,7 +582,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
             out = np.ones(n_train, dtype=bool)
             out[rows] = False
             out = np.flatnonzero(out)
-            step[out] = tree.predict(XT.take(out, axis=1).T)
+            step[out] = tree.predict(XT[:, out].T)
         raw_train += cfg.learning_rate * step
 
     model = GbmModel(cfg, dataset.feature_names, sources, base, trees,

@@ -5,8 +5,9 @@ subset with the strongest evidence of elevated outcome odds, measured by
 a Bernoulli likelihood-ratio score against the global outcome mean. Each
 feature's optimal value set given the others is found in linear time by
 evaluating priority-ordered prefixes of its per-value counts:
-``best_value_subset`` is that step, the one ``scan`` runs and the oracles
-certify. Coordinate ascent with random restarts drives the joint search.
+``best_value_subset`` is that step, and ``scan`` runs its unchecked loop
+``_best_prefix``, so the oracles certify the code ``scan`` runs.
+Coordinate ascent with random restarts drives the joint search.
 The search is defined on a feature *set*: ``scan`` sorts the features it
 is given, so a result depends only on (data, feature set, config), never
 on list order. It runs on a pattern table: the distinct joint codes of
@@ -42,7 +43,7 @@ from .errors import (
     NoFeaturesError,
     UnknownFeatureError,
 )
-from .tabular import Dataset, DiscreteDataset, _code_dtype
+from .tabular import Dataset, DiscreteDataset, _code_dtype, _distinct
 
 # a feature with at most this many values keeps its blocking masks on the
 # pattern table (see ``scan``)
@@ -176,22 +177,32 @@ def best_value_subset(n_v, s_v, alpha_g: float) -> tuple[list[int], float]:
     descending, then by code, and zero-count values are left out; the
     linear-time subset scanning property (Neill, JRSS-B 2012) puts the
     best value subset on one of these prefixes. Ties go to the larger
-    prefix (see below). This is the step ``scan`` runs for each feature.
-    Each prefix scores exactly as ``score_bernoulli`` would score it. An
-    ``alpha_g`` outside (0, 1) raises ``AlphaOutOfRangeError``, and a
-    value without ``0 <= sum_y <= n < inf`` raises ``ValueError``.
+    prefix (see below). Each prefix scores exactly as ``score_bernoulli``
+    would score it. An ``alpha_g`` outside (0, 1) raises
+    ``AlphaOutOfRangeError``, and a value without ``0 <= sum_y <= n < inf``
+    raises ``ValueError``. Once the input passes these checks, the search
+    is ``_best_prefix``, the step ``scan`` runs for each feature.
     """
     if not 0.0 < alpha_g < 1.0:
         raise AlphaOutOfRangeError(f"alpha_g must be in (0,1), got {alpha_g}")
-    ranked = []   # (rank key, code, n, sum_y); codes are distinct
     for i, (n, s) in enumerate(zip(n_v, s_v, strict=True)):
         if not 0 <= s <= n < math.inf:
             raise ValueError(f"need 0 <= sum_y <= n < inf, got sum_y={s}, n={n} "
                              f"for value {i}")
-        if n > 0:
-            ranked.append((-(s / (n * alpha_g)), i, n, s))
-    if not ranked:
+    if not any(n > 0 for n in n_v):
         raise EmptyRecordsError("no value has any members")
+    return _best_prefix(n_v, s_v, alpha_g)
+
+
+def _best_prefix(n_v, s_v, alpha_g: float) -> tuple[list[int], float]:
+    """``best_value_subset`` on input known to pass its checks.
+
+    ``scan`` calls it with per-value ``np.bincount`` sums over a non-empty
+    member set, which cannot fail them.
+    """
+    # (rank key, code, n, sum_y); codes are distinct
+    ranked = [(-(s / (n * alpha_g)), i, n, s)
+              for i, (n, s) in enumerate(zip(n_v, s_v)) if n > 0]
     ranked.sort()
     # score_bernoulli's expressions in its order, so that every prefix
     # score is bit-identical to its; the prefix is never empty
@@ -224,12 +235,13 @@ def _pattern_table(data: DiscreteDataset, features: list[str]):
     the order of their mixed-radix key (first feature most significant).
     When that key's range, the product of the arities, is at most the row
     count, the ids come from marking the keys present and numbering them,
-    with no sort; a wider key is sorted (``np.unique``) and each row's key
-    searched. Both give the same table. The table depends on the
-    covariates only, so it is kept in the cache that all ``with_outcome``
-    copies of ``data`` share, as (feature tuple, table, memo, masks): the
-    memo of scan results and the blocking masks start empty and are filled
-    by ``scan``, and all of them are replaced when the feature set changes.
+    with no sort; a wider key is sorted, its distinct values kept, and each
+    row's key searched among them. Both give the same table. The table
+    depends on the covariates only, so it is kept in the cache that all
+    ``with_outcome`` copies of ``data`` share, as (feature tuple, table,
+    memo, masks): the memo of scan results and the blocking masks start
+    empty and are filled by ``scan``, and all of them are replaced when the
+    feature set changes.
     """
     cached = data.covariate_cache.get("scan_patterns")
     if cached is not None and cached[0] == tuple(features):
@@ -239,7 +251,7 @@ def _pattern_table(data: DiscreteDataset, features: list[str]):
     key, radix = np.zeros(data.n_rows, dtype=np.int64), 1
     for f, a in zip(features, arity):
         if radix * a > np.iinfo(np.int64).max:
-            key = np.searchsorted(np.unique(key), key)
+            key = np.searchsorted(_distinct(np.sort(key)), key)
             radix = int(key.max()) + 1
         key *= a
         key += data.codes(f)
@@ -257,8 +269,9 @@ def _pattern_table(data: DiscreteDataset, features: list[str]):
             codes.append(code)
         codes.reverse()
     else:
-        # unique values, then a search, need less memory than return_inverse
-        inverse = np.searchsorted(np.unique(key), key)
+        # distinct values, then a search, need less memory than
+        # np.unique's return_inverse
+        inverse = np.searchsorted(_distinct(np.sort(key)), key)
         del key
         n = np.bincount(inverse)
         rep = np.empty(len(n), dtype=np.intp)
@@ -380,7 +393,7 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
                     codes_j = codes[j].take(members)
                     n_v = np.bincount(codes_j, weights=n_p.take(members), minlength=arity[j])
                     s_v = np.bincount(codes_j, weights=s_p.take(members), minlength=arity[j])
-                    chosen, score = best_value_subset(n_v.tolist(), s_v.tolist(), alpha_g)
+                    chosen, score = _best_prefix(n_v.tolist(), s_v.tolist(), alpha_g)
                     values = tuple(sorted(chosen))
                 if values != selected[j]:
                     # the all-zero mask of a full value set is neither added

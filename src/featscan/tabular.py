@@ -247,6 +247,15 @@ def _code_dtype(n_levels: int) -> np.dtype:
     return np.dtype(np.uint32)
 
 
+def _distinct(s: np.ndarray) -> np.ndarray:
+    """The distinct values of the ascending array ``s``, in order.
+
+    What ``np.unique`` returns for them, without the ``numpy.ma`` import
+    that ``np.unique`` makes on numpy 2.4 when not asked for an inverse.
+    """
+    return s[np.append(s[1:] != s[:-1], True)]
+
+
 def _too_many_levels(name: str, levels: np.ndarray,
                      where: str = "") -> SchemaMismatchError:
     return SchemaMismatchError(

@@ -183,6 +183,11 @@ def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> Elimi
     contributing no design columns (constant categoricals) are dropped
     before anything else. A NaN or infinity in the design raises
     ``ValueError`` before the first round.
+
+    The one-hot design is dropped once ``[1, X, y]`` is built from it, so
+    the first factorization holds that matrix and ``np.linalg.qr``'s two
+    internal copies of it, three n-row copies in all; later rounds hold
+    only triangular factors.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -198,6 +203,7 @@ def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> Elimi
         return EliminationTrace(initial=initial, steps=steps, final=survivors)
     X, names, sources = one_hot(dataset, survivors)
     augmented = _augmented(X, dataset.outcome)
+    del X   # the QR reads only ``augmented``
     n, tss = len(augmented), _tss(augmented[:, -1])
     while len(survivors) > k:
         fit, r = _fit(augmented, n, tss, names, sources)

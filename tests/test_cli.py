@@ -655,6 +655,32 @@ def test_select_leaves_numpy_ma_unloaded(synth_dir, tmp_path):
     assert out.split() == ["0", "False"]
 
 
+@pytest.mark.parametrize("command", [["scan", "--features", "all"],
+                                     ["sweep", "--k-sweep", "2"]])
+def test_scan_leaves_numpy_ma_unloaded(tmp_path, command):
+    # 12 binary features over 400 rows: the scan's key range, 2**12,
+    # exceeds the row count, so its pattern table takes the sort path
+    spec = {"n_rows": 400, "base_rate": 0.2, "arities": [2] * 12,
+            "plant": {"restrictions": {"cat01": ["a"]}, "q_star": 4.0},
+            "seed": 1}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(tmp_path)]) == 0
+    src = str(Path(featscan.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = textwrap.dedent("""
+        import sys
+        from featscan.cli import main
+        rc = main(sys.argv[1:])
+        print(rc, "numpy.ma" in sys.modules)
+    """)
+    argv = [*command, *common_flags(tmp_path, tmp_path / "out")]
+    out = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
+
+
 # flag, config key, value: each is out of range for its option
 BAD_VALUES = [
     ("--bins", "bins", 1),

@@ -1,6 +1,7 @@
 """Gradient-boosted rankings, normalization, committee vote, top-K."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from featscan.embedded import (
     GbmConfig,
     Preset,
     committee_vote,
+    encode_design,
     extract_importance,
     gbm_train,
     minmax_normalize,
@@ -21,6 +23,7 @@ from featscan.errors import (
     MismatchedFeatureSetsError,
     SingleClassOutcomeError,
 )
+from featscan.synth import SynthSpec, generate
 from featscan.tabular import Dataset, FeatureKind, Schema
 
 
@@ -190,6 +193,21 @@ class TestGbmTrain:
                 ok &= {"s0", "s1", "s2"} <= set(top_k(ranking, 5))
             hits += ok
         assert hits > 10
+
+    @pytest.mark.parametrize("preset, bound", [(Preset.A, 1.6), (Preset.B, 2.0)])
+    def test_peak_memory_holds_one_design(self, preset, bound):
+        # training and held-out rows are views of one encoded design, and
+        # preset B's left-out rows are gathered without copying the view
+        d, _ = generate(SynthSpec(n_rows=20_000, base_rate=0.3, n_continuous=10,
+                                  arities=(3, 4, 5) * 4, seed=7))
+        design = encode_design(d, preset)[0].nbytes
+        tracemalloc.start()
+        try:
+            gbm_train(d, GbmConfig(preset, n_trees=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * design
 
 
 def ranking(scores, names=None, **kw):

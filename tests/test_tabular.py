@@ -677,6 +677,17 @@ class TestEncodersMatchReference:
             assert_same_design(encode_design(d, preset, rows),
                                reference_encode_design(d, preset, rows))
 
+    @pytest.mark.parametrize("preset", list(Preset))
+    @pytest.mark.parametrize("make", AWKWARD, ids=lambda f: f.__name__)
+    def test_encode_design_in_row_order(self, tmp_path, make, preset):
+        # row i of the design is row_order[i]; a row may repeat or be left out
+        d = make(tmp_path)
+        rows = np.arange(0, d.n_rows, 2)
+        order = np.random.default_rng(3).integers(0, d.n_rows, size=d.n_rows + 3)
+        want, sources = reference_encode_design(d, preset, rows)
+        assert_same_design(encode_design(d, preset, rows, row_order=order),
+                           (want[order], sources))
+
 
 class TestCategoricalCoding:
     def test_discretize_shares_code_arrays(self, tmp_path):

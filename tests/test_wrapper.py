@@ -1,12 +1,14 @@
 """OLS fitting and backward elimination."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 
 from featscan.errors import InsufficientRowsError, KTooLargeError
+from featscan.synth import SynthSpec, generate
 from featscan.tabular import Dataset, FeatureKind, Schema, one_hot
 from featscan.wrapper import backward_eliminate, ols_fit
 from oracles import reference_ols_p_values, reference_one_hot
@@ -312,6 +314,21 @@ class TestBackwardEliminate:
                 assert step.p_value == pytest.approx(sig[step.dropped], rel=1e-9)
                 survivors.remove(step.dropped)
             assert trace.final == survivors
+
+    def test_peak_memory_holds_one_design_beside_the_qr(self):
+        # tracemalloc traces numpy's arrays but not LAPACK's work buffer:
+        # [1, X, y] and qr's copy of it, with the one-hot X already dropped
+        d, _ = generate(SynthSpec(n_rows=20_000, base_rate=0.3, n_continuous=10,
+                                  arities=(3, 4, 5) * 4, seed=7))
+        features = list(d.feature_names)
+        design = one_hot(d, features)[0].nbytes
+        tracemalloc.start()
+        try:
+            backward_eliminate(d, features, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * design
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_input_rejected(self, value):
