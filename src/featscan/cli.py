@@ -36,9 +36,8 @@ from .tabular import (
     Schema,
     discretize,
     load_csv,
-    one_hot,
 )
-from .wrapper import backward_eliminate, ols_fit
+from .wrapper import backward_eliminate
 
 log = logging.getLogger("featscan")
 
@@ -214,24 +213,14 @@ class SelectionRunner:
             )
         return self._embedded[preset]
 
-    def _order_survivors(self, survivors: list[str]) -> list[str]:
-        X, names, sources = one_hot(self.dataset, survivors)
-        if X.shape[1] == 0:
-            return sorted(survivors)
-        fit = ols_fit(X, self.dataset.outcome.astype(float), names, sources)
-        sig = fit.min_p_by_feature()
-        return sorted(survivors, key=lambda f: (sig.get(f, 1.0), f))
-
     def select(self, method: str, k: int) -> dict:
         """Ordered top-k list plus method diagnostics, as a report payload."""
         if method == "filter_wrapper":
             diag, trace = self.filter_artifacts()
-            survivors = trace.surviving_at(k)
-            selected = self._order_survivors(survivors)
             return {
                 "method": method,
                 "k": k,
-                "selected": selected,
+                "selected": trace.ranked_at(k),
                 "filter_diagnostics": diag.to_json_dict(),
                 "elimination_trace": trace.to_json_dict(),
             }

@@ -10,10 +10,10 @@ seed)``; the hessian floor ``_MIN_CHILD_WEIGHT`` and the L2 penalty
 aggregated from encoded columns back to source features.
 
 Splits are searched on histograms, as in LightGBM and XGBoost's ``hist``
-method: the training matrix is binned once per fit into rows of at most
-``_MAX_BINS`` (256) bins, and a tree node sums its gradients and hessians
-per bin, so its search scores every cut from those sums instead of from
-sorted rows.
+method: the training matrix is binned once per fit, one feature at a time,
+into rows of at most ``_MAX_BINS`` (256) bins, and a tree node sums its
+gradients and hessians per bin, so its search scores every cut from those
+sums instead of from sorted rows.
 
 - Under preset A, a nominal feature of 3 to 256 levels is binned as one
   row of its level codes, not as its per-level indicator columns. Its
@@ -225,6 +225,60 @@ class GbmModel:
         return raw
 
 
+class _Encoding:
+    """``encode_design``'s column rules for one preset, feature by feature.
+
+    Preset B's target statistics are taken from the training rows once,
+    here, and every call of :meth:`fill` reads them.
+    """
+
+    def __init__(self, dataset: Dataset, preset: Preset, train_idx=None):
+        self.dataset = dataset
+        self.preset = preset
+        # columns per feature: a preset-A nominal gets one per level
+        self.widths = [dataset.arity(f) if preset is Preset.A
+                       and dataset.kind(f) is FeatureKind.NOMINAL else 1
+                       for f in dataset.feature_names]
+        self.sources = [f for f, w in zip(dataset.feature_names, self.widths)
+                        for _ in range(w)]
+        self.stats: dict[str, np.ndarray] = {}
+        if preset is Preset.B:
+            idx = train_idx if train_idx is not None else np.arange(dataset.n_rows)
+            y = dataset.outcome[idx].astype(np.float64)
+            prior = float(y.mean())
+            for name in dataset.schema.features_of_kind(FeatureKind.NOMINAL):
+                codes = dataset.codes(name)[idx]
+                # sums of 0/1 outcomes are exact in any summation order
+                count = np.bincount(codes, minlength=dataset.arity(name))
+                hits = np.bincount(codes, weights=y, minlength=len(count))
+                self.stats[name] = np.where(
+                    count > 0,
+                    (hits + _TARGET_STAT_PRIOR_WEIGHT * prior)
+                    / (count + _TARGET_STAT_PRIOR_WEIGHT),
+                    prior,
+                )
+
+    def fill(self, name: str, rows, out: np.ndarray) -> None:
+        """Write feature ``name``'s design columns, one per row of ``out``,
+        for dataset rows ``rows`` in that order, or every row when None."""
+        dataset = self.dataset
+        kind = dataset.kind(name)
+        if kind is FeatureKind.CONTINUOUS:
+            values = dataset.column(name)
+            out[0] = values if rows is None else values.take(rows)
+            return
+        codes = dataset.codes(name)
+        ordered = codes if rows is None else codes.take(rows)
+        if kind is FeatureKind.BINARY:
+            # the indicator of its larger label only
+            np.equal(ordered, dataset.arity(name) - 1, out=out[0])
+        elif self.preset is Preset.A:
+            for i in range(len(out)):
+                np.equal(ordered, i, out=out[i])
+        else:
+            self.stats[name].take(ordered, out=out[0])
+
+
 def encode_design(dataset: Dataset, preset: Preset, train_idx=None,
                   row_order=None):
     """Build the numeric matrix the trees split on.
@@ -235,49 +289,19 @@ def encode_design(dataset: Dataset, preset: Preset, train_idx=None,
     the training rows ``train_idx``, or every row when it is None).
     Row i of the matrix is dataset row ``row_order[i]``, or row i when
     ``row_order`` is None. The ``(n_rows, n_cols)`` matrix is stored
-    column by column, the layout the tree grower reads: it is the
-    transpose of one ``(n_cols, n_rows)`` array, filled in place one
-    column at a time, so the design is held once, beside one column of
-    codes.
+    column by column: it is the transpose of one ``(n_cols, n_rows)``
+    array, filled in place one feature at a time by the column rules
+    ``gbm_train`` bins from, so the design is held once, beside one
+    feature's codes.
     """
-    # columns per feature: a preset-A nominal gets one per level
-    widths = [dataset.arity(f) if preset is Preset.A
-              and dataset.kind(f) is FeatureKind.NOMINAL else 1
-              for f in dataset.feature_names]
-    sources = [f for f, w in zip(dataset.feature_names, widths) for _ in range(w)]
-    XT = np.empty((len(sources),
+    encoding = _Encoding(dataset, preset, train_idx)
+    XT = np.empty((len(encoding.sources),
                    dataset.n_rows if row_order is None else len(row_order)))
     end = 0
-    for name, width in zip(dataset.feature_names, widths):
-        out, end = XT[end:end + width], end + width
-        kind = dataset.kind(name)
-        if kind is FeatureKind.CONTINUOUS:
-            values = dataset.column(name)
-            out[0] = values if row_order is None else values.take(row_order)
-            continue
-        codes = dataset.codes(name)
-        ordered = codes if row_order is None else codes.take(row_order)
-        if kind is FeatureKind.BINARY:
-            # the indicator of its larger label only
-            np.equal(ordered, dataset.arity(name) - 1, out=out[0])
-        elif preset is Preset.A:
-            for i in range(width):
-                np.equal(ordered, i, out=out[i])
-        else:
-            idx = train_idx if train_idx is not None else np.arange(dataset.n_rows)
-            y = dataset.outcome[idx].astype(np.float64)
-            prior = float(y.mean())
-            # sums of 0/1 outcomes are exact in any summation order
-            count = np.bincount(codes[idx], minlength=dataset.arity(name))
-            hits = np.bincount(codes[idx], weights=y, minlength=len(count))
-            stat = np.where(
-                count > 0,
-                (hits + _TARGET_STAT_PRIOR_WEIGHT * prior)
-                / (count + _TARGET_STAT_PRIOR_WEIGHT),
-                prior,
-            )
-            stat.take(ordered, out=out[0])
-    return XT.T, sources
+    for name, width in zip(dataset.feature_names, encoding.widths):
+        encoding.fill(name, row_order, XT[end:end + width])
+        end += width
+    return XT.T, encoding.sources
 
 
 class _Bins(NamedTuple):
@@ -297,40 +321,43 @@ class _Bins(NamedTuple):
     # per group: its first codes row, its (rows, cuts) thresholds, and
     # whether its rows are one-hot blocks
     groups: list[tuple[int, np.ndarray, bool]]
+    # training rows per bin, every codes row's bins in turn: the row counts
+    # of a node that holds every training row
+    counts: np.ndarray
 
 
-def _bin_columns(XT: np.ndarray, blocks=()) -> _Bins:
-    """Bin every column of ``XT`` into at most ``_MAX_BINS`` bins.
+def _bin_columns(columns, n: int) -> _Bins:
+    """Bin design columns of ``n`` training values into at most
+    ``_MAX_BINS`` bins each.
 
-    ``blocks`` lists the (first column, level count) of each one-hot block
-    of ``XT`` to bin as one row of level codes: level j's rows, those whose
-    j-th indicator is 1, get bin j. Its cut j puts level j right and every
-    other level left, the split of the j-th indicator at 0.5.
+    ``columns`` yields ``(column, values, levels)``, one column at a time,
+    so only the column being binned need be held as floats. With
+    ``levels`` 0, ``values`` is the column's training values. Otherwise it
+    is the level codes of a nominal feature whose ``levels`` one-hot
+    indicator columns start at ``column``, binned as one row: level j's
+    rows get bin j. Its cut j puts level j right and every other level
+    left, the split of the j-th indicator at 0.5.
 
-    Any other column with at most ``_MAX_BINS`` distinct values gets one
-    bin per value. A column of n values with more gets equal-frequency
-    cuts: the k-th (k = 1 .. _MAX_BINS - 1) falls after the ``ceil(k * n /
-    _MAX_BINS)``-th smallest value, so the bins up to it hold at least that
-    many rows. A cut is a value, so equal values always share a bin;
-    repeated cuts and a cut at the maximum are dropped.
+    A column with at most ``_MAX_BINS`` distinct values gets one bin per
+    value. A column with more gets equal-frequency cuts: the k-th (k = 1 ..
+    _MAX_BINS - 1) falls after the ``ceil(k * n / _MAX_BINS)``-th smallest
+    value, so the bins up to it hold at least that many rows. A cut is a
+    value, so equal values always share a bin; repeated cuts and a cut at
+    the maximum are dropped.
 
     A column cut's threshold is the midpoint between its value and the next
     distinct value above it, or the value itself where the midpoint rounds
     up to that next value, so ``x <= threshold`` holds for a training value
     exactly when its bin is at or below the cut.
     """
-    n = XT.shape[1]
     ranks = (np.arange(1, _MAX_BINS) * n + _MAX_BINS - 1) // _MAX_BINS - 1
-    binned = []     # (cuts, is block, column, bin codes, thresholds)
-    in_block = np.zeros(len(XT), dtype=bool)
-    for first, levels in blocks:
-        in_block[first:first + levels] = True
-        # each row's level is the index of its one indicator that is 1
-        code = (np.arange(levels, dtype=np.float64) @ XT[first:first + levels]
-                ).astype(np.uint8)
-        binned.append((levels, True, first, code, np.full(levels, 0.5)))
-    for col in np.flatnonzero(~in_block):
-        x = XT[col]
+    binned = []     # (cuts, is block, column, bin codes, thresholds, counts)
+    for col, x, levels in columns:
+        if levels:
+            code = x.astype(np.uint8, copy=False)
+            binned.append((levels, True, col, code, np.full(levels, 0.5),
+                           np.bincount(code, minlength=levels)))
+            continue
         order = np.argsort(x)
         s = x[order]
         values = _distinct(s)
@@ -344,12 +371,11 @@ def _bin_columns(XT: np.ndarray, blocks=()) -> _Bins:
         above = values[values.searchsorted(upper, "right")]
         mid = 0.5 * upper + 0.5 * above    # 0.5 * (upper + above), never inf
         # the sorted values fill the bins in turn
-        ends = s.searchsorted(upper, "right")
+        counts = np.diff(s.searchsorted(upper, "right"), prepend=0, append=n)
         code = np.empty(n, dtype=np.uint8)
-        code[order] = np.repeat(np.arange(len(upper) + 1, dtype=np.uint8),
-                                np.diff(ends, prepend=0, append=n))
-        binned.append((len(upper), False, int(col), code,
-                       np.where(mid < above, mid, upper)))
+        code[order] = np.repeat(np.arange(len(upper) + 1, dtype=np.uint8), counts)
+        binned.append((len(upper), False, col, code,
+                       np.where(mid < above, mid, upper), counts))
     binned.sort(key=lambda b: b[:3])
     codes = np.empty((len(binned), n), dtype=np.uint8)
     for i, b in enumerate(binned):
@@ -361,7 +387,9 @@ def _bin_columns(XT: np.ndarray, blocks=()) -> _Bins:
         first += len(thresholds)
     return _Bins(codes=codes,
                  columns=np.array([b[2] for b in binned], dtype=np.intp),
-                 groups=groups)
+                 groups=groups,
+                 counts=np.concatenate([b[5] for b in binned] or [[]]
+                                       ).astype(np.float64))
 
 
 def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
@@ -390,14 +418,16 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
     left row count are ``cumsum`` of the bin sums, one group of equal bin
     count at a time; for a level cut they are the node's G, H and row
     count minus the level's sums.
+    A node of every training row takes its row counts from ``bins.counts``.
     ``tests/oracles.py`` keeps a row-level grower that this one matches bit
     for bit. Children of the last searched level are leaves and get no sums.
 
-    Returns the tree, its total gain, and an array over the training rows
-    that holds the leaf value of each of ``rows``, the value
-    ``tree.predict`` gives that row; its other entries are left unset.
+    The training rows the tree leaves out follow each split by their bin
+    codes, which part them as the split's threshold does. Returns the tree,
+    its total gain, and an array over the training rows that holds the
+    leaf value of every row, the value ``tree.predict`` gives it.
     """
-    codes, columns, groups = bins
+    codes, columns, groups, root_counts = bins
     n = codes.shape[1]
     lam, mcw = _L2_REG, _MIN_CHILD_WEIGHT
     # each codes row's bins, and then its cuts, lie in one flat run; a
@@ -434,7 +464,10 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
             for i in (0, 1):
                 sums[i, start[r0]:start[r1]] = np.bincount(
                     idx, w[i, :len(idx)], minlength=size)
-            sums[2, start[r0]:start[r1]] = np.bincount(idx, minlength=size)
+            if m < n:
+                sums[2, start[r0]:start[r1]] = np.bincount(idx, minlength=size)
+        if m == n:
+            sums[2] = root_counts
         return sums
 
     def best_split(sums: np.ndarray, G: float, H: float, m: int):
@@ -470,11 +503,20 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
         tie = cut[gains == gains[b]]
         return float(gains[b]), int(tie[key[tie].argmin()])
 
-    # rows, bin sums (None until searched), parent, side
-    frontier = [(rows, None, None, None)]
+    left_out = np.ones(n, dtype=bool)
+    left_out[rows] = False
+
+    def parted(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+        """``rows`` that cut ``p`` sends left, then those it sends right."""
+        code = codes[cut_row[p]].take(rows)
+        go_left = code != cut_j[p] if block_cut[p] else code <= cut_j[p]
+        return rows[go_left], rows[~go_left]
+
+    # rows, left-out rows, bin sums (None until searched), parent, side
+    frontier = [(rows, np.flatnonzero(left_out), None, None, None)]
     for depth in range(cfg.max_depth + 1):
         next_frontier = []
-        for rows, sums, parent, side in frontier:
+        for rows, others, sums, parent, side in frontier:
             G = float(g[rows].sum())
             H = float(h[rows].sum())
             best = None
@@ -484,16 +526,16 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
                 best = best_split(sums, G, H, len(rows))
             if best is None:
                 nid = tree.add_leaf(-G / (H + lam))
-                leaf_value[rows] = tree.value[nid]
+                leaf_value[rows] = leaf_value[others] = tree.value[nid]
             else:
                 gain, p = best
                 col = int(cut_col[p])
                 nid = tree.add_split(col, float(threshold[p]))
                 column_gain[col] += gain
                 tree_gain += gain
-                code = codes[cut_row[p]].take(rows)
-                go_left = code != cut_j[p] if block_cut[p] else code <= cut_j[p]
-                left, right = rows[go_left], rows[~go_left]
+                left, right = parted(rows, p)
+                others_left, others_right = (parted(others, p) if len(others)
+                                             else (others, others))
                 left_sums = right_sums = None
                 if depth + 1 < cfg.max_depth:   # leaves read no sums
                     if len(left) <= len(right):
@@ -502,8 +544,8 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
                     else:
                         right_sums = histogram(right)
                         left_sums = sums - right_sums
-                next_frontier.append((left, left_sums, nid, "L"))
-                next_frontier.append((right, right_sums, nid, "R"))
+                next_frontier.append((left, others_left, left_sums, nid, "L"))
+                next_frontier.append((right, others_right, right_sums, nid, "R"))
             if parent is not None:
                 if side == "L":
                     tree.left[parent] = nid
@@ -521,15 +563,35 @@ def _one_class(y: np.ndarray) -> bool:
     return y.min(initial=1) == 1 or y.max(initial=0) == 0
 
 
+def _training_columns(encoding: _Encoding, train_idx: np.ndarray):
+    """The training design as ``_bin_columns`` reads it, one feature at a
+    time: preset A's nominal features of 3 to ``_MAX_BINS`` levels as their
+    level codes, every other column as floats."""
+    dataset = encoding.dataset
+    first = 0
+    for name, width in zip(dataset.feature_names, encoding.widths):
+        if (encoding.preset is Preset.A
+                and dataset.kind(name) is FeatureKind.NOMINAL
+                and 3 <= width <= _MAX_BINS):
+            yield first, dataset.codes(name).take(train_idx), width
+        else:
+            values = np.empty((width, len(train_idx)))
+            encoding.fill(name, train_idx, values)
+            for i in range(width):
+                yield first + i, values[i], 0
+        first += width
+
+
 def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     """Train a boosted ensemble and score it on a held-out split.
 
     Deterministic for a fixed (dataset, cfg): the RNG drives only the
     holdout split and per-tree row subsampling, both derived from
-    ``cfg.seed``. The design is encoded once, training rows first and
-    held-out rows after them, and the trees and the held-out scoring read
-    views of it, so the fit holds one n-row copy of the design beside its
-    binned training codes.
+    ``cfg.seed``. The training design is binned one feature at a time, so
+    the fit holds its binned codes beside one feature's float columns, and
+    trees route the training rows they leave out by those codes. Only the
+    held-out rows are encoded as floats, by ``encode_design``, which takes
+    preset B's statistics from the same training rows.
     """
     y_all = dataset.outcome.astype(np.float64)
     if _one_class(dataset.outcome):
@@ -544,27 +606,17 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
         raise SingleClassOutcomeError("training split has a single class")
 
     n_train = len(train_idx)
-    X, sources = encode_design(dataset, cfg.preset, train_idx=train_idx,
-                               row_order=np.concatenate((train_idx, hold_idx)))
-    n_cols = X.shape[1]
-    # views of the one design: training rows first, then held-out rows
-    XT, X_hold = X.T[:, :n_train], X[n_train:]
+    encoding = _Encoding(dataset, cfg.preset, train_idx)
+    bins = _bin_columns(_training_columns(encoding, train_idx), n_train)
     yt = y_all[train_idx]
 
     p_base = min(1.0 - 1e-6, max(1e-6, float(yt.mean())))
     base = math.log(p_base / (1.0 - p_base))
     raw_train = np.full(n_train, base)
 
-    column_gain = np.zeros(n_cols)
+    column_gain = np.zeros(len(encoding.sources))
     total_gain = 0.0
     trees: list[_Tree] = []
-    # preset A bins a nominal feature of 3 to _MAX_BINS levels as one row
-    # of its level codes, in place of its indicator columns
-    blocks = [] if cfg.preset is not Preset.A else [
-        (sources.index(f), dataset.arity(f)) for f in dataset.feature_names
-        if dataset.kind(f) is FeatureKind.NOMINAL
-        and 3 <= dataset.arity(f) <= _MAX_BINS]
-    bins = _bin_columns(XT, blocks)
     subsample = _SUBSAMPLE[cfg.preset]
     for _ in range(cfg.n_trees):
         if subsample < 1.0:
@@ -578,16 +630,12 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
         tree, tgain, step = _grow_tree(grad, hess, rows, bins, cfg, column_gain)
         total_gain += tgain
         trees.append(tree)
-        if len(rows) < n_train:     # route the rows left out of this tree
-            out = np.ones(n_train, dtype=bool)
-            out[rows] = False
-            out = np.flatnonzero(out)
-            step[out] = tree.predict(XT[:, out].T)
         raw_train += cfg.learning_rate * step
 
-    model = GbmModel(cfg, dataset.feature_names, sources, base, trees,
+    model = GbmModel(cfg, dataset.feature_names, encoding.sources, base, trees,
                      column_gain, total_gain)
 
+    X_hold = encode_design(dataset, cfg.preset, train_idx, row_order=hold_idx)[0]
     p_hold = _sigmoid(model.decision_function(X_hold))
     y_hold = y_all[hold_idx]
     pred = (p_hold >= 0.5).astype(np.float64)

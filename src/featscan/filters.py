@@ -23,7 +23,8 @@ from .errors import (
     DegenerateTableError,
     InsufficientRowsError,
 )
-from .tabular import Dataset, FeatureKind
+from .tabular import Dataset, FeatureKind, one_hot
+from .wrapper import _qr_r
 
 
 def pearson(x, y) -> float:
@@ -71,7 +72,10 @@ def _vif_factor(dataset: Dataset, features: list[str]) -> np.ndarray:
     """The R factor of ``[1, X]`` over ``features``, which every VIF among
     them reads: with ``[1, X] = QR``, regressing one column of ``[1, X]`` on
     the others has the same coefficients and residual norm as regressing
-    the same column of R on the others, a (p+1)-row problem."""
+    the same column of R on the others, a (p+1)-row problem.
+
+    ``one_hot`` writes ``[1, X]`` in Fortran order and ``_qr_r`` factors it
+    in place, so one n-row copy of it is made."""
     if len(features) < 2:
         raise ValueError("VIF needs at least two continuous features")
     n = dataset.n_rows
@@ -80,8 +84,7 @@ def _vif_factor(dataset: Dataset, features: list[str]) -> np.ndarray:
             f"{n} rows is too few for VIF over "
             f"{len(features)} continuous features"
         )
-    design = np.column_stack([np.ones(n)] + [dataset.column(f) for f in features])
-    return np.linalg.qr(design, mode="r")
+    return _qr_r(one_hot(dataset, features, intercept=True)[0])
 
 
 def _vif_from_factor(R: np.ndarray, j: int, target: np.ndarray) -> float:

@@ -645,7 +645,8 @@ def discretize(dataset: Dataset, spec: DiscretizationSpec) -> DiscreteDataset:
                            cut_points)
 
 
-def one_hot(dataset: Dataset, features: list[str]) -> tuple[np.ndarray, list[str], list[str]]:
+def one_hot(dataset: Dataset, features: list[str], intercept: bool = False,
+            outcome: bool = False) -> tuple[np.ndarray, list[str], list[str]]:
     """Build a numeric design matrix for the listed features.
 
     Continuous columns pass through. A binary column becomes one 0/1
@@ -653,27 +654,43 @@ def one_hot(dataset: Dataset, features: list[str]) -> tuple[np.ndarray, list[str
     c levels becomes c-1 indicators, dropping the lexicographically
     smallest level as the reference.
 
+    With ``intercept`` the matrix starts with a column of ones, and with
+    ``outcome`` it ends with the outcome as floats, so a least-squares fit
+    can factor ``[1, X, y]`` with no separate X. The matrix is Fortran
+    ordered and filled one column at a time, so it is the only n-row array
+    made.
+
     Returns ``(matrix, column_names, column_sources)`` where
-    ``column_sources[i]`` is the feature each design column came from.
+    ``column_sources[i]`` is the feature the i-th feature column came from;
+    the names and sources cover neither the ones nor the outcome.
     """
-    blocks = []
     col_names: list[str] = []
     col_sources: list[str] = []
     for name in features:
         if dataset.kind(name) is FeatureKind.CONTINUOUS:
-            blocks.append(dataset.column(name).reshape(-1, 1))
             col_names.append(name)
             col_sources.append(name)
         else:
             # level 0, the lexicographically smallest, is the reference; a
             # constant column contributes no design columns at all
             keep = dataset.levels(name)[1:]
-            indicators = dataset.codes(name)[:, None] == np.arange(1, len(keep) + 1)
-            blocks.append(indicators.astype(np.float64))
             col_names.extend(f"{name}={v}" for v in keep)
             col_sources.extend(name for _ in keep)
-    if blocks:
-        matrix = np.hstack(blocks)
-    else:
-        matrix = np.empty((dataset.n_rows, 0))
+    first = int(intercept)
+    matrix = np.empty((dataset.n_rows, first + len(col_names) + int(outcome)),
+                      order="F")
+    if intercept:
+        matrix[:, 0] = 1.0
+    end = first
+    for name in features:
+        if dataset.kind(name) is FeatureKind.CONTINUOUS:
+            matrix[:, end] = dataset.column(name)
+            end += 1
+        else:
+            codes = dataset.codes(name)
+            for level in range(1, dataset.arity(name)):
+                np.equal(codes, level, out=matrix[:, end])
+                end += 1
+    if outcome:
+        matrix[:, end] = dataset.outcome
     return matrix, col_names, col_sources

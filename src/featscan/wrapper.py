@@ -4,10 +4,11 @@ The 0/1 outcome is regressed directly (a linear probability model) on the
 one-hot encoded candidate features; the least significant feature is
 dropped repeatedly until exactly K remain.
 
-A fit factors the augmented design ``[1, X, y]`` once by Householder QR and
-takes the SVD of the small triangular factor, never of the n-row design.
-Since ``[1, X, y][:, keep] = Q R[:, keep]``, the R factor of ``R[:, keep]``
-is an R factor of the survivors' design, so each elimination round deletes
+A fit factors the augmented design ``[1, X, y]`` once by Householder QR,
+in place (``_qr_r``), and takes the SVD of the small triangular factor,
+never of the n-row design; the design is the fit's one n-row copy. Since
+``[1, X, y][:, keep] = Q R[:, keep]``, the R factor of ``R[:, keep]`` is an
+R factor of the survivors' design, so each elimination round deletes
 the dropped columns from R and re-triangularizes it (Golub & Van Loan,
 *Matrix Computations*, section 6.5).
 """
@@ -18,6 +19,7 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from . import special
 from .errors import InsufficientRowsError, KTooLargeError
@@ -72,18 +74,55 @@ def ols_fit(X: np.ndarray, y, column_names=None, column_sources=None) -> OlsFit:
 
 
 def _augmented(X, y) -> np.ndarray:
-    """``[1, X, y]``, once X and y are checked for shape, values and rows."""
+    """``[1, X, y]`` in Fortran order, once X and y are checked for shape,
+    values and rows."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(y) != X.shape[0]:
         raise ValueError("X must be (n, m) with matching y")
-    for name, values in (("X", X), ("y", y)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"{name} holds a NaN or infinite value")
     n, m = X.shape
+    augmented = np.empty((n, m + 2), order="F")
+    augmented[:, 0] = 1.0
+    augmented[:, 1:-1] = X
+    augmented[:, -1] = y
+    _check_design(augmented)
+    return augmented
+
+
+def _check_design(augmented: np.ndarray) -> None:
+    """Reject a ``[1, X, y]`` whose X or y holds a NaN or infinity, or
+    that has too few rows for its columns."""
+    n, m = augmented.shape[0], augmented.shape[1] - 2
+    for j in range(1, m + 2):   # a column at a time: no n-row temporary
+        if not np.isfinite(augmented[:, j]).all():
+            raise ValueError(f"{'X' if j <= m else 'y'} holds a NaN or infinite value")
     if n <= m + 1:
         raise InsufficientRowsError(f"{n} rows cannot support {m} features")
-    return np.column_stack([np.ones(n), X, y])
+
+
+def _qr_r(a: np.ndarray) -> np.ndarray:
+    """The R factor of ``a``, as ``np.linalg.qr(a, mode="r")`` returns it.
+
+    Householder QR by LAPACK's ``dgeqrf``, which ``np.linalg.qr`` also
+    calls, with the optimal work size queried first as it does, so R is
+    the same to the bit. A Fortran-ordered float64 ``a`` is factored in
+    place and overwritten, so no copy of it is made; any other ``a`` is
+    copied once into Fortran order.
+    """
+    a = np.asfortranarray(a, dtype=np.float64)
+    m, n = a.shape
+    k = min(m, n)
+    tau = np.empty(max(1, k))
+    work = np.empty(1)
+    # LAPACK reads the C-ordered transpose as the column-major ``a``
+    for lwork in (-1, None):
+        if lwork is None:
+            lwork = max(1, n, int(work[0]))
+            work = np.empty(lwork)
+        info = lapack_lite.dgeqrf(m, n, a.T, max(1, m), tau, work, lwork, 0)["info"]
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgeqrf returns {info}")
+    return np.triu(a[:k])
 
 
 def _tss(y: np.ndarray) -> float:
@@ -94,11 +133,12 @@ def _fit(augmented: np.ndarray, n: int, tss: float, column_names,
          column_sources) -> tuple[OlsFit, np.ndarray]:
     """OLS fit from any matrix whose Gram matrix is that of ``[1, X, y]``.
 
-    ``augmented`` may be the n-row matrix itself or a triangular factor of
-    it less some X columns; n is the real row count. Returns the fit and
-    the (m+2) x (m+2) R factor it was computed from.
+    ``augmented`` may be the n-row matrix itself, which is factored in
+    place and overwritten, or a triangular factor of it less some X
+    columns; n is the real row count. Returns the fit and the
+    (m+2) x (m+2) R factor it was computed from.
     """
-    r = np.linalg.qr(augmented, mode="r")
+    r = _qr_r(augmented)
     p_total = r.shape[1] - 1
     u, s, vt = np.linalg.svd(r[:p_total, :p_total])
     tol = max(n, p_total) * np.finfo(np.float64).eps * (s[0] if len(s) else 0.0)
@@ -155,6 +195,11 @@ class EliminationTrace:
     steps: list[EliminationStep]
     final: list[str]
 
+    def __post_init__(self):
+        # survivor set size -> that set, most significant first; working
+        # data of the selection, so not a field and not reported
+        self.ranked: dict[int, list[str]] = {}
+
     def surviving_at(self, k: int) -> list[str]:
         """Survivor set of size k recorded along the elimination path."""
         if len(self.initial) == k:
@@ -164,8 +209,21 @@ class EliminationTrace:
                 return list(step.surviving)
         raise KTooLargeError(f"no snapshot of size {k} in trace")
 
+    def ranked_at(self, k: int) -> list[str]:
+        """The survivor set of size k, ordered by each feature's minimum
+        p-value in the fit of that set, ties and features with no columns
+        (read as p = 1) by name."""
+        if k not in self.ranked:
+            raise KTooLargeError(f"no snapshot of size {k} in trace")
+        return list(self.ranked[k])
+
     def to_json_dict(self) -> dict:
         return asdict(self)
+
+
+def _ranked(survivors: list[str], sig: dict[str, float]) -> list[str]:
+    """``survivors`` by min p-value ``sig``, none read as 1, then by name."""
+    return sorted(survivors, key=lambda f: (sig.get(f, 1.0), f))
 
 
 def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> EliminationTrace:
@@ -184,10 +242,15 @@ def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> Elimi
     before anything else. A NaN or infinity in the design raises
     ``ValueError`` before the first round.
 
-    The one-hot design is dropped once ``[1, X, y]`` is built from it, so
-    the first factorization holds that matrix and ``np.linalg.qr``'s two
-    internal copies of it, three n-row copies in all; later rounds hold
-    only triangular factors.
+    Every survivor set from the candidates down to k is ranked by its own
+    fit (``EliminationTrace.ranked_at``): a round's set by that round's
+    fit, and the final set by a fresh ``ols_fit`` of its own design, so k
+    equal to the candidate count needs no elimination round.
+
+    ``one_hot`` writes ``[1, X, y]`` straight from the dataset and
+    ``_qr_r`` factors it in place, so the first round holds one n-row
+    copy of the design; later rounds hold only triangular factors, and
+    the final fit holds two n-row copies of the smaller final design.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -199,15 +262,16 @@ def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> Elimi
     initial = tuple(candidates)
     survivors = list(candidates)
     steps: list[EliminationStep] = []
-    if len(survivors) == k:
-        return EliminationTrace(initial=initial, steps=steps, final=survivors)
-    X, names, sources = one_hot(dataset, survivors)
-    augmented = _augmented(X, dataset.outcome)
-    del X   # the QR reads only ``augmented``
-    n, tss = len(augmented), _tss(augmented[:, -1])
+    trace = EliminationTrace(initial=initial, steps=steps, final=survivors)
+    if len(survivors) > k:
+        augmented, names, sources = one_hot(dataset, survivors,
+                                            intercept=True, outcome=True)
+        _check_design(augmented)
+        n, tss = len(augmented), _tss(augmented[:, -1])
     while len(survivors) > k:
         fit, r = _fit(augmented, n, tss, names, sources)
         sig = fit.min_p_by_feature()
+        trace.ranked[len(survivors)] = _ranked(survivors, sig)
         full = {f: sig.get(f, math.inf) for f in survivors}
         # largest p goes; among ties the alphabetically last goes
         worst = max(survivors, key=lambda f: (full[f], f))
@@ -222,4 +286,7 @@ def backward_eliminate(dataset: Dataset, candidates: list[str], k: int) -> Elimi
         augmented = r[:, [0, *(i + 1 for i in keep), -1]]
         names = [names[i] for i in keep]
         sources = [sources[i] for i in keep]
-    return EliminationTrace(initial=initial, steps=steps, final=survivors)
+    X, names, sources = one_hot(dataset, survivors)
+    fit = ols_fit(X, dataset.outcome, names, sources)
+    trace.ranked[k] = _ranked(survivors, fit.min_p_by_feature())
+    return trace

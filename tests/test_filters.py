@@ -1,6 +1,7 @@
 """Filter statistics against hand-computed and independent oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from featscan.errors import (
 )
 from featscan.filters import (
     FilterThresholds,
+    _vif_factor,
     chi_square,
     cramers_v,
     feature_outcome_corr,
@@ -21,7 +23,8 @@ from featscan.filters import (
     pearson,
     vif,
 )
-from featscan.tabular import Dataset, FeatureKind, Schema
+from featscan.synth import SynthSpec, generate
+from featscan.tabular import Dataset, FeatureKind, Schema, one_hot
 
 
 def table_to_vectors(table):
@@ -157,6 +160,22 @@ class TestVif:
         want = ((f - f.mean()) ** 2).sum() / (resid @ resid)
         assert want < 1.1
         assert vif(d, "f") == pytest.approx(want, rel=1e-9)
+
+    def test_factor_peak_memory_holds_one_design(self):
+        # [1, X] is written in Fortran order and factored in place; its
+        # bytes are 1.1 of X's here, and tracemalloc does not trace LAPACK's
+        # work buffer
+        d, _ = generate(SynthSpec(n_rows=20_000, base_rate=0.3,
+                                  n_continuous=10, arities=(), seed=7))
+        features = list(d.feature_names)
+        design = one_hot(d, features)[0].nbytes
+        tracemalloc.start()
+        try:
+            _vif_factor(d, features)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * design
 
 
 class TestChiSquare:

@@ -206,6 +206,20 @@ def assert_same_tree(got, want):
     assert _floats(got.value) == _floats(want.value)
 
 
+def _raw_matrix(columns, n):
+    """The training matrix ``_bin_columns`` is handed, one row per design
+    column, each level block's codes written out as its indicator columns,
+    and the (first column, level count) of every block."""
+    XT, blocks = [], []
+    for first, values, levels in columns:
+        if levels:
+            blocks.append((first, levels))
+            XT.extend(values == j for j in range(levels))
+        else:
+            XT.append(values)
+    return np.array(XT, dtype=np.float64).reshape(-1, n), blocks
+
+
 def _train_reference(dataset, cfg, monkeypatch):
     # the oracle gets the raw training matrix and bins it, once per tree
     def grow(g, h, rows, binned, cfg, column_gain):
@@ -215,7 +229,7 @@ def _train_reference(dataset, cfg, monkeypatch):
         return tree, gain, reference_predict(tree, XT.T)
 
     with monkeypatch.context() as m:
-        m.setattr(embedded, "_bin_columns", lambda XT, blocks: (XT, blocks))
+        m.setattr(embedded, "_bin_columns", _raw_matrix)
         m.setattr(embedded, "_grow_tree", grow)
         m.setattr(_Tree, "predict", reference_predict)
         return gbm_train(dataset, cfg)
@@ -281,14 +295,25 @@ def _grow_both(X, g, h, rows, cfg, blocks=()):
     want, want_total = reference_grow_tree(X, g, h, rows, cfg, want_gain,
                                            embedded._MAX_BINS, blocks)
     got_gain = np.zeros(X.shape[1])
-    bins = _bin_columns(np.ascontiguousarray(X.T), blocks)
+    bins = _bin_columns(_matrix_columns(X, blocks), X.shape[0])
     got, got_total, leaf_value = _grow_tree(g, h, rows, bins, cfg, got_gain)
     assert_same_tree(got, want)
     assert got_gain.tobytes() == want_gain.tobytes()
     assert got_total == want_total
-    # each grown row holds the value its descent reaches
-    assert leaf_value[rows].tobytes() == got.predict(X[rows]).tobytes()
+    # every row, grown or left out, holds the value its descent reaches
+    assert leaf_value.tobytes() == got.predict(X).tobytes()
     return got
+
+
+def _matrix_columns(X, blocks=()):
+    """``X``'s columns as ``_bin_columns`` reads them, each one-hot block
+    (first column, level count) as the index of its indicator that is 1."""
+    in_block = np.zeros(X.shape[1], dtype=bool)
+    for first, levels in blocks:
+        in_block[first:first + levels] = True
+        yield first, X[:, first:first + levels].argmax(axis=1), levels
+    for col in np.flatnonzero(~in_block):
+        yield int(col), X[:, col], 0
 
 
 def _targets(rng, n):
@@ -538,8 +563,9 @@ def test_preset_a_bins_each_nominal_as_one_row_of_level_codes(monkeypatch):
     dataset = _nominal(2_000, (2, 3, 8, 256, 300), 40)
     binned = []
 
-    def spy(XT, blocks):
-        binned.append((XT, blocks, _bin_columns(XT, blocks)))
+    def spy(columns, n):
+        columns = list(columns)
+        binned.append((*_raw_matrix(columns, n), _bin_columns(columns, n)))
         return binned[-1][2]
 
     monkeypatch.setattr(embedded, "_bin_columns", spy)
@@ -572,28 +598,46 @@ def test_preset_a_bins_each_nominal_as_one_row_of_level_codes(monkeypatch):
 
 
 @pytest.mark.parametrize("preset", [Preset.A, Preset.B])
+def test_training_columns_are_the_encoded_training_rows(preset):
+    # what gbm_train bins, one feature at a time, is encode_design's matrix
+    # of the training rows, level blocks written out as indicators
+    dataset = _nominal(1_000, (3, 8, 300), 43)
+    train_idx = np.sort(np.random.default_rng(44).choice(1_000, 800, replace=False))
+    encoding = embedded._Encoding(dataset, preset, train_idx)
+    XT, blocks = _raw_matrix(embedded._training_columns(encoding, train_idx), 800)
+    want = encode_design(dataset, preset, train_idx, row_order=train_idx)[0]
+    assert XT.tobytes() == np.ascontiguousarray(want.T).tobytes()
+    assert len(blocks) == (2 if preset is Preset.A else 0)
+
+
+@pytest.mark.parametrize("preset", [Preset.A, Preset.B])
 def test_training_leaf_values_are_the_predictions_of_grown_rows(preset, monkeypatch):
     dataset = _nominal(1_500, (3, 5, 300), 42)
     grown, binned = [], []
 
     def grow(g, h, rows, bins, cfg, column_gain):
         tree, gain, leaf_value = _grow_tree(g, h, rows, bins, cfg, column_gain)
-        grown.append((rows, tree, leaf_value[rows]))
+        grown.append((rows, tree, leaf_value))
         return tree, gain, leaf_value
 
+    def spy(columns, n):
+        columns = list(columns)
+        binned.append(_raw_matrix(columns, n)[0])
+        return _bin_columns(columns, n)
+
     monkeypatch.setattr(embedded, "_grow_tree", grow)
-    monkeypatch.setattr(embedded, "_bin_columns",
-                        lambda XT, blocks: binned.append(XT) or _bin_columns(XT, blocks))
+    monkeypatch.setattr(embedded, "_bin_columns", spy)
     gbm_train(dataset, GbmConfig(preset, seed=3, n_trees=5))
     X = binned[0].T
     for rows, tree, leaf_value in grown:
         assert len(rows) == (X.shape[0] if preset is Preset.A else 960)
-        assert leaf_value.tobytes() == tree.predict(X[rows]).tobytes()
+        # rows the tree left out follow its splits by their bin codes
+        assert leaf_value.tobytes() == tree.predict(X).tobytes()
 
 
 def _binned(XT):
     """Each binned column's codes and thresholds, by column index."""
-    bins = _bin_columns(np.ascontiguousarray(XT))
+    bins = _bin_columns(_matrix_columns(XT.T), XT.shape[1])
     assert bins.codes.dtype == np.uint8
     out = {}
     for first, thresholds, _ in bins.groups:
