@@ -178,7 +178,7 @@ def _derive_seed(seed: int, *key: int) -> int:
 # ---------------------------------------------------------------------------
 
 class SelectionRunner:
-    """Caches per-method artifacts so a K sweep reuses trained models.
+    """Caches per-method artifacts so a K sweep reuses each fit's rankings.
 
     ``k_values`` are the K values ``select`` will be asked for: the largest
     must not exceed the filters' survivors, and elimination runs down to
@@ -209,7 +209,7 @@ class SelectionRunner:
             model, metrics = embedded.gbm_train(self.dataset, self.cfg.gbm(preset))
             ranking = embedded.extract_importance(model)
             self._embedded[preset] = (
-                model, metrics, ranking, embedded.minmax_normalize(ranking)
+                metrics, ranking, embedded.minmax_normalize(ranking)
             )
         return self._embedded[preset]
 
@@ -225,7 +225,7 @@ class SelectionRunner:
                 "elimination_trace": trace.to_json_dict(),
             }
         if method in _PRESET_OF:
-            _, metrics, ranking, norm = self.embedded_artifacts(_PRESET_OF[method])
+            metrics, ranking, norm = self.embedded_artifacts(_PRESET_OF[method])
             return {
                 "method": method,
                 "k": k,
@@ -235,8 +235,8 @@ class SelectionRunner:
                 "ranking_normalized": norm.to_json_dict(),
             }
         if method == "committee":
-            _, metrics_a, _, norm_a = self.embedded_artifacts(embedded.Preset.A)
-            _, metrics_b, _, norm_b = self.embedded_artifacts(embedded.Preset.B)
+            metrics_a, _, norm_a = self.embedded_artifacts(embedded.Preset.A)
+            metrics_b, _, norm_b = self.embedded_artifacts(embedded.Preset.B)
             vote = embedded.committee_vote([norm_a, norm_b])
             return {
                 "method": method,

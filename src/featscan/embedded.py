@@ -18,18 +18,21 @@ sums instead of from sorted rows.
 - Under preset A, a nominal feature of 3 to 256 levels is binned as one
   row of its level codes, not as its per-level indicator columns. Its
   one-vs-rest cuts are stored as splits of the level's indicator column at
-  0.5, so the model, its importances and its predictions keep the one-hot
-  columns. A nominal of more levels keeps its indicator columns, since its
-  codes do not fit a bin code.
+  0.5, so the model and its importances keep the one-hot columns. A
+  nominal of more levels keeps its indicator columns, since its codes do
+  not fit a bin code.
 - Any other column with at most 256 distinct training values (every
   indicator, binary, target statistic and rounded column) keeps one bin
   per value, so its cuts are the midpoints between neighbouring values,
   as an exact search has them.
 - A column with more values gets up to 255 equal-frequency cuts by rank;
   equal values always share a bin.
-- Every cut's threshold routes a training row left, under ``x <=
-  threshold``, exactly when its bin is at or below the cut (for a level's
-  cut, when its level is another), so trees predict from the raw matrix.
+- Every cut's threshold routes a value left, under ``x <= threshold``,
+  exactly when its bin is at or below the cut (for a level's cut, when its
+  level is another). The held-out rows are binned with the training cuts,
+  so every row a tree does not grow on, left out of its subsample or held
+  out of the fit, follows the tree by its bin codes, as the thresholds
+  would route its values.
 
 The larger gain wins, an equal one at the lower column and then the lower
 cut, and a NaN gain never wins. Bin sums add a node's rows one after
@@ -53,6 +56,7 @@ import numpy as np
 from .errors import (
     KTooLargeError,
     MismatchedFeatureSetsError,
+    NoFeaturesError,
     SingleClassOutcomeError,
 )
 from .tabular import Dataset, FeatureKind, _distinct
@@ -181,24 +185,6 @@ class _Tree:
         self.is_leaf.append(False)
         return len(self.value) - 1
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Route every row one level down per step; a leaf routes to itself."""
-        ids = np.arange(len(self.value))
-        leaf = np.array(self.is_leaf, dtype=bool)
-        feature = np.where(leaf, 0, self.feature)
-        threshold = np.array(self.threshold)
-        left = np.where(leaf, ids, self.left)
-        right = np.where(leaf, ids, self.right)
-        depth = np.zeros(len(ids), dtype=np.intp)
-        for nid in np.flatnonzero(~leaf):   # children follow their parent
-            depth[left[nid]] = depth[right[nid]] = depth[nid] + 1
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.intp)
-        for _ in range(int(depth.max())):
-            go_left = X[rows, feature[node]] <= threshold[node]
-            node = np.where(go_left, left[node], right[node])
-        return np.array(self.value)[node]
-
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
@@ -208,28 +194,21 @@ class GbmModel:
     """Fitted ensemble plus everything needed to attribute importances."""
 
     def __init__(self, cfg: GbmConfig, feature_names: tuple[str, ...],
-                 column_sources: list[str], base_score: float,
-                 trees: list[_Tree], column_gain: np.ndarray, total_gain: float):
+                 column_sources: list[str], trees: list[_Tree],
+                 column_gain: np.ndarray, total_gain: float):
         self.cfg = cfg
         self.feature_names = feature_names
         self.column_sources = column_sources
-        self.base_score = base_score
         self.trees = trees
         self.column_gain = column_gain
         self.total_gain = total_gain
 
-    def decision_function(self, X_encoded: np.ndarray) -> np.ndarray:
-        raw = np.full(X_encoded.shape[0], self.base_score)
-        for tree in self.trees:
-            raw += self.cfg.learning_rate * tree.predict(X_encoded)
-        return raw
-
 
 class _Encoding:
-    """``encode_design``'s column rules for one preset, feature by feature.
+    """One fit's design: ``encode_design``'s column rules for one preset.
 
     Preset B's target statistics are taken from the training rows once,
-    here, and every call of :meth:`fill` reads them.
+    here, and every call of :meth:`columns` reads them.
     """
 
     def __init__(self, dataset: Dataset, preset: Preset, train_idx=None):
@@ -258,65 +237,61 @@ class _Encoding:
                     prior,
                 )
 
-    def fill(self, name: str, rows, out: np.ndarray) -> None:
-        """Write feature ``name``'s design columns, one per row of ``out``,
-        for dataset rows ``rows`` in that order, or every row when None."""
+    def columns(self, rows: np.ndarray):
+        """The design of dataset rows ``rows``, in that order, as
+        ``_bin_columns`` reads it, one feature at a time: preset A's nominal
+        features of 3 to ``_MAX_BINS`` levels as their level codes, every
+        other column as floats."""
         dataset = self.dataset
-        kind = dataset.kind(name)
-        if kind is FeatureKind.CONTINUOUS:
-            values = dataset.column(name)
-            out[0] = values if rows is None else values.take(rows)
-            return
-        codes = dataset.codes(name)
-        ordered = codes if rows is None else codes.take(rows)
-        if kind is FeatureKind.BINARY:
-            # the indicator of its larger label only
-            np.equal(ordered, dataset.arity(name) - 1, out=out[0])
-        elif self.preset is Preset.A:
-            for i in range(len(out)):
-                np.equal(ordered, i, out=out[i])
-        else:
-            self.stats[name].take(ordered, out=out[0])
+        first = 0
+        for name, width in zip(dataset.feature_names, self.widths):
+            kind = dataset.kind(name)
+            if kind is FeatureKind.CONTINUOUS:
+                yield first, dataset.column(name).take(rows), 0
+            else:
+                codes = dataset.codes(name).take(rows)
+                if kind is FeatureKind.BINARY:
+                    # the indicator of its larger label only
+                    yield first, np.equal(codes, dataset.arity(name) - 1,
+                                          out=np.empty(len(codes))), 0
+                elif self.preset is Preset.B:
+                    yield first, self.stats[name].take(codes), 0
+                elif 3 <= width <= _MAX_BINS:
+                    yield first, codes, width
+                else:
+                    for i in range(width):
+                        yield first + i, np.equal(codes, i, out=np.empty(len(codes))), 0
+            first += width
 
 
-def encode_design(dataset: Dataset, preset: Preset, train_idx=None,
-                  row_order=None):
-    """Build the numeric matrix the trees split on.
+def encode_design(dataset: Dataset, preset: Preset, train_idx=None) -> _Encoding:
+    """The encoding of a fit's design, built once per fit.
 
     Continuous columns pass through; binary columns become one indicator.
     Nominal columns become per-level indicators under preset A, or a
     single smoothed outcome-mean column under preset B (statistics from
     the training rows ``train_idx``, or every row when it is None).
-    Row i of the matrix is dataset row ``row_order[i]``, or row i when
-    ``row_order`` is None. The ``(n_rows, n_cols)`` matrix is stored
-    column by column: it is the transpose of one ``(n_cols, n_rows)``
-    array, filled in place one feature at a time by the column rules
-    ``gbm_train`` bins from, so the design is held once, beside one
-    feature's codes.
+    ``sources`` names each design column's feature, and ``columns(rows)``
+    yields the design of any rows one feature at a time, so no float
+    design is ever held whole.
     """
-    encoding = _Encoding(dataset, preset, train_idx)
-    XT = np.empty((len(encoding.sources),
-                   dataset.n_rows if row_order is None else len(row_order)))
-    end = 0
-    for name, width in zip(dataset.feature_names, encoding.widths):
-        encoding.fill(name, row_order, XT[end:end + width])
-        end += width
-    return XT.T, encoding.sources
+    return _Encoding(dataset, preset, train_idx)
 
 
 class _Bins(NamedTuple):
-    """The binned training matrix the split search reads, built once per fit.
+    """The binned design the split search reads, built once per fit.
 
-    ``codes`` holds one row per binned column or one-hot block. A column
-    row holds bins of the column's values, and only columns with more than
-    one training value are binned. A block row holds a nominal feature's
+    ``codes`` holds one row per binned column or one-hot block, over the
+    training rows and then the rows held out of the fit. A column row holds
+    bins of the column's values, and only columns with more than one
+    training value are binned. A block row holds a nominal feature's
     level codes in place of its per-level indicator columns, and has one
     cut per level. Rows are grouped by kind and cut count, the groups in
     ascending cut count, a column group before a block group of the same
     count, and each group's rows in ascending column order.
     """
 
-    codes: np.ndarray       # (n_binned, n_train) uint8 bin of every training value
+    codes: np.ndarray       # (n_binned, n_rows) uint8 bin of every value
     columns: np.ndarray     # each codes row's column; a block's first column
     # per group: its first codes row, its (rows, cuts) thresholds, and
     # whether its rows are one-hot blocks
@@ -327,12 +302,12 @@ class _Bins(NamedTuple):
 
 
 def _bin_columns(columns, n: int) -> _Bins:
-    """Bin design columns of ``n`` training values into at most
-    ``_MAX_BINS`` bins each.
+    """Bin design columns whose first ``n`` values are the training rows'
+    into at most ``_MAX_BINS`` bins each.
 
     ``columns`` yields ``(column, values, levels)``, one column at a time,
     so only the column being binned need be held as floats. With
-    ``levels`` 0, ``values`` is the column's training values. Otherwise it
+    ``levels`` 0, ``values`` is the column's values. Otherwise it
     is the level codes of a nominal feature whose ``levels`` one-hot
     indicator columns start at ``column``, binned as one row: level j's
     rows get bin j. Its cut j puts level j right and every other level
@@ -345,19 +320,25 @@ def _bin_columns(columns, n: int) -> _Bins:
     value, so equal values always share a bin; repeated cuts and a cut at
     the maximum are dropped.
 
-    A column cut's threshold is the midpoint between its value and the next
+    Cuts, thresholds and bin counts come from the training values alone. A
+    column cut's threshold is the midpoint between its value and the next
     distinct value above it, or the value itself where the midpoint rounds
     up to that next value, so ``x <= threshold`` holds for a training value
-    exactly when its bin is at or below the cut.
+    exactly when its bin is at or below the cut. A later value x gets the
+    bin of the first threshold at or above it, so, as the thresholds
+    strictly increase, the same holds for every value.
     """
     ranks = (np.arange(1, _MAX_BINS) * n + _MAX_BINS - 1) // _MAX_BINS - 1
+    size = n    # values per column
     binned = []     # (cuts, is block, column, bin codes, thresholds, counts)
     for col, x, levels in columns:
+        size = len(x)
         if levels:
             code = x.astype(np.uint8, copy=False)
             binned.append((levels, True, col, code, np.full(levels, 0.5),
-                           np.bincount(code, minlength=levels)))
+                           np.bincount(code[:n], minlength=levels)))
             continue
+        x, later = x[:n], x[n:]
         order = np.argsort(x)
         s = x[order]
         values = _distinct(s)
@@ -372,12 +353,13 @@ def _bin_columns(columns, n: int) -> _Bins:
         mid = 0.5 * upper + 0.5 * above    # 0.5 * (upper + above), never inf
         # the sorted values fill the bins in turn
         counts = np.diff(s.searchsorted(upper, "right"), prepend=0, append=n)
-        code = np.empty(n, dtype=np.uint8)
+        thresholds = np.where(mid < above, mid, upper)
+        code = np.empty(size, dtype=np.uint8)
         code[order] = np.repeat(np.arange(len(upper) + 1, dtype=np.uint8), counts)
-        binned.append((len(upper), False, col, code,
-                       np.where(mid < above, mid, upper), counts))
+        code[n:] = thresholds.searchsorted(later, "left")
+        binned.append((len(upper), False, col, code, thresholds, counts))
     binned.sort(key=lambda b: b[:3])
-    codes = np.empty((len(binned), n), dtype=np.uint8)
+    codes = np.empty((len(binned), size), dtype=np.uint8)
     for i, b in enumerate(binned):
         codes[i] = b[3]
     groups, first = [], 0
@@ -403,8 +385,10 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
     whose hessian sums HL and HR both reach ``_MIN_CHILD_WEIGHT``, with
     reg = ``_L2_REG``; both are read at each call. The
     larger gain wins, an equal one at the lower column and then the lower
-    cut, and a NaN gain never wins, so growth is deterministic. ``rows``
-    are the ascending training rows this tree trains on.
+    cut, and a NaN gain never wins, so growth is deterministic. ``g`` and
+    ``h`` cover the training rows, the first ``len(g)`` columns of
+    ``bins.codes``, and ``rows`` are the ascending training rows this tree
+    trains on.
 
     A searched node sums g, h and its row count per bin with
     ``np.bincount`` over its rows in ascending order, so each bin's sums
@@ -422,13 +406,13 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
     ``tests/oracles.py`` keeps a row-level grower that this one matches bit
     for bit. Children of the last searched level are leaves and get no sums.
 
-    The training rows the tree leaves out follow each split by their bin
-    codes, which part them as the split's threshold does. Returns the tree,
-    its total gain, and an array over the training rows that holds the
-    leaf value of every row, the value ``tree.predict`` gives it.
+    Every other row of ``bins.codes``, left out of this tree or held out of
+    the fit, follows each split by its bin codes, which part it as the
+    split's threshold does. Returns the tree, its total gain, and an array
+    over every row of ``bins.codes`` that holds the row's leaf value.
     """
     codes, columns, groups, root_counts = bins
-    n = codes.shape[1]
+    n = len(g)
     lam, mcw = _L2_REG, _MIN_CHILD_WEIGHT
     # each codes row's bins, and then its cuts, lie in one flat run; a
     # column row has one bin more than cuts, a block row one per level
@@ -447,7 +431,7 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
     cum = np.empty((3, cut_start[-1]))     # GL, HL and rows left of every cut
     tree = _Tree()
     tree_gain = 0.0
-    leaf_value = np.empty(len(g))
+    leaf_value = np.empty(codes.shape[1])
 
     def histogram(rows: np.ndarray) -> np.ndarray:
         """(3, n_bins): the node's g, h and row count per bin of every column."""
@@ -458,7 +442,7 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
         w = np.tile(np.stack((g.take(rows), h.take(rows))), step)
         for r0 in range(0, len(codes), step):
             r1 = min(r0 + step, len(codes))
-            part = codes[r0:r1] if m == n else codes[r0:r1].take(rows, axis=1)
+            part = codes[r0:r1, :n] if m == n else codes[r0:r1].take(rows, axis=1)
             idx = (part + (start[r0:r1] - start[r0])[:, None]).ravel()
             size = start[r1] - start[r0]
             for i in (0, 1):
@@ -503,7 +487,7 @@ def _grow_tree(g: np.ndarray, h: np.ndarray, rows: np.ndarray, bins: _Bins,
         tie = cut[gains == gains[b]]
         return float(gains[b]), int(tie[key[tie].argmin()])
 
-    left_out = np.ones(n, dtype=bool)
+    left_out = np.ones(codes.shape[1], dtype=bool)
     left_out[rows] = False
 
     def parted(rows: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -563,36 +547,20 @@ def _one_class(y: np.ndarray) -> bool:
     return y.min(initial=1) == 1 or y.max(initial=0) == 0
 
 
-def _training_columns(encoding: _Encoding, train_idx: np.ndarray):
-    """The training design as ``_bin_columns`` reads it, one feature at a
-    time: preset A's nominal features of 3 to ``_MAX_BINS`` levels as their
-    level codes, every other column as floats."""
-    dataset = encoding.dataset
-    first = 0
-    for name, width in zip(dataset.feature_names, encoding.widths):
-        if (encoding.preset is Preset.A
-                and dataset.kind(name) is FeatureKind.NOMINAL
-                and 3 <= width <= _MAX_BINS):
-            yield first, dataset.codes(name).take(train_idx), width
-        else:
-            values = np.empty((width, len(train_idx)))
-            encoding.fill(name, train_idx, values)
-            for i in range(width):
-                yield first + i, values[i], 0
-        first += width
-
-
 def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     """Train a boosted ensemble and score it on a held-out split.
 
     Deterministic for a fixed (dataset, cfg): the RNG drives only the
     holdout split and per-tree row subsampling, both derived from
-    ``cfg.seed``. The training design is binned one feature at a time, so
-    the fit holds its binned codes beside one feature's float columns, and
-    trees route the training rows they leave out by those codes. Only the
-    held-out rows are encoded as floats, by ``encode_design``, which takes
-    preset B's statistics from the same training rows.
+    ``cfg.seed``. The design of the training rows and then the held-out
+    rows is binned one feature at a time, with cuts from the training rows,
+    so the fit holds its binned codes beside one feature's float columns.
+    Every row a tree does not grow on, left out of its subsample or held
+    out of the fit, follows the tree by those codes; ``raw`` keeps every
+    row's score, and the held-out rows' scores give the fit metrics.
     """
+    if not dataset.feature_names:
+        raise NoFeaturesError("a GBM needs at least one feature")
     y_all = dataset.outcome.astype(np.float64)
     if _one_class(dataset.outcome):
         raise SingleClassOutcomeError("outcome has a single class")
@@ -606,13 +574,14 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
         raise SingleClassOutcomeError("training split has a single class")
 
     n_train = len(train_idx)
-    encoding = _Encoding(dataset, cfg.preset, train_idx)
-    bins = _bin_columns(_training_columns(encoding, train_idx), n_train)
+    encoding = encode_design(dataset, cfg.preset, train_idx)
+    bins = _bin_columns(encoding.columns(np.concatenate((train_idx, hold_idx))),
+                        n_train)
     yt = y_all[train_idx]
 
     p_base = min(1.0 - 1e-6, max(1e-6, float(yt.mean())))
     base = math.log(p_base / (1.0 - p_base))
-    raw_train = np.full(n_train, base)
+    raw = np.full(n_train + n_hold, base)   # training rows, then held-out rows
 
     column_gain = np.zeros(len(encoding.sources))
     total_gain = 0.0
@@ -624,19 +593,18 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
             rows = np.sort(rng.choice(n_train, size=m, replace=False))
         else:
             rows = np.arange(n_train)
-        p = _sigmoid(raw_train)
+        p = _sigmoid(raw[:n_train])
         grad = p - yt
         hess = p * (1.0 - p)
         tree, tgain, step = _grow_tree(grad, hess, rows, bins, cfg, column_gain)
         total_gain += tgain
         trees.append(tree)
-        raw_train += cfg.learning_rate * step
+        raw += cfg.learning_rate * step
 
-    model = GbmModel(cfg, dataset.feature_names, encoding.sources, base, trees,
+    model = GbmModel(cfg, dataset.feature_names, encoding.sources, trees,
                      column_gain, total_gain)
 
-    X_hold = encode_design(dataset, cfg.preset, train_idx, row_order=hold_idx)[0]
-    p_hold = _sigmoid(model.decision_function(X_hold))
+    p_hold = _sigmoid(raw[n_train:])
     y_hold = y_all[hold_idx]
     pred = (p_hold >= 0.5).astype(np.float64)
     tp = float(((pred == 1) & (y_hold == 1)).sum())

@@ -200,15 +200,6 @@ class EliminationTrace:
         # data of the selection, so not a field and not reported
         self.ranked: dict[int, list[str]] = {}
 
-    def surviving_at(self, k: int) -> list[str]:
-        """Survivor set of size k recorded along the elimination path."""
-        if len(self.initial) == k:
-            return list(self.initial)
-        for step in self.steps:
-            if len(step.surviving) == k:
-                return list(step.surviving)
-        raise KTooLargeError(f"no snapshot of size {k} in trace")
-
     def ranked_at(self, k: int) -> list[str]:
         """The survivor set of size k, ordered by each feature's minimum
         p-value in the fit of that set, ties and features with no columns

@@ -464,10 +464,13 @@ def reference_grow_tree(X: np.ndarray, g: np.ndarray, h: np.ndarray,
 
 
 def reference_predict(self, X: np.ndarray) -> np.ndarray:
-    """Per-node descent that ``_Tree.predict`` must agree with.
+    """Per-node descent by value that ``embedded._grow_tree``'s leaf values
+    must agree with for every row, including the rows a tree does not grow
+    on, which the grower routes by their bin codes.
 
     Visits the nodes in id order and routes each node's rows with one
-    ``nonzero`` per node; ``self`` is a ``featscan.embedded._Tree``.
+    ``nonzero`` per node, under ``x <= threshold``; ``self`` is a
+    ``featscan.embedded._Tree``.
     """
     out = np.zeros(X.shape[0])
     assign = np.zeros(X.shape[0], dtype=np.int64)

@@ -1,7 +1,6 @@
 """Gradient-boosted rankings, normalization, committee vote, top-K."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +20,12 @@ from featscan.embedded import (
 from featscan.errors import (
     KTooLargeError,
     MismatchedFeatureSetsError,
+    NoFeaturesError,
     SingleClassOutcomeError,
 )
 from featscan.synth import SynthSpec, generate
 from featscan.tabular import Dataset, FeatureKind, Schema
+from helpers import traced_peak
 
 
 def numeric_dataset(columns, outcome):
@@ -95,6 +96,11 @@ class TestGbmTrain:
         rng = np.random.default_rng(7)
         d = numeric_dataset({"a": rng.normal(size=50)}, np.full(50, label))
         with pytest.raises(SingleClassOutcomeError, match="^outcome"):
+            gbm_train(d, GbmConfig(Preset.A))
+
+    def test_no_features_error(self):
+        d = numeric_dataset({}, np.tile([0, 1], 25))
+        with pytest.raises(NoFeaturesError):
             gbm_train(d, GbmConfig(Preset.A))
 
     def test_single_class_training_split_error(self):
@@ -196,18 +202,13 @@ class TestGbmTrain:
 
     @pytest.mark.parametrize("preset, bound", [(Preset.A, 0.7), (Preset.B, 1.3)])
     def test_peak_memory_holds_one_design(self, preset, bound):
-        # the training design is binned one feature at a time and only the
-        # held-out fifth of the rows is encoded as floats; preset A bins its
+        # the design is binned one feature at a time, held-out rows with the
+        # training rows, and no float design is built; preset A bins its
         # nominal features straight from their level codes
         d, _ = generate(SynthSpec(n_rows=20_000, base_rate=0.3, n_continuous=10,
                                   arities=(3, 4, 5) * 4, seed=7))
-        design = encode_design(d, preset)[0].nbytes
-        tracemalloc.start()
-        try:
-            gbm_train(d, GbmConfig(preset, n_trees=2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        design = len(encode_design(d, preset).sources) * d.n_rows * 8
+        _, peak = traced_peak(gbm_train, d, GbmConfig(preset, n_trees=2))
         assert peak < bound * design
 
 

@@ -1,7 +1,6 @@
 """Filter statistics against hand-computed and independent oracles."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from featscan.filters import (
 )
 from featscan.synth import SynthSpec, generate
 from featscan.tabular import Dataset, FeatureKind, Schema, one_hot
+from helpers import traced_peak
 
 
 def table_to_vectors(table):
@@ -169,12 +169,7 @@ class TestVif:
                                   n_continuous=10, arities=(), seed=7))
         features = list(d.feature_names)
         design = one_hot(d, features)[0].nbytes
-        tracemalloc.start()
-        try:
-            _vif_factor(d, features)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(_vif_factor, d, features)
         assert peak < 1.3 * design
 
 

@@ -3,12 +3,12 @@
 ``embedded._bin_columns`` bins each training column once per fit and
 ``embedded._grow_tree`` sums g, h and row counts per bin with
 ``np.bincount``, taking a child's sums from its parent's minus its
-sibling's. ``_Tree.predict`` descends one level per step.
-``oracles.reference_grow_tree`` bins value by value and adds each row to
-its bins one row at a time, and ``oracles.reference_predict`` routes rows
-node by node. Every tree,
-threshold, leaf value, ``column_gain``, ``total_gain`` and ``FitMetrics``
-must agree bit for bit.
+sibling's; every row a tree does not grow on, held-out rows included,
+follows it by bin codes. ``oracles.reference_grow_tree`` bins value by
+value and adds each row to its bins one row at a time, and
+``oracles.reference_predict`` routes rows node by node by their values.
+Every tree, threshold, leaf value, ``column_gain``, ``total_gain`` and
+``FitMetrics`` must agree bit for bit.
 
 ``data/gbm_golden.json`` pins whole ensembles on synthetic data, captured
 from the binned grower. Regenerate it only for a deliberate, documented
@@ -32,7 +32,6 @@ from featscan.embedded import (
     Preset,
     _bin_columns,
     _grow_tree,
-    _Tree,
     committee_vote,
     encode_design,
     extract_importance,
@@ -41,8 +40,10 @@ from featscan.embedded import (
     top_k,
 )
 from featscan.tabular import Dataset, FeatureKind, Schema
+from helpers import raw_matrix
 from oracles import (
     reference_bin_column,
+    reference_encode_design,
     reference_grow_tree,
     reference_predict,
     reference_target_statistic,
@@ -206,32 +207,18 @@ def assert_same_tree(got, want):
     assert _floats(got.value) == _floats(want.value)
 
 
-def _raw_matrix(columns, n):
-    """The training matrix ``_bin_columns`` is handed, one row per design
-    column, each level block's codes written out as its indicator columns,
-    and the (first column, level count) of every block."""
-    XT, blocks = [], []
-    for first, values, levels in columns:
-        if levels:
-            blocks.append((first, levels))
-            XT.extend(values == j for j in range(levels))
-        else:
-            XT.append(values)
-    return np.array(XT, dtype=np.float64).reshape(-1, n), blocks
-
-
 def _train_reference(dataset, cfg, monkeypatch):
-    # the oracle gets the raw training matrix and bins it, once per tree
+    # the oracle gets the raw matrix of the training rows and bins it, once
+    # per tree; its float descent routes every row, held-out rows included
     def grow(g, h, rows, binned, cfg, column_gain):
-        XT, blocks = binned
-        tree, gain = reference_grow_tree(XT.T, g, h, rows, cfg, column_gain,
-                                         blocks=blocks)
-        return tree, gain, reference_predict(tree, XT.T)
+        X, blocks = binned[0].T, binned[1]
+        tree, gain = reference_grow_tree(X[:len(g)], g, h, rows, cfg,
+                                         column_gain, blocks=blocks)
+        return tree, gain, reference_predict(tree, X)
 
     with monkeypatch.context() as m:
-        m.setattr(embedded, "_bin_columns", _raw_matrix)
+        m.setattr(embedded, "_bin_columns", lambda columns, n: raw_matrix(columns))
         m.setattr(embedded, "_grow_tree", grow)
-        m.setattr(_Tree, "predict", reference_predict)
         return gbm_train(dataset, cfg)
 
 
@@ -301,7 +288,7 @@ def _grow_both(X, g, h, rows, cfg, blocks=()):
     assert got_gain.tobytes() == want_gain.tobytes()
     assert got_total == want_total
     # every row, grown or left out, holds the value its descent reaches
-    assert leaf_value.tobytes() == got.predict(X).tobytes()
+    assert leaf_value.tobytes() == reference_predict(got, X).tobytes()
     return got
 
 
@@ -565,7 +552,7 @@ def test_preset_a_bins_each_nominal_as_one_row_of_level_codes(monkeypatch):
 
     def spy(columns, n):
         columns = list(columns)
-        binned.append((*_raw_matrix(columns, n), _bin_columns(columns, n)))
+        binned.append((*raw_matrix(columns), _bin_columns(columns, n)))
         return binned[-1][2]
 
     monkeypatch.setattr(embedded, "_bin_columns", spy)
@@ -573,7 +560,7 @@ def test_preset_a_bins_each_nominal_as_one_row_of_level_codes(monkeypatch):
         gbm_train(dataset, GbmConfig(preset, n_trees=1))
     (XT, blocks, bins), (_, blocks_b, _) = binned
     assert blocks_b == []
-    _, sources = encode_design(dataset, Preset.A)
+    sources = encode_design(dataset, Preset.A).sources
     first = {f: sources.index(f) for f in dataset.feature_names}
     assert blocks == [(first[f"nom{a}"], a) for a in (3, 8, 256)]
     block_rows = [r for r0, t, is_block in bins.groups if is_block
@@ -599,19 +586,24 @@ def test_preset_a_bins_each_nominal_as_one_row_of_level_codes(monkeypatch):
 
 @pytest.mark.parametrize("preset", [Preset.A, Preset.B])
 def test_training_columns_are_the_encoded_training_rows(preset):
-    # what gbm_train bins, one feature at a time, is encode_design's matrix
-    # of the training rows, level blocks written out as indicators
+    # what gbm_train bins, one feature at a time, the training rows and then
+    # the held-out rows, is the reference design of those rows, level blocks
+    # written out as indicators
     dataset = _nominal(1_000, (3, 8, 300), 43)
-    train_idx = np.sort(np.random.default_rng(44).choice(1_000, 800, replace=False))
-    encoding = embedded._Encoding(dataset, preset, train_idx)
-    XT, blocks = _raw_matrix(embedded._training_columns(encoding, train_idx), 800)
-    want = encode_design(dataset, preset, train_idx, row_order=train_idx)[0]
-    assert XT.tobytes() == np.ascontiguousarray(want.T).tobytes()
+    in_train = np.zeros(1_000, dtype=bool)
+    in_train[np.random.default_rng(44).choice(1_000, 800, replace=False)] = True
+    train_idx = np.flatnonzero(in_train)
+    rows = np.concatenate((train_idx, np.flatnonzero(~in_train)))
+    encoding = encode_design(dataset, preset, train_idx)
+    XT, blocks = raw_matrix(encoding.columns(rows))
+    want, sources = reference_encode_design(dataset, preset, train_idx)
+    assert encoding.sources == sources
+    assert XT.tobytes() == np.ascontiguousarray(want[rows].T).tobytes()
     assert len(blocks) == (2 if preset is Preset.A else 0)
 
 
 @pytest.mark.parametrize("preset", [Preset.A, Preset.B])
-def test_training_leaf_values_are_the_predictions_of_grown_rows(preset, monkeypatch):
+def test_leaf_values_are_the_descent_of_every_row(preset, monkeypatch):
     dataset = _nominal(1_500, (3, 5, 300), 42)
     grown, binned = [], []
 
@@ -622,17 +614,19 @@ def test_training_leaf_values_are_the_predictions_of_grown_rows(preset, monkeypa
 
     def spy(columns, n):
         columns = list(columns)
-        binned.append(_raw_matrix(columns, n)[0])
+        binned.append(raw_matrix(columns)[0])
         return _bin_columns(columns, n)
 
     monkeypatch.setattr(embedded, "_grow_tree", grow)
     monkeypatch.setattr(embedded, "_bin_columns", spy)
     gbm_train(dataset, GbmConfig(preset, seed=3, n_trees=5))
     X = binned[0].T
+    assert X.shape[0] == 1_500
     for rows, tree, leaf_value in grown:
-        assert len(rows) == (X.shape[0] if preset is Preset.A else 960)
-        # rows the tree left out follow its splits by their bin codes
-        assert leaf_value.tobytes() == tree.predict(X).tobytes()
+        assert len(rows) == (1_200 if preset is Preset.A else 960)
+        # rows the tree left out or the fit held out follow its splits by
+        # their bin codes, as the thresholds route their values
+        assert leaf_value.tobytes() == reference_predict(tree, X).tobytes()
 
 
 def _binned(XT):
@@ -762,8 +756,12 @@ def test_planted_features_lead_the_rankings():
     assert min(found.values()) >= 8, found
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("seed", range(4))
-def test_predict_matches_reference(seed, monkeypatch):
+def test_held_out_rows_route_as_their_thresholds(seed, monkeypatch):
+    # rows after the training rows take the training cuts: new rows, rows
+    # exactly on every threshold (which go left), infinities, values past
+    # the training range, and none at all
     rng = np.random.default_rng(200 + seed)
     X = np.round(rng.normal(size=(700, 5)), 1)
     g, h = _targets(rng, 700)
@@ -771,11 +769,23 @@ def test_predict_matches_reference(seed, monkeypatch):
     cfg = GbmConfig(Preset.A, max_depth=1 + seed)
     tree = _grow_both(X, g, h, np.arange(700), cfg)
     Xnew = np.round(rng.normal(size=(300, 5)), 1)
-    # rows that sit exactly on every threshold go left
     on_cut = np.repeat([t for t in tree.threshold if not math.isnan(t)], 5)
     on_cut = on_cut.reshape(-1, 5)
-    for data in (X, Xnew, np.asfortranarray(Xnew), on_cut, Xnew[:0]):
-        assert tree.predict(data).tobytes() == reference_predict(tree, data).tobytes()
+    outside = np.stack([np.full(5, -np.inf), np.full(5, np.inf),
+                        X.min(axis=0) - 0.05, X.max(axis=0) + 0.05,
+                        X.min(axis=0) - 1e300, X.max(axis=0) + 1e300])
+    for held in (Xnew, on_cut, outside, Xnew[:0]):
+        data = np.concatenate((X, held))
+        bins = _bin_columns(_matrix_columns(data), 700)
+        for first, thresholds, _ in bins.groups:
+            for r, t in enumerate(thresholds, start=first):
+                x, code = data[:, bins.columns[r]], bins.codes[r]
+                for j in range(len(t)):
+                    assert ((x <= t[j]) == (code <= j)).all()
+        got, _, leaf_value = _grow_tree(g, h, np.arange(700), bins, cfg,
+                                        np.zeros(5))
+        assert_same_tree(got, tree)
+        assert leaf_value.tobytes() == reference_predict(tree, data).tobytes()
 
 
 def test_target_statistic_matches_per_level_loop():
@@ -789,12 +799,12 @@ def test_target_statistic_matches_per_level_loop():
     d = Dataset(schema, {"x": rng.normal(size=n), "grp": grp}, y)
     train = np.flatnonzero((grp != "g") & (rng.random(n) < 0.8))
     for idx in (train, None):
-        X, sources = encode_design(d, Preset.B, train_idx=idx)
+        encoding = encode_design(d, Preset.B, train_idx=idx)
         rows = np.arange(n) if idx is None else idx
         want = reference_target_statistic(grp, d.outcome, rows,
                                           embedded._TARGET_STAT_PRIOR_WEIGHT)
-        got = np.ascontiguousarray(X[:, sources.index("grp")])
-        assert got.tobytes() == want.tobytes()
+        got = {c: x for c, x, _ in encoding.columns(np.arange(n))}
+        assert got[encoding.sources.index("grp")].tobytes() == want.tobytes()
 
 
 if __name__ == "__main__":

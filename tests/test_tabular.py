@@ -6,7 +6,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from featscan.tabular import (
     write_csv,
 )
 
+from helpers import raw_matrix, traced_peak
 from oracles import (
     reference_encode_design,
     reference_load_csv,
@@ -438,12 +438,7 @@ def test_load_peak_memory_near_finished_arrays(tmp_path):
     dataset, _ = generate(spec)
     path = tmp_path / "tall.csv"
     write_csv(dataset, path)
-    tracemalloc.start()
-    try:
-        loaded = load_csv(path, dataset.schema)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak = traced_peak(load_csv, path, dataset.schema)
     arrays = loaded.outcome.nbytes + sum(
         loaded.column(f).nbytes if loaded.kind(f) is FeatureKind.CONTINUOUS
         else loaded.codes(f).nbytes for f in loaded.feature_names)
@@ -672,21 +667,25 @@ class TestEncodersMatchReference:
     @pytest.mark.parametrize("preset", list(Preset))
     @pytest.mark.parametrize("make", AWKWARD, ids=lambda f: f.__name__)
     def test_encode_design(self, tmp_path, make, preset):
+        # the columns of every row, level blocks written out as indicators
         d = make(tmp_path)
-        for rows in (None, np.arange(0, d.n_rows, 2)):
-            assert_same_design(encode_design(d, preset, rows),
-                               reference_encode_design(d, preset, rows))
+        for train in (None, np.arange(0, d.n_rows, 2)):
+            encoding = encode_design(d, preset, train)
+            XT, _ = raw_matrix(encoding.columns(np.arange(d.n_rows)))
+            assert_same_design((XT.T, encoding.sources),
+                               reference_encode_design(d, preset, train))
 
     @pytest.mark.parametrize("preset", list(Preset))
     @pytest.mark.parametrize("make", AWKWARD, ids=lambda f: f.__name__)
     def test_encode_design_in_row_order(self, tmp_path, make, preset):
-        # row i of the design is row_order[i]; a row may repeat or be left out
+        # row i of the design is rows[i]; a row may repeat or be left out
         d = make(tmp_path)
-        rows = np.arange(0, d.n_rows, 2)
-        order = np.random.default_rng(3).integers(0, d.n_rows, size=d.n_rows + 3)
-        want, sources = reference_encode_design(d, preset, rows)
-        assert_same_design(encode_design(d, preset, rows, row_order=order),
-                           (want[order], sources))
+        train = np.arange(0, d.n_rows, 2)
+        rows = np.random.default_rng(3).integers(0, d.n_rows, size=d.n_rows + 3)
+        encoding = encode_design(d, preset, train)
+        XT, _ = raw_matrix(encoding.columns(rows))
+        want, sources = reference_encode_design(d, preset, train)
+        assert_same_design((XT.T, encoding.sources), (want[rows], sources))
 
 
 class TestCategoricalCoding:

@@ -1,7 +1,6 @@
 """OLS fitting and backward elimination."""
 
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,6 +10,7 @@ from featscan.errors import InsufficientRowsError, KTooLargeError
 from featscan.synth import PlantSpec, SynthSpec, generate
 from featscan.tabular import Dataset, FeatureKind, Schema, one_hot
 from featscan.wrapper import _qr_r, backward_eliminate, ols_fit
+from helpers import traced_peak
 from oracles import reference_ols_p_values, reference_one_hot
 
 mpmath.mp.dps = 40
@@ -214,8 +214,8 @@ class TestBackwardEliminate:
         sizes = [len(s.surviving) for s in trace.steps]
         assert sizes == [5, 4, 3, 2]
         assert len(trace.final) == 2
-        assert trace.surviving_at(4) == list(trace.steps[1].surviving)
-        assert trace.surviving_at(6) == sorted(cols)
+        assert set(trace.ranked_at(4)) == set(trace.steps[1].surviving)
+        assert sorted(trace.ranked_at(6)) == sorted(cols)
 
     def test_nominal_feature_group_significance(self):
         rng = np.random.default_rng(29)
@@ -323,12 +323,7 @@ class TestBackwardEliminate:
                                   arities=(3, 4, 5) * 4, seed=7))
         features = list(d.feature_names)
         design = one_hot(d, features)[0].nbytes
-        tracemalloc.start()
-        try:
-            backward_eliminate(d, features, k=5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(backward_eliminate, d, features, k=5)
         assert peak < 1.3 * design
 
     def test_survivors_ranked_as_a_fresh_fit_ranks_them(self):
@@ -343,7 +338,9 @@ class TestBackwardEliminate:
                 seed=seed))
             trace = backward_eliminate(d, list(d.feature_names), k=3)
             for k in (3, 5, 10, 20, 30):
-                survivors = trace.surviving_at(k)
+                # the set in candidate order, as the elimination holds it
+                kept = set(trace.ranked_at(k))
+                survivors = [f for f in trace.initial if f in kept]
                 X, names, sources = one_hot(d, survivors)
                 sig = ols_fit(X, d.outcome, names, sources).min_p_by_feature()
                 want = sorted(survivors, key=lambda f: (sig.get(f, 1.0), f))
@@ -416,12 +413,7 @@ class TestQrR:
 
     def test_fortran_input_factored_in_place(self):
         a = np.asfortranarray(np.random.default_rng(61).normal(size=(20_000, 20)))
-        tracemalloc.start()
-        try:
-            r = _qr_r(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        r, peak = traced_peak(_qr_r, a)
         # R, tau and the work array; no n-row copy
         assert peak < 0.05 * a.nbytes
         assert (np.triu(a[:20]) == r).all()
