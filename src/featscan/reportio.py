@@ -1,80 +1,57 @@
-"""Byte-stable JSON and CSV serialization.
+"""Byte-stable JSON and CSV serialization through the standard library.
 
 Reports must be byte-identical across repeated runs with the same inputs,
-config and seed, so floats are rendered with 17 significant digits, object
-keys are sorted, and files are written atomically (temp file then rename).
-Infinities use the Infinity token, which Python's json module reads back.
+config and seed. JSON is ``json.dumps`` text with a two-space indent and
+sorted keys; CSV is ``csv.writer`` rows ending in LF. Both spell every
+float as its shortest round-trip ``repr``, so each value reads back bit for
+bit, with its type and the sign of zero; JSON writes non-finite floats as
+the NaN and Infinity tokens, which Python's json module reads back.
+Every file is written by one atomic writer: a uniquely named temp file in
+the target's directory, created as ``open(path, "x")`` creates a file, so
+the process umask sets its mode, then renamed over the target.
 Every JSON file featscan writes goes through ``write_json``: the reports,
 the run metadata (``run_meta.json``) and synth's schema and ground truth.
 """
 
 from __future__ import annotations
 
+import csv
 import json
-import math
 import os
-import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 REPORT_VERSION = 1
 
 
-def format_float(x: float) -> str:
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+def dumps_canonical(obj) -> str:
+    """Deterministic JSON text: sorted keys, floats as their ``repr``."""
+    return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
 
 
-def dumps_canonical(obj, indent: int = 0) -> str:
-    """Deterministic JSON text: sorted keys, fixed float formatting."""
-    pad = "  " * indent
-    child_pad = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for key in sorted(obj, key=str):
-            rendered = dumps_canonical(obj[key], indent + 1)
-            items.append(f"{child_pad}{json.dumps(str(key))}: {rendered}")
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [child_pad + dumps_canonical(v, indent + 1) for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def write_text_atomic(path, text: str) -> Path:
-    path = Path(path)
+@contextmanager
+def _atomic_open(path: Path):
+    """A text file that replaces ``path`` only if the block completes."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    # opened before the try: a name that already exists is not ours to remove
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
-    return path
 
 
 def write_json(path, doc) -> Path:
     """Write a JSON document in the canonical form, atomically."""
-    return write_text_atomic(path, dumps_canonical(doc) + "\n")
+    path = Path(path)
+    text = dumps_canonical(doc) + "\n"
+    with _atomic_open(path) as fh:
+        fh.write(text)
+    return path
 
 
 def write_report(path, payload: dict) -> Path:
@@ -85,14 +62,10 @@ def write_report(path, payload: dict) -> Path:
 
 
 def write_csv_atomic(path, header: list[str], rows: list[list]) -> Path:
-    """Write a small CSV with the same float discipline as the reports."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(format_float(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
-    return write_text_atomic(path, "\n".join(lines) + "\n")
+    """Write a small CSV with the same float spelling as the reports."""
+    path = Path(path)
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path

@@ -27,6 +27,7 @@ from itertools import compress, islice
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateColumnError,
     MissingValueError,
     NonBinaryOutcomeError,
@@ -523,7 +524,22 @@ def load_csv(path, schema: Schema) -> Dataset:
 
 
 def write_csv(dataset: Dataset, path) -> None:
-    """Write a dataset back to CSV in a form :func:`load_csv` round-trips."""
+    """Write a dataset back to CSV in a form :func:`load_csv` round-trips.
+
+    A value that :func:`load_csv` would not read back as written raises
+    :class:`DataError` and nothing is written: a non-finite float, or a
+    label that reads as missing or would be stripped of surrounding
+    whitespace.
+    """
+    for name, col in dataset._continuous.items():
+        if not np.isfinite(col).all():
+            raise DataError(f"feature {name!r} has a non-finite value, which "
+                            "load_csv would not read back")
+    for name, levels in dataset._levels.items():
+        for label in levels.tolist():
+            if label != label.strip() or label.lower() in _MISSING_TOKENS:
+                raise DataError(f"feature {name!r} has label {label!r}, which "
+                                "load_csv would not read back as written")
     names = list(dataset.feature_names) + [dataset.schema.outcome_name]
     cols = [
         map(repr, col.tolist()) if col.dtype == np.float64 else col.tolist()

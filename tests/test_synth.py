@@ -1,5 +1,6 @@
 """Synthetic data generation and its ground truth."""
 
+import hashlib
 import json
 import math
 
@@ -199,3 +200,18 @@ class TestSave:
         with open(paths["ground_truth"]) as fh:
             doc = json.load(fh)
         assert doc["plant"] == {"cat01": ["a"]}
+
+    def test_bytes_pinned(self, tmp_path):
+        # the sweep_m benchmark mix at seed 1: existing synth output must
+        # stay byte-identical, whatever writes its CSV and JSON files
+        spec = SynthSpec(n_rows=5_000, base_rate=0.2, n_continuous=12,
+                         pairwise_rho=0.2, arities=(2, 3, 4, 5) * 4 + (2, 3),
+                         plant=PlantSpec({"cat01": ("a",), "cat02": ("b",)}, 3.0),
+                         seed=1)
+        paths = save(*generate(spec), tmp_path)
+        got = {k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}
+        assert got == {
+            "data": "ac355a62172f5cca3b5688c0f081eae9a5c5dfb4d074ed213dd04d81c4e5d049",
+            "schema": "afeb6825828f04b1e1bacc0fe91ef4113a2c5490b4232e0fee44945ee9c098d5",
+            "ground_truth": "caf98964150082eeb1da9d5f102c993a537a605c6364de5dd56b634790a9dc9d",
+        }

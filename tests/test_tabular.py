@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from featscan import tabular
 from featscan.embedded import Preset, encode_design
 from featscan.errors import (
+    DataError,
     DegenerateColumnError,
     MissingValueError,
     NonBinaryOutcomeError,
@@ -454,7 +456,7 @@ class TestWriteCsv:
             {"x1": np.array([0.1, -0.0, 1e-300, 1e16, 5.0]),
              "b": np.array(["M", "F", "M", "M", "F"]),
              "x2": np.array([2.5, np.pi, -1.0, 123456789.125, 7.0]),
-             "ward": np.array(['a, "b"', "日本", "x", "", "é"]),
+             "ward": np.array(['a, "b"', "日本", "x", '"', "é"]),
              "grp": np.array(["g1", "g2", "g1", "g2", "line\nbreak"])},
             np.array([0, 1, 0, 1, 1]),
         )
@@ -463,6 +465,29 @@ class TestWriteCsv:
             write_csv(data, got)
             reference_write_csv(data, want)
             assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("labels, bad", [
+        (["NA", "b", " c", "b"], " c"),
+        (["NA", "b", "c", "b"], "NA"),
+        (["", "b", "c", "b"], ""),
+        (["none", "b", "c", "b"], "none"),
+        (["a", "b", "c\t", "b"], "c\t"),
+    ], ids=["padded", "na", "empty", "none", "tab"])
+    def test_label_that_would_not_load_back_rejected(self, tmp_path, labels, bad):
+        schema = Schema(("g",), {"g": FeatureKind.NOMINAL}, "y")
+        d = Dataset(schema, {"g": np.array(labels)}, np.array([0, 1, 0, 1]))
+        path = tmp_path / "rt.csv"
+        with pytest.raises(DataError, match=f"'g' has label {re.escape(repr(bad))}"):
+            write_csv(d, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        d = continuous_dataset([1.0, value, 2.0, 3.0])
+        path = tmp_path / "rt.csv"
+        with pytest.raises(DataError, match="'x' has a non-finite value"):
+            write_csv(d, path)
+        assert not path.exists()
 
 
 def continuous_dataset(values, name="x"):
