@@ -29,6 +29,7 @@ import numpy as np
 from . import embedded, inference, mdss, reportio, synth
 from .errors import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, FeatscanError, KTooLargeError
 from .filters import FilterThresholds, filter_select
+from .rng import derive_seed
 from .tabular import (
     BinMethod,
     Dataset,
@@ -141,11 +142,9 @@ class PipelineConfig:
             raise ValueError(
                 f"score_tolerance must be in [0,1), got {self.score_tolerance}")
         # each stage's config checks its own ranges, so build them all before
-        # any data is read. The GBM gets the seed as given: deriving its seeds
-        # would load numpy.random before the CSV, +5 MiB on the load's peak.
+        # any data is read
         mdss.ScanConfig(self.n_restarts, self.seed)
-        embedded.GbmConfig(embedded.Preset.A, self.gbm_trees, self.gbm_depth,
-                           self.gbm_lr, self.seed)
+        self.gbm(embedded.Preset.A)
         self.thresholds()
         self.discretization()
 
@@ -159,18 +158,13 @@ class PipelineConfig:
     def gbm(self, preset: embedded.Preset) -> embedded.GbmConfig:
         key = list(embedded.Preset).index(preset)   # seed keys A 0, B 1
         return embedded.GbmConfig(preset, self.gbm_trees, self.gbm_depth,
-                                  self.gbm_lr, _derive_seed(self.seed, 4, key))
+                                  self.gbm_lr, derive_seed(self.seed, 4, key))
 
     def scan_config(self, features: list[str]) -> mdss.ScanConfig:
         # seed keyed on the feature set, so identical sets scan identically
         key = zlib.crc32("\x1f".join(sorted(features)).encode("utf-8"))
         return mdss.ScanConfig(n_restarts=self.n_restarts,
-                               seed=_derive_seed(self.seed, 3, key))
-
-
-def _derive_seed(seed: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=tuple(key))
-    return int(ss.generate_state(1)[0])
+                               seed=derive_seed(self.seed, 3, key))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from .errors import (
     NoFeaturesError,
     SingleClassOutcomeError,
 )
+from .rng import Stream
 from .tabular import Dataset, FeatureKind, _distinct
 
 _TARGET_STAT_PRIOR_WEIGHT = 10.0
@@ -125,9 +126,6 @@ class FeatureRanking:
                 raise ValueError(f"scores must be finite and >= 0, got {s}")
             if self.normalized and s > 1.0 + 1e-12:
                 raise ValueError(f"normalized score {s} outside [0,1]")
-
-    def score_of(self, name: str) -> float:
-        return self.scores[self.feature_names.index(name)]
 
     def to_json_dict(self) -> dict:
         return {
@@ -550,14 +548,16 @@ def _one_class(y: np.ndarray) -> bool:
 def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     """Train a boosted ensemble and score it on a held-out split.
 
-    Deterministic for a fixed (dataset, cfg): the RNG drives only the
-    holdout split and per-tree row subsampling, both derived from
-    ``cfg.seed``. The design of the training rows and then the held-out
-    rows is binned one feature at a time, with cuts from the training rows,
-    so the fit holds its binned codes beside one feature's float columns.
-    Every row a tree does not grow on, left out of its subsample or held
-    out of the fit, follows the tree by those codes; ``raw`` keeps every
-    row's score, and the held-out rows' scores give the fit metrics.
+    Deterministic for a fixed (dataset, cfg): the stream ``(cfg.seed,)``
+    (see :mod:`featscan.rng`) drives only the holdout split, a permutation
+    of its first ``n_rows`` draws, and then each subsampled tree's rows, a
+    sample of its next ``n_train``. The design of the training rows and
+    then the held-out rows is binned one feature at a time, with cuts from
+    the training rows, so the fit holds its binned codes beside one
+    feature's float columns. Every row a tree does not grow on, left out
+    of its subsample or held out of the fit, follows the tree by those
+    codes; ``raw`` keeps every row's score, and the held-out rows' scores
+    give the fit metrics.
     """
     if not dataset.feature_names:
         raise NoFeaturesError("a GBM needs at least one feature")
@@ -565,8 +565,8 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     if _one_class(dataset.outcome):
         raise SingleClassOutcomeError("outcome has a single class")
 
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    perm = rng.permutation(dataset.n_rows)
+    stream = Stream(cfg.seed)
+    perm = stream.permutation(dataset.n_rows)
     n_hold = max(1, int(round(_HOLDOUT_FRACTION * dataset.n_rows)))
     hold_idx = np.sort(perm[:n_hold])
     train_idx = np.sort(perm[n_hold:])
@@ -590,7 +590,7 @@ def gbm_train(dataset: Dataset, cfg: GbmConfig) -> tuple[GbmModel, FitMetrics]:
     for _ in range(cfg.n_trees):
         if subsample < 1.0:
             m = max(1, int(round(subsample * n_train)))
-            rows = np.sort(rng.choice(n_train, size=m, replace=False))
+            rows = stream.sample(n_train, m)
         else:
             rows = np.arange(n_train)
         p = _sigmoid(raw[:n_train])

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import EmptySubsetError, FullSubsetError
 from .mdss import ScanConfig, ScoredSubset, SubsetDescriptor, scan
+from .rng import Stream, derive_seed
 from .tabular import DiscreteDataset
 
 # the fewest bootstrap replicates that can give p < 0.05
@@ -46,10 +47,12 @@ def empirical_p_value(data: DiscreteDataset, features: list[str],
 
     Each replicate redraws every outcome as Bernoulli(alpha_g) with the
     covariates fixed and rescans with the same configuration under a
-    derived seed. A replicate that draws a constant outcome has nothing to
-    contrast and scores 0. The p-value is
-    (1 + #{replicate >= observed}) / (r + 1), so ties count against
-    significance and p is never 0.
+    derived seed: replicate ``i`` compares the uniforms of the stream
+    ``(seed, 1, i)`` with alpha_g, and scans with the seed
+    ``derive_seed(seed, 2, i)`` (see :mod:`featscan.rng`). A replicate that
+    draws a constant outcome has nothing to contrast and scores 0. The
+    p-value is (1 + #{replicate >= observed}) / (r + 1), so ties count
+    against significance and p is never 0.
     """
     if r < MIN_REPLICATES:
         raise ValueError(
@@ -57,17 +60,11 @@ def empirical_p_value(data: DiscreteDataset, features: list[str],
     alpha_g = data.outcome_mean()
     scores = []
     for i in range(r):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, i))
-        )
-        y_rep = (rng.random(data.n_rows) < alpha_g).astype(np.int8)
+        y_rep = (Stream(cfg.seed, 1, i).uniforms(data.n_rows) < alpha_g).astype(np.int8)
         if y_rep.min() == y_rep.max():
             scores.append(0.0)
             continue
-        rep_seed = int(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2, i))
-            .generate_state(1)[0]
-        )
+        rep_seed = derive_seed(cfg.seed, 2, i)
         rep = scan(data.with_outcome(y_rep), features, replace(cfg, seed=rep_seed))
         scores.append(rep.score)
     exceed = sum(1 for s in scores if s >= observed.score)

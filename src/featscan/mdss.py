@@ -43,6 +43,7 @@ from .errors import (
     NoFeaturesError,
     UnknownFeatureError,
 )
+from .rng import Stream
 from .tabular import Dataset, DiscreteDataset, _code_dtype, _distinct
 
 # a feature with at most this many values keeps its blocking masks on the
@@ -297,10 +298,12 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
     value set outscores the best prefix, Neill 2012), and there are
     finitely many joint subsets. The best restart wins; ties
     prefer fewer restrictions, then the lexicographically smallest
-    restriction encoding. Deterministic for a fixed seed. Rows are
-    grouped into the pattern table of the sorted features, taken from the
-    dataset's shared cache when an earlier scan of the same covariates and
-    feature set built it; results equal a row-level scan.
+    restriction encoding. Deterministic for a fixed seed: restart ``r``
+    draws its start's coins from the stream ``(seed, 0, r, 0)`` and its
+    cycle orders from ``(seed, 0, r, 1)`` (see :mod:`featscan.rng`). Rows
+    are grouped into the pattern table of the sorted features, taken from
+    the dataset's shared cache when an earlier scan of the same covariates
+    and feature set built it; results equal a row-level scan.
 
     The table's memo maps (``cfg``, the packed outcome bits) to the
     finished result, an exact key: a repeat scan of the same set, config
@@ -316,13 +319,6 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
     counts, 254 bytes per row per feature in the worst case, when every
     row is its own pattern). Memo and masks live and die with the table,
     so they hold at most the scans of one feature set.
-
-    A random start draws one coin per value in a single ``integers(0, 2)``
-    call (see ``_random_start``). That reproduces one call per feature
-    only because numpy draws split over several calls equal one call of
-    their total size and leave the generator in the same state for the
-    ``permutation`` that follows; a test guards this for the installed
-    numpy.
     """
     features = sorted(features)
     if not features:
@@ -364,11 +360,11 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
 
     best_key = best = None   # ((-score, n_restricted), encoding), ScoredSubset
     for restart in range(cfg.n_restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
-                                                           spawn_key=(0, restart)))
+        orders = Stream(cfg.seed, 0, restart, 1)
         # per feature: the retained codes and the patterns they block; block
         # arrays are replaced, never written, so unrestricted ones share one
-        selected = _random_start(rng, arity) if restart > 0 else list(full)
+        selected = (_random_start(Stream(cfg.seed, 0, restart, 0), arity)
+                    if restart > 0 else list(full))
         blocked = [unblocked] * len(features)
         num_blocked = unblocked.copy()
         for j, values in enumerate(selected):
@@ -382,7 +378,7 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
         changes, seen = 0, [-1] * len(features)
         while True:
             cycle_start = score
-            for j in rng.permutation(len(features)).tolist():
+            for j in orders.permutation(len(features)).tolist():
                 if seen[j] == changes:
                     continue
                 members = (num_blocked == blocked[j]).nonzero()[0]
@@ -429,21 +425,20 @@ def scan(data: DiscreteDataset, features: list[str], cfg: ScanConfig) -> ScoredS
     return best
 
 
-def _random_start(rng, arity: list[int]) -> list[tuple]:
+def _random_start(stream: Stream, arity: list[int]) -> list[tuple]:
     """Each feature's value set, uniform over its non-empty subsets.
 
     One coin per value, feature after feature; a feature that drew no
-    value draws again. The coins come from one ``integers`` call, topped
-    up by exactly the shortfall when a redraw needs more, so they equal
-    per-feature calls and leave the generator where those would (see
-    ``scan``).
+    value draws again. Coins are drawn twice as many at a time as a start
+    without redraws uses, so a second call is rare; coins drawn and not
+    used move no other draw.
     """
-    coins = rng.integers(0, 2, size=sum(arity)).tolist()
-    selected, at = [], 0
+    chunk = 2 * sum(arity)
+    coins, selected, at = [], [], 0
     for a in arity:
         while True:
             if at + a > len(coins):
-                coins += rng.integers(0, 2, size=at + a - len(coins)).tolist()
+                coins += stream.coins(chunk).tolist()
             drawn = coins[at:at + a]
             at += a
             if any(drawn):

@@ -91,7 +91,15 @@ class Schema:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Schema":
+        """Read a schema document; an unknown key, at the top level or in a
+        feature entry, is an error."""
         try:
+            unknown = [repr(k) for k in doc.keys()
+                       if k not in ("features", "outcome", "missing_policy")]
+            unknown += [f"feature {k!r}" for item in doc["features"]
+                        for k in item.keys() if k not in ("name", "kind")]
+            if unknown:
+                raise ValueError(f"unknown keys {', '.join(unknown)}")
             names = tuple(item["name"] for item in doc["features"])
             kinds = {
                 item["name"]: FeatureKind(item["kind"]) for item in doc["features"]
@@ -100,7 +108,7 @@ class Schema:
             policy = MissingPolicy(doc.get("missing_policy", "error"))
             if not all(isinstance(name, str) for name in (*names, outcome)):
                 raise TypeError("feature and outcome names must be strings")
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaMismatchError(f"malformed schema document: {exc}") from exc
         return cls(names, kinds, outcome, policy)
 

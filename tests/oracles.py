@@ -6,9 +6,10 @@ and per-prefix scores, per-value counts from a row filter,
 the score maximizer from a refined grid, the CSV reference reader from
 a cell-by-cell loop, the tree grower from value-by-value binning and
 row-by-row bin sums over a per-node filter of the global row order, the
-design-matrix encoders from per-level string comparisons and OLS
+design-matrix encoders from per-level string comparisons, OLS
 p-values and VIFs from the normal equations solved in 40-digit
-arithmetic, so they can certify the fast implementations.
+arithmetic and the SplitMix64 stream from a scalar loop of Python ints,
+so they can certify the fast implementations.
 """
 
 import bisect
@@ -30,6 +31,7 @@ from featscan.errors import (
     SchemaMismatchError,
 )
 from featscan.mdss import ScoredSubset, SubsetDescriptor, score_bernoulli
+from featscan.rng import Stream, derive_seed
 from featscan.tabular import Dataset, FeatureKind, MissingPolicy
 
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
@@ -116,7 +118,7 @@ def brute_force_scan(data, features):
 def reference_scan(data, features, cfg, paths=None):
     """Row-level coordinate ascent that ``mdss.scan`` must match bit for bit.
 
-    The same search as ``scan``, written plainly: one ``integers`` call per
+    The same search as ``scan``, written plainly: one ``coins`` call per
     feature for a random start, a row mask of the other features for each
     step, and one ``score_bernoulli`` call per value prefix. Restarts,
     coordinate orders, tie-breaks and the stopping rule are ``scan``'s.
@@ -156,22 +158,22 @@ def reference_scan(data, features, cfg, paths=None):
 
     best = None
     for restart in range(cfg.n_restarts):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(0, restart)))
+        starts, orders = (Stream(cfg.seed, 0, restart, 0),
+                          Stream(cfg.seed, 0, restart, 1))
         selected = list(full)
         if restart > 0:
             for j in range(len(features)):
-                coins = rng.integers(0, 2, size=len(full[j]))
+                coins = starts.coins(len(full[j]))
                 while not coins.any():
                     paths["redraw"] += 1
-                    coins = rng.integers(0, 2, size=len(full[j]))
+                    coins = starts.coins(len(full[j]))
                 selected[j] = tuple(np.flatnonzero(coins).tolist())
         mask = rows_of(selected)
         score = score_bernoulli(int(data.outcome[mask].sum()), int(mask.sum()),
                                 alpha)[0]
         while True:
             cycle_start = score
-            for j in rng.permutation(len(features)).tolist():
+            for j in orders.permutation(len(features)).tolist():
                 others = rows_of(selected, skip=j)
                 if not others.any():
                     paths["relax"] += 1
@@ -205,17 +207,33 @@ def reference_replicate_scores(data, features, cfg, r):
     alpha = data.outcome_mean()
     scores = []
     for i in range(r):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1, i)))
-        y_rep = (rng.random(data.n_rows) < alpha).astype(np.int8)
+        y_rep = (Stream(cfg.seed, 1, i).uniforms(data.n_rows) < alpha).astype(np.int8)
         if y_rep.min() == y_rep.max():
             scores.append(0.0)
             continue
-        seed = int(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2, i))
-                   .generate_state(1)[0])
+        seed = derive_seed(cfg.seed, 2, i)
         scores.append(reference_scan(data.with_outcome(y_rep), features,
                                      dataclasses.replace(cfg, seed=seed)).score)
     return scores
+
+
+def reference_splitmix64(key, start, n):
+    """Draws ``start`` to ``start + n - 1`` of SplitMix64 started at state ``key``.
+
+    Vigna's ``splitmix64.c`` one draw at a time: the state advances by the
+    golden-ratio increment, then its copy is mixed; every product is
+    masked to 64 bits. ``rng.outputs`` must match it bit for bit.
+    """
+    mask = (1 << 64) - 1
+    state = (key + start * 0x9E3779B97F4A7C15) & mask
+    draws = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        draws.append(z ^ (z >> 31))
+    return draws
 
 
 def aggregate_by_value(data, feature, conditioning):

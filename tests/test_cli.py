@@ -17,13 +17,13 @@ from featscan.cli import (
     DEFAULT_K_SWEEP,
     PipelineConfig,
     _build_config,
-    _derive_seed,
     build_parser,
     main,
 )
 from featscan.embedded import GbmConfig, Preset
 from featscan.errors import InvalidSpecError
 from featscan.mdss import ScanConfig, scan
+from featscan.rng import derive_seed
 from featscan.synth import SynthSpec
 from featscan.tabular import DiscretizationSpec, Schema, discretize, load_csv
 
@@ -158,7 +158,7 @@ class TestSelectCommand:
         for preset, key in (("a", 0), ("b", 1)):
             doc = json.loads((tmp_path / f"select_embedded_{preset}.json").read_text())
             assert doc["ranking"]["source"] == f"preset_{preset}"
-            assert doc["fit_metrics"]["seed"] == _derive_seed(3, 4, key)
+            assert doc["fit_metrics"]["seed"] == derive_seed(3, 4, key)
             assert committee[f"fit_metrics_{preset}"] == doc["fit_metrics"]
 
     def test_k_too_large_exits_one(self, synth_dir, tmp_path):
@@ -531,6 +531,21 @@ class TestErrorExitCodes:
         assert f"{bad}: " in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry, key", [(None, "missing_polcy"), (0, "knd")],
+                             ids=["top-level", "feature-entry"])
+    def test_schema_unknown_key_exit_code(self, synth_dir, tmp_path, caplog,
+                                          entry, key):
+        # a misspelt key is a data error that names it, not a silent default:
+        # "missing_polcy" would otherwise run with the "error" policy
+        doc = json.loads((synth_dir / "schema.json").read_text())
+        (doc if entry is None else doc["features"][entry])[key] = "drop_row"
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(self.input_file_argv(synth_dir, out, "--schema", str(bad))) == 2
+        assert f"{bad}: " in caplog.text and repr(key) in caplog.text
+        assert not out.exists()
+
     def test_byte_order_marks_are_skipped(self, synth_dir, tmp_path):
         # Excel writes CSV and JSON with a leading UTF-8 byte-order mark
         plain, bom = tmp_path / "plain", tmp_path / "bom"
@@ -607,33 +622,38 @@ def test_config_error_names_rejected_value(build, value):
 def test_gbm_config_of_each_preset():
     cfg = PipelineConfig("d.csv", "s.json", "out", gbm_trees=7, gbm_depth=2,
                          gbm_lr=0.5, seed=11)
-    assert cfg.gbm(Preset.A) == GbmConfig(Preset.A, 7, 2, 0.5, _derive_seed(11, 4, 0))
-    assert cfg.gbm(Preset.B) == GbmConfig(Preset.B, 7, 2, 0.5, _derive_seed(11, 4, 1))
+    assert cfg.gbm(Preset.A) == GbmConfig(Preset.A, 7, 2, 0.5, derive_seed(11, 4, 0))
+    assert cfg.gbm(Preset.B) == GbmConfig(Preset.B, 7, 2, 0.5, derive_seed(11, 4, 1))
 
 
-def test_config_checks_leave_numpy_random_unloaded():
-    # Every option, the GBM's included, is checked when the config is built,
-    # before the CSV is read; loading numpy.random then would raise the
-    # load's peak memory by about 5.6 MiB. Deriving a GBM seed does load it.
+def test_data_commands_leave_numpy_random_unloaded(synth_dir, tmp_path):
+    # every random draw of select, scan and sweep comes from featscan.rng.
+    # numpy.random, with the secrets and hashlib modules it imports (and
+    # OpenSSL's libcrypto that hashlib maps in), would add about 6 MiB to
+    # each command's peak memory
     src = str(Path(featscan.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    data = ["--data", str(synth_dir / "data.csv"),
+            "--schema", str(synth_dir / "schema.json")]
+    argvs = [
+        ["scan", "--features", "all", "--bootstrap-r", "19", "--restarts", "3",
+         *data, "--out", str(tmp_path / "scan")],
+        ["select", "--method", "all", "--k", "2", "--gbm-trees", "3",
+         *data, "--out", str(tmp_path / "select")],
+        ["sweep", "--k-sweep", "2", "--gbm-trees", "3", "--bootstrap-r", "19",
+         "--restarts", "3", *data, "--out", str(tmp_path / "sweep")],
+    ]
     code = textwrap.dedent("""
-        import sys
-        from featscan.cli import PipelineConfig
-        from featscan.embedded import Preset
-        try:
-            PipelineConfig("d.csv", "s.json", "out", gbm_lr=0.0)
-        except ValueError as exc:
-            print(str(exc).split()[0])
-        cfg = PipelineConfig("d.csv", "s.json", "out", seed=5)
-        print("numpy.random" in sys.modules)
-        cfg.gbm(Preset.A)
-        print("numpy.random" in sys.modules)
+        import json, sys
+        from featscan.cli import main
+        codes = [main(argv) for argv in json.loads(sys.argv[1])]
+        print(json.dumps([codes, [m for m in ("numpy.random", "secrets", "hashlib")
+                                  if m in sys.modules]]))
     """)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["--gbm-lr", "False", "True"]
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [[0, 0, 0], []]
 
 
 def test_select_leaves_numpy_ma_unloaded(synth_dir, tmp_path):

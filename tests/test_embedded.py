@@ -83,7 +83,7 @@ class TestGbmTrain:
         d2 = numeric_dataset(cols, d.outcome)
         model, _ = gbm_train(d2, GbmConfig(Preset.A, seed=1, n_trees=30))
         ranking = extract_importance(model)
-        assert ranking.score_of("flat") == 0.0
+        assert ranking.scores[ranking.feature_names.index("flat")] == 0.0
 
     def test_zero_trees_zero_ranking(self):
         d = separable_dataset(seed=5, n=300, n_noise=2)
@@ -151,12 +151,13 @@ class TestGbmTrain:
     def test_duplicated_signal_importance_sum(self):
         d = separable_dataset(seed=17, n=1200, n_noise=3)
         cfg = GbmConfig(Preset.A, seed=3, n_trees=60)
-        single = extract_importance(gbm_train(d, cfg)[0]).score_of("signal")
+        r1 = extract_importance(gbm_train(d, cfg)[0])
+        single = r1.scores[r1.feature_names.index("signal")]
         cols = {f: d.column(f) for f in d.feature_names}
         cols["signal2"] = cols["signal"].copy()
         d2 = numeric_dataset(cols, d.outcome)
         r2 = extract_importance(gbm_train(d2, cfg)[0])
-        combined = r2.score_of("signal") + r2.score_of("signal2")
+        combined = sum(r2.scores[r2.feature_names.index(f)] for f in ("signal", "signal2"))
         assert combined == pytest.approx(single, rel=0.2)
 
     def test_nominal_encodings_both_presets(self):

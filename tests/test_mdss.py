@@ -638,18 +638,3 @@ class TestAscentOracle:
         want = reference_replicate_scores(d, feats, cfg, 1)
         assert sig.replicate_scores[:1] == tuple(want)
 
-
-def test_split_coin_draws_equal_one_draw():
-    # scan draws a restart's coins in one call and tops up by the
-    # shortfall; that equals per-feature calls only while split bounded
-    # draws consume the generator exactly as one draw of their total size
-    rng = np.random.default_rng(77)
-    for seed in range(200):
-        sizes = rng.integers(1, 6, size=int(rng.integers(1, 12))).tolist()
-        split, whole = np.random.default_rng(seed), np.random.default_rng(seed)
-        parts = np.concatenate([split.integers(0, 2, size=s) for s in sizes])
-        same = (np.array_equal(parts, whole.integers(0, 2, size=sum(sizes)))
-                and np.array_equal(split.permutation(len(sizes)),
-                                   whole.permutation(len(sizes))))
-        assert same, (f"numpy {np.__version__}: integers(0, 2) split as {sizes} "
-                      f"differs from one call at seed {seed}")
