@@ -26,8 +26,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import embedded, inference, mdss, reportio, synth
-from .errors import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, FeatscanError, KTooLargeError
+from . import embedded, inference, mdss, reportio
+from .errors import (
+    EXIT_CONFIG,
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    FeatscanError,
+    KTooLargeError,
+    NoFeaturesError,
+)
 from .filters import FilterThresholds, filter_select
 from .rng import derive_seed
 from .tabular import (
@@ -327,7 +334,10 @@ def _check_usage(args: argparse.Namespace, cfg: PipelineConfig,
                  schema: Schema) -> list[str]:
     """Check a data command's K values or feature list against the schema."""
     if args.command == "scan":
-        return _load_feature_list(args.features, schema)
+        features = _load_feature_list(args.features, schema)
+        if not features:   # "all" of a schema with no features
+            raise NoFeaturesError("scan needs at least one feature")
+        return features
     if args.command == "select" and cfg.k is None:
         raise FeatscanError("select needs --k")
     if args.command == "sweep" and not cfg.k_sweep:
@@ -430,6 +440,9 @@ def cmd_sweep(cfg: PipelineConfig, dataset: Dataset) -> None:
 
 
 def cmd_synth(spec_path: str, out_dir: str, seed: int | None) -> int:
+    # imported here, so the data commands do not compile and import synth
+    from . import synth
+
     doc = _load_json_object(spec_path, "spec")
     if seed is not None:
         doc["seed"] = seed

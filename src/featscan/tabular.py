@@ -273,16 +273,15 @@ def _too_many_levels(name: str, levels: np.ndarray,
     )
 
 
-# records load_csv reads and processes per step. Larger blocks load no
-# faster, and on a 31-column table 1,024-record blocks spread each block's
-# cell strings over more allocator arenas, which later objects pin: a
-# 10k-row select run's peak RSS read 3.8 MiB above that of 256-record blocks
+# records load_csv reads and processes per step, each coded column with one
+# lookup per cell. Larger blocks load no faster: a 100k-row, 8-column file
+# took 125-134 ms in these, 147 ms or more in 1,024- or 4,096-record blocks,
+# and on a 31-column table 1,024-record blocks pinned 3.8 MiB more peak RSS
 BLOCK_ROWS = 256
 
 
-def _missing_cells(cells: tuple[str, ...]) -> set[str]:
-    """The distinct cells of a column that count as missing."""
-    distinct = set(cells)
+def _missing_cells(distinct: set[str]) -> set[str]:
+    """The members of a set of distinct cells that count as missing."""
     stripped = map(str.lower, map(str.strip, distinct))
     return set(compress(distinct, map(_MISSING_TOKENS.__contains__, stripped)))
 
@@ -306,21 +305,16 @@ def _finite_floats(cells: tuple[str, ...]) -> np.ndarray | None:
     return values if np.isfinite(values).all() else None
 
 
-def _extend(buffer: array, items, count: int) -> None:
-    """Append ``count`` numbers to a buffer, converted in one numpy call."""
-    buffer.frombytes(np.fromiter(items, dtype=buffer.typecode, count=count).tobytes())
-
-
 class _ColumnReader:
     """Builds a CSV file's columns block by block.
 
-    Each continuous column grows one float64 buffer, each categorical
-    column one buffer of codes into its distinct raw cells, and the outcome
-    one int8 buffer of its values. A code buffer starts at one byte per
-    cell and is widened to :func:`_code_dtype` of the raw cells seen so far
-    when they outgrow it. A failed check records the first line it fails
-    on and the reading goes on, so :meth:`dataset` can raise in the
-    documented order over the whole file.
+    Each continuous column grows one float64 buffer, each coded column one
+    buffer of the codes its index maps raw cells to: a categorical column's
+    next code per new cell, the outcome's value as int8. A categorical
+    buffer starts at one byte per cell and is widened to :func:`_code_dtype`
+    of the raw cells seen so far when they outgrow it. A failed check
+    records the first line it fails on and the reading goes on, so
+    :meth:`dataset` can raise in the documented order over the whole file.
     """
 
     def __init__(self, path, schema: Schema, header: list[str]):
@@ -329,11 +323,11 @@ class _ColumnReader:
         self.values = {f: array("d") for f in self.continuous}
         self.codes = {f: array(_code_dtype(0).char) for f in schema.feature_names
                       if f not in self.values}
+        self.codes[schema.outcome_name] = array("b")
         self.index = {f: {} for f in self.codes}   # raw cell -> its code
         # each binary column's stripped labels so far, up to its third
         self.labels = {f: set() for f in schema.features_of_kind(FeatureKind.BINARY)}
         self.third_line: dict[str, int] = {}
-        self.outcome, self.outcome_of = array("b"), {}
         self.errors: dict = {}
         self.n_records = 0
 
@@ -344,44 +338,52 @@ class _ColumnReader:
         """Check, parse and code the next block of CSV records."""
         first = self.n_records + 2   # the header is line 1
         self.n_records += len(rows)
-        widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-        bad = np.flatnonzero((widths != len(self.header)) & (widths != 0))
-        if len(bad):
-            # no earlier block had one, so this is the file's first
-            raise ParseError(
-                f"{self.path}:{first + bad[0]}: expected {len(self.header)} "
-                f"cells, got {widths[bad[0]]}"
-            )
-        lines = np.flatnonzero(widths) + first
-        if not len(lines):
-            return
-        if len(lines) < len(rows):
+        lines = np.arange(first, first + len(rows))
+        if set(map(len, rows)) != {len(self.header)}:   # a blank or bad width
+            widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+            bad = np.flatnonzero((widths != len(self.header)) & (widths != 0))
+            if len(bad):
+                # no earlier block had one, so this is the file's first
+                raise ParseError(
+                    f"{self.path}:{first + bad[0]}: expected {len(self.header)} "
+                    f"cells, got {widths[bad[0]]}"
+                )
+            lines = lines[widths != 0]
+            if not len(lines):
+                return
             rows = [row for row in rows if row]
         cells = dict(zip(self.header, zip(*rows)))
         del rows
 
-        # every missing token fails float() or parses to NaN, so a continuous
-        # column that parses to finite floats holds none and needs no token scan
-        parsed = {}
-        for f in self.continuous:
-            values = _finite_floats(cells[f])
-            if values is not None:
-                parsed[f] = values
-                del cells[f]
+        # a missing token fails float() or parses to NaN, and no index holds
+        # one (its row is dropped before coding), so only a continuous column
+        # that fails to parse and the cells new to an index need a token scan
+        parsed = {f: values for f in self.continuous
+                  if (values := _finite_floats(cells[f])) is not None}
+        distinct = {f: set(cells[f]) for f in self.continuous if f not in parsed}
+        codes = {}
+        for f, index in self.index.items():
+            try:
+                codes[f] = np.fromiter(map(index.__getitem__, cells[f]),
+                                       dtype=self.codes[f].typecode, count=len(lines))
+            except KeyError:
+                distinct[f] = set(cells[f]).difference(index)
         missing = np.zeros(len(lines), dtype=bool)
-        for col in cells.values():
-            tokens = _missing_cells(col)
+        for f, new in distinct.items():
+            tokens = _missing_cells(new)
             if tokens:
-                missing |= np.fromiter(map(tokens.__contains__, col), dtype=bool,
-                                       count=len(col))
+                missing |= np.fromiter(map(tokens.__contains__, cells[f]), dtype=bool,
+                                       count=len(lines))
         if missing.any():
             if self.schema.missing_policy is MissingPolicy.ERROR:
                 self._fail("missing", MissingValueError, lines[missing.argmax()],
                            "missing value")
-            lines = lines[~missing]
-            keep = (~missing).tolist()
-            cells = {name: tuple(compress(col, keep)) for name, col in cells.items()}
+            lines, keep = lines[~missing], (~missing).tolist()
+            cells = {f: tuple(compress(cells[f], keep)) for f in distinct}
+            distinct = {f: set(col).difference(self.index[f])
+                        for f, col in cells.items() if f in self.index}
             parsed = {f: values[~missing] for f, values in parsed.items()}
+            codes = {f: block[~missing] for f, block in codes.items()}
         if not len(lines):
             return
 
@@ -391,28 +393,33 @@ class _ColumnReader:
                 self._locate_bad_float(f, cells[f], lines)
             else:
                 self.values[f].frombytes(values.tobytes())
-        for f, index in self.index.items():
-            col = cells[f]
-            new = set(col).difference(index)
+        for f in self.index:
+            if f not in codes:
+                codes[f] = self._code_new(f, distinct[f], cells[f], lines)
+            self.codes[f].frombytes(codes[f].tobytes())
+
+    def _code_new(self, name: str, new: set[str], cells: tuple[str, ...],
+                  lines: np.ndarray) -> np.ndarray:
+        """Enter a column's new cells in its index, check them, code the column."""
+        index = self.index[name]
+        if name == self.schema.outcome_name:
+            index.update((cell, int(cell.strip() == "1")) for cell in new)
+            bad = [cell for cell in new if cell.strip() not in ("0", "1")]
+            if bad:
+                row = min(map(cells.index, bad))
+                self._fail("outcome", NonBinaryOutcomeError, lines[row],
+                           f"outcome value {cells[row].strip()!r} is not 0 or 1")
+        else:
             for cell in new:
                 index[cell] = len(index)
-            if f in self.labels and new and f not in self.third_line:
-                self._locate_third_label(f, col, lines)
-            buffer, wide = self.codes[f], _code_dtype(len(index))
+            if name in self.labels and new and name not in self.third_line:
+                self._locate_third_label(name, cells, lines)
+            buffer, wide = self.codes[name], _code_dtype(len(index))
             if buffer.typecode != wide.char:
                 narrow = np.frombuffer(buffer, dtype=buffer.typecode)
-                self.codes[f] = buffer = array(wide.char, narrow.astype(wide).tobytes())
-            _extend(buffer, map(index.__getitem__, col), len(col))
-
-        col = cells[self.schema.outcome_name]
-        new = set(col).difference(self.outcome_of)
-        self.outcome_of.update((cell, int(cell.strip() == "1")) for cell in new)
-        bad = [cell for cell in new if cell.strip() not in ("0", "1")]
-        if bad:
-            row = min(map(col.index, bad))
-            self._fail("outcome", NonBinaryOutcomeError, lines[row],
-                       f"outcome value {col[row].strip()!r} is not 0 or 1")
-        _extend(self.outcome, map(self.outcome_of.__getitem__, col), len(col))
+                self.codes[name] = array(wide.char, narrow.astype(wide).tobytes())
+        return np.fromiter(map(index.__getitem__, cells),
+                           dtype=self.codes[name].typecode, count=len(cells))
 
     def _locate_third_label(self, name: str, cells: tuple[str, ...],
                             lines: np.ndarray) -> None:
@@ -441,7 +448,7 @@ class _ColumnReader:
         """Raise the first recorded failure in the documented order, or build."""
         if "missing" in self.errors:
             raise self.errors["missing"]
-        if not self.outcome:
+        if not self.codes[self.schema.outcome_name]:
             raise DegenerateColumnError(f"{self.path}: no data rows")
         for check in ("outcome", *((c, f) for f in self.continuous
                                    for c in ("parse", "finite"))):
@@ -449,6 +456,8 @@ class _ColumnReader:
                 raise self.errors[check]
         continuous = {f: np.frombuffer(self.values[f], dtype=np.float64)
                       for f in self.continuous}
+        outcome = np.frombuffer(self.codes.pop(self.schema.outcome_name), dtype=np.int8)
+        del self.index[self.schema.outcome_name]
         coded = {}
         for f, index in self.index.items():
             # raw cells that strip alike share a level; popping the raw
@@ -461,7 +470,6 @@ class _ColumnReader:
             raw = self.codes.pop(f)
             code_of = code_of.astype(_code_dtype(len(levels)))
             coded[f] = levels, code_of[np.frombuffer(raw, dtype=raw.typecode)]
-        outcome = np.frombuffer(self.outcome, dtype=np.int8)
         return Dataset._from_columns(self.schema, outcome, continuous, coded)
 
 
@@ -476,7 +484,9 @@ def load_csv(path, schema: Schema) -> Dataset:
     The records are read and processed :data:`BLOCK_ROWS` at a time: each
     block's cells are checked, parsed and coded, and appended to one
     growing array per column. No list of all rows is built, so the peak
-    memory is about one block of cells plus the finished columns.
+    memory is about one block of cells plus the finished columns. A coded
+    cell takes one lookup in its column's index of the raw cells seen so far;
+    only a column holding a new cell takes a pass over its distinct cells.
 
     When a file has several defects, the first of these checks to fail
     raises, naming the earliest line it fails on anywhere in the file,

@@ -566,6 +566,21 @@ class TestErrorExitCodes:
         assert ((bom / "out" / "scan_feats.json").read_bytes()
                 == (plain / "out" / "scan_feats.json").read_bytes())
 
+    @pytest.mark.parametrize("data", ["present", "missing"])
+    def test_scan_all_of_a_featureless_schema_exits_one_before_data_is_read(
+            self, tmp_path, caplog, data):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"features": [], "outcome": "y"}))
+        csv_path = tmp_path / "data.csv"
+        if data == "present":
+            csv_path.write_text("y\n0\n1\n")
+        out = tmp_path / "out"
+        rc = main(["scan", "--features", "all", "--data", str(csv_path),
+                   "--schema", str(schema), "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "scan needs at least one feature" in caplog.text
+
     def test_empty_k_sweep_exits_one_before_data_is_read(self, synth_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"k_sweep": []}))
@@ -630,7 +645,8 @@ def test_data_commands_leave_numpy_random_unloaded(synth_dir, tmp_path):
     # every random draw of select, scan and sweep comes from featscan.rng.
     # numpy.random, with the secrets and hashlib modules it imports (and
     # OpenSSL's libcrypto that hashlib maps in), would add about 6 MiB to
-    # each command's peak memory
+    # each command's peak memory. Only the synth command imports
+    # featscan.synth, which the data commands would compile for nothing
     src = str(Path(featscan.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -648,7 +664,8 @@ def test_data_commands_leave_numpy_random_unloaded(synth_dir, tmp_path):
         import json, sys
         from featscan.cli import main
         codes = [main(argv) for argv in json.loads(sys.argv[1])]
-        print(json.dumps([codes, [m for m in ("numpy.random", "secrets", "hashlib")
+        print(json.dumps([codes, [m for m in ("numpy.random", "secrets", "hashlib",
+                                              "featscan.synth")
                                   if m in sys.modules]]))
     """)
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], env=env,

@@ -802,6 +802,125 @@ class TestCodeWidth:
         np.testing.assert_array_equal(dd.codes("x"), np.searchsorted(cuts, values))
 
 
+def plain_rows(n_rows=600):
+    """``n_rows`` records in ``make_schema``'s layout, every cell seen early.
+
+    Each column cycles through at most three labels, so every block past
+    the first few codes each categorical and outcome cell by a lookup.
+    """
+    return [f"{i}.5,{'MF'[i % 2]},{('icu', 'er', 'ward')[i % 3]},{i // 2 % 2}"
+            for i in range(n_rows)]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 256])
+class TestLoadCsvLookupPath:
+    """Cells new to a column's index, met after blocks whose lookups all hit."""
+
+    @staticmethod
+    def write(tmp_path, monkeypatch, block, rows):
+        """Write the rows under ``HEADER``; load_csv reads ``block`` at a time."""
+        monkeypatch.setattr(tabular, "BLOCK_ROWS", block)
+        return write_lines(tmp_path, [HEADER] + rows)
+
+    def load_both(self, tmp_path, monkeypatch, block, rows,
+                  missing=MissingPolicy.ERROR):
+        path = self.write(tmp_path, monkeypatch, block, rows)
+        schema = make_schema(missing)
+        return load_csv(path, schema), reference_load_csv(path, schema)
+
+    def test_new_level_in_a_later_block(self, tmp_path, monkeypatch, block):
+        rows = plain_rows()
+        rows[520] = "520.5,F,ccu,1"
+        rows[590] = "590.5,F, ccu ,0"
+        got, want = self.load_both(tmp_path, monkeypatch, block, rows)
+        assert_same_dataset(got, want)
+        assert got.levels("dept") == ("ccu", "er", "icu", "ward")
+
+    @pytest.mark.parametrize("column", ["dept", "died"])
+    @pytest.mark.parametrize("policy", list(MissingPolicy))
+    def test_missing_token_first_in_a_later_block(self, tmp_path, monkeypatch,
+                                                  block, column, policy):
+        # each row with the token also holds a cell seen nowhere else: a new
+        # dept label or a bad outcome, and in its last row a third sex label.
+        # Dropped, they leave no level and no error behind, and the columns
+        # whose lookups all hit lose the same rows
+        rows = plain_rows()
+        for i in (300, 301, 520):
+            cells = dict(zip(HEADER.split(","), rows[i].split(",")))
+            cells.update(dept="only-dropped", died="7", sex="X" if i == 520 else
+                         cells["sex"])
+            cells[column] = [" NA ", "null", ""][i % 3]
+            rows[i] = ",".join(cells.values())
+        if policy is MissingPolicy.ERROR:
+            path = self.write(tmp_path, monkeypatch, block, rows)
+            with pytest.raises(MissingValueError) as want:
+                reference_load_csv(path, make_schema(policy))
+            with pytest.raises(MissingValueError) as got:
+                load_csv(path, make_schema(policy))
+            assert str(got.value) == str(want.value) == f"{path}:302: missing value"
+            return
+        got, want = self.load_both(tmp_path, monkeypatch, block, rows, policy)
+        assert_same_dataset(got, want)
+        kept = [i for i in range(600) if i not in (300, 301, 520)]
+        np.testing.assert_array_equal(got.column("age"), np.array(kept) + 0.5)
+        np.testing.assert_array_equal(got.outcome, np.array(kept) // 2 % 2)
+        assert got.levels("sex") == ("F", "M")
+
+    def test_nominal_passes_256_levels_mid_file(self, tmp_path, monkeypatch, block):
+        rows = plain_rows(700)
+        for i in range(400, 700):   # 3 labels before, 300 new ones from here
+            rows[i] = f"{i}.5,M,d{i - 400:03d},{i % 2}"
+        got, want = self.load_both(tmp_path, monkeypatch, block, rows)
+        assert_same_dataset(got, want)
+        assert got.arity("dept") == 303
+        assert got.codes("dept").dtype == want.codes("dept").dtype == np.uint16
+        np.testing.assert_array_equal(got.codes("dept"), want.codes("dept"))
+
+    def test_id_like_column_new_in_every_block(self, tmp_path, monkeypatch, block):
+        rows = [f"{i}.5,{'MF'[i % 2]},id{i},{i % 2}" for i in range(600)]
+        got, want = self.load_both(tmp_path, monkeypatch, block, rows)
+        assert_same_dataset(got, want)
+        assert got.arity("dept") == 600
+
+    def test_bad_outcome_first_in_a_later_block(self, tmp_path, monkeypatch, block):
+        # the same bad cell again, now in the outcome's index, names no line
+        # of its own; the error names the first
+        rows = plain_rows()
+        rows[520], rows[530], rows[540] = "1,M,icu,2", "1,M,icu,x", "1,M,icu,2"
+        path = self.write(tmp_path, monkeypatch, block, rows)
+        with pytest.raises(NonBinaryOutcomeError):
+            reference_load_csv(path, make_schema())
+        with pytest.raises(NonBinaryOutcomeError) as info:
+            load_csv(path, make_schema())
+        assert str(info.value) == f"{path}:522: outcome value '2' is not 0 or 1"
+
+    def test_blank_record_alone(self, tmp_path, monkeypatch, block):
+        rows = plain_rows()
+        rows[300] = ""
+        rows[510] = "510.5,F,icu,5"
+        path = self.write(tmp_path, monkeypatch, block, rows)
+        with pytest.raises(NonBinaryOutcomeError) as info:
+            load_csv(path, make_schema())
+        assert str(info.value).startswith(f"{path}:512: ")
+        rows[510] = "510.5,F,icu,1"
+        got, want = self.load_both(tmp_path, monkeypatch, block, rows)
+        assert_same_dataset(got, want)
+        assert got.n_rows == 599
+
+    def test_blank_record_beside_a_wrong_width_record(self, tmp_path, monkeypatch,
+                                                       block):
+        # records 300 and 301 share a block at every block size but 1
+        rows = plain_rows()
+        rows[300], rows[301] = "", "301.5,M,icu"
+        path = self.write(tmp_path, monkeypatch, block, rows)
+        with pytest.raises(ParseError) as want:
+            reference_load_csv(path, make_schema())
+        with pytest.raises(ParseError) as got:
+            load_csv(path, make_schema())
+        assert str(got.value) == str(want.value) == (
+            f"{path}:303: expected 4 cells, got 3")
+
+
 class TestSchema:
     def test_json_round_trip(self):
         s = make_schema()
