@@ -20,7 +20,6 @@ import datetime
 import json
 import logging
 import sys
-import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -119,7 +118,9 @@ class PipelineConfig:
         "help": "sweep: a K suffices when its score is within this fraction "
                 "of the all-features score"})
     seed: int = field(default=0, metadata={
-        "help": "seed of the GBMs, the scans and the bootstrap"})
+        "help": "seed of the GBMs, the scans and the bootstrap; every scan of "
+                "a command takes one scan seed, so a sweep's cells share one "
+                "bootstrap null"})
 
     def __post_init__(self):
         self.data, self.schema, self.out_dir = (
@@ -167,11 +168,8 @@ class PipelineConfig:
         return embedded.GbmConfig(preset, self.gbm_trees, self.gbm_depth,
                                   self.gbm_lr, derive_seed(self.seed, 4, key))
 
-    def scan_config(self, features: list[str]) -> mdss.ScanConfig:
-        # seed keyed on the feature set, so identical sets scan identically
-        key = zlib.crc32("\x1f".join(sorted(features)).encode("utf-8"))
-        return mdss.ScanConfig(n_restarts=self.n_restarts,
-                               seed=derive_seed(self.seed, 3, key))
+    def scan_config(self) -> mdss.ScanConfig:
+        return mdss.ScanConfig(self.n_restarts, derive_seed(self.seed, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +257,14 @@ class SelectionRunner:
 def _scan_bundle(dd, features: list[str], cfg: PipelineConfig):
     """Scan, bootstrap p-value, effect estimate, characterization.
 
+    Every scan of a command takes the one scan seed ``cfg.scan_config()``
+    gives, so a sweep's cells are ranked against one bootstrap null: the
+    same replicate outcomes (see :func:`inference.empirical_p_value`).
+
     Returns the report payload, then the scored subset, its significance
     and its effect estimate (None for an empty or all-rows subset).
     """
-    scan_cfg = cfg.scan_config(features)
+    scan_cfg = cfg.scan_config()
     observed = mdss.scan(dd, features, scan_cfg)
     significance = inference.empirical_p_value(
         dd, features, scan_cfg, observed, cfg.bootstrap_r
@@ -317,6 +319,14 @@ def _load_feature_list(arg: str, schema: Schema) -> list[str]:
         repeated = sorted({f for f in features if features.count(f) > 1})
         raise FeatscanError(f"{arg}: duplicate features {repeated}")
     return features
+
+
+def _check_out_dir(out_dir: Path) -> None:
+    """An --out that is, or lies under, an existing non-directory is a usage error."""
+    existing = next(p for p in (out_dir, *out_dir.parents)
+                    if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise FeatscanError(f"--out {out_dir}: {existing} is not a directory")
 
 
 def _write_meta(out_dir: Path, command: str) -> None:
@@ -443,6 +453,7 @@ def cmd_synth(spec_path: str, out_dir: str, seed: int | None) -> int:
     # imported here, so the data commands do not compile and import synth
     from . import synth
 
+    _check_out_dir(Path(out_dir))
     doc = _load_json_object(spec_path, "spec")
     if seed is not None:
         doc["seed"] = seed
@@ -487,6 +498,8 @@ def _key(f) -> str:
 
 
 def _json_matches(value, annotation: str) -> bool:
+    if value is None:   # null gives an optional field no value, as its default
+        return annotation.endswith("| None")
     if annotation == "tuple[int, ...]":
         return isinstance(value, list) and all(_json_matches(v, "int") for v in value)
     return isinstance(value, _TYPES[annotation][1]) and not isinstance(value, bool)
@@ -564,8 +577,9 @@ def main(argv=None) -> int:
         if args.command == "synth":
             return cmd_synth(args.spec, args.out, args.seed)
         cfg = _build_config(args)
-        # the data commands' prologue: read the schema, check the usage
-        # against it, and only then read the CSV and write anything
+        # the data commands' prologue: check --out, read the schema, check
+        # the usage against it, and only then read the CSV and write anything
+        _check_out_dir(cfg.out_dir)
         schema = Schema.from_json_file(cfg.schema)
         features = _check_usage(args, cfg, schema)
         dataset = load_csv(cfg.data, schema)

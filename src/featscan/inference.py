@@ -53,6 +53,10 @@ def empirical_p_value(data: DiscreteDataset, features: list[str],
     draws a constant outcome has nothing to contrast and scores 0. The
     p-value is (1 + #{replicate >= observed}) / (r + 1), so ties count
     against significance and p is never 0.
+
+    The replicate outcomes depend only on ``cfg.seed``, ``alpha_g`` and the
+    row count. The CLI gives every scan of a command one scan seed, so the
+    cells of a sweep share one bootstrap null.
     """
     if r < MIN_REPLICATES:
         raise ValueError(

@@ -7,12 +7,17 @@ oracle: exhaustive enumeration, grid maximization, or hand arithmetic.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
 
+import featscan
 from featscan.cli import main
 from featscan.embedded import GbmConfig, Preset, extract_importance, gbm_train, top_k
 from featscan.filters import FilterThresholds, chi_square, cramers_v, filter_select, pearson, vif
@@ -299,12 +304,20 @@ class TestSweepArithmetic:
 
 class TestDeterminism:
     def test_byte_identical_across_repeated_runs(self, tmp_path):
+        # each run in a fresh interpreter under its own string-hash seed, so
+        # no report byte may depend on the iteration order of a str set
         src = sweep_dataset(tmp_path / "data", n_continuous=4,
                             arities=(3, 3, 2, 3), n_rows=400, seed=11)
+        package = str(Path(featscan.__file__).parents[1])
         outputs = {}
-        for run in (1, 2):
-            out = tmp_path / f"run{run}"
-            rc = main([
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"run{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, [package, os.environ.get("PYTHONPATH")]))}
+            subprocess.run([
+                sys.executable, "-c",
+                "import sys; from featscan.cli import main; sys.exit(main(sys.argv[1:]))",
                 "sweep",
                 "--data", str(src / "data.csv"),
                 "--schema", str(src / "schema.json"),
@@ -314,13 +327,12 @@ class TestDeterminism:
                 "--restarts", "4",
                 "--bootstrap-r", "19",
                 "--seed", "13",
-            ])
-            assert rc == 0
-            outputs[run] = {
+            ], env=env, check=True, capture_output=True)
+            outputs[hash_seed] = {
                 p.name: p.read_bytes()
                 for p in sorted(out.iterdir())
                 if p.name != "run_meta.json"
             }
-        assert outputs[1] == outputs[2]
-        assert len(outputs[1]) > 3
-        report("determinism (byte-identical across two repeated runs)")
+        assert outputs["0"] == outputs["1"]
+        assert len(outputs["0"]) > 3
+        report("determinism (byte-identical across two fresh interpreters)")

@@ -269,6 +269,35 @@ class TestSweepCommand:
             }
         assert outs[1] == outs[2]
 
+    def test_cells_share_one_bootstrap_null(self, synth_dir, tmp_path,
+                                            monkeypatch):
+        # every scan of a command takes one scan seed, so replicate i of
+        # every cell rescans the same outcome vector, whatever the cell's
+        # feature set
+        outcomes = []
+
+        def spy(data, features, cfg):
+            outcomes.append(np.asarray(data.outcome).tobytes())
+            return scan(data, features, cfg)
+
+        monkeypatch.setattr("featscan.inference.scan", spy)
+        self.run_sweep(synth_dir, tmp_path / "sweep")
+        cells = sorted((tmp_path / "sweep").glob("sweep_*_k*.json"))
+        assert len(cells) == 9
+        # 19 replicates a cell, none with a constant outcome
+        assert len(outcomes) == 19 * len(cells)
+        nulls = {tuple(outcomes[i:i + 19]) for i in range(0, len(outcomes), 19)}
+        assert len(nulls) == 1
+        assert len(set(nulls.pop())) == 19
+
+        seed = derive_seed(3, 3)
+        for path in cells:
+            assert json.loads(path.read_text())["significance"]["seed"] == seed
+        assert main(["scan", "--features", "all",
+                     *common_flags(synth_dir, tmp_path / "scan")]) == 0
+        doc = json.loads((tmp_path / "scan" / "scan_all.json").read_text())
+        assert doc["significance"]["seed"] == seed
+
     def test_report_files_per_cell(self, synth_dir, tmp_path):
         self.run_sweep(synth_dir, tmp_path)
         assert (tmp_path / "sweep_committee_k2.json").exists()
@@ -432,6 +461,16 @@ class TestConfigFile:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
+    def test_null_k_reads_as_not_given(self, synth_dir, tmp_path, caplog):
+        cfg_path = self.write_config(synth_dir, tmp_path, k=None)
+        assert main(["select", "--config", str(cfg_path), "--k", "3"]) == 0
+        doc = json.loads((tmp_path / "out" / "select_embedded_a.json").read_text())
+        assert doc["k"] == 3
+        assert main(["select", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "no_k")]) == 1
+        assert "select needs --k" in caplog.text
+        assert not (tmp_path / "no_k").exists()
+
     def test_well_typed_values_accepted(self, synth_dir, tmp_path):
         # an integer is a valid JSON number for a float field
         cfg_path = self.write_config(synth_dir, tmp_path, vif_max=12,
@@ -580,6 +619,31 @@ class TestErrorExitCodes:
         assert rc == 1
         assert not out.exists()
         assert "scan needs at least one feature" in caplog.text
+
+    @pytest.mark.parametrize("command, under", [
+        (["select", "--method", "embedded_a", "--k", "2"], ""),
+        (["scan", "--features", "all"], "sub"),
+        (["synth"], ""),
+    ], ids=["select-out-is-a-file", "scan-out-under-a-file", "synth-out-is-a-file"])
+    def test_out_at_or_under_a_file_exits_one_before_data_is_read(
+            self, synth_dir, tmp_path, caplog, command, under):
+        # the inputs exist, so a late check would read them and exit 2
+        work = tmp_path / "work"
+        work.mkdir()
+        blocker = work / "report"
+        blocker.write_text("keep\n")
+        out = blocker / under
+        if command == ["synth"]:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps({"n_rows": 10, "base_rate": 0.2,
+                                        "arities": [2]}))
+            argv = ["synth", "--spec", str(spec), "--out", str(out)]
+        else:
+            argv = [*command, *common_flags(synth_dir, out)]
+        assert main(argv) == 1
+        assert f"{blocker} is not a directory" in caplog.text
+        assert blocker.read_text() == "keep\n"
+        assert list(work.iterdir()) == [blocker]
 
     def test_empty_k_sweep_exits_one_before_data_is_read(self, synth_dir, tmp_path):
         cfg_path = tmp_path / "cfg.json"
